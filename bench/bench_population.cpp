@@ -1,13 +1,14 @@
-// Out-of-core population bench: record-sharded generation + analyses
-// under a hard RSS budget.
+// Out-of-core bench: record-sharded generation + analyses under a hard
+// RSS budget.
 //
-// The telemetry bench (bench_outofcore) took the VM x tick matrix out of
-// core; this one takes the *population* out of core — VmRecord /
+// The out-of-core mode takes the *population* out of core — VmRecord /
 // SubscriptionInfo arrays and their indices live in K CLSN shard files
 // (cloudsim/population.h) from the moment the generator emits them, and
 // the full analysis suite (characterization report, every figure CSV,
 // the knowledge base) runs against shards paged in LRU under a
-// decoded-bytes budget. The resident record vector never materializes.
+// decoded-bytes budget, with telemetry rows computed from the models on
+// demand. Neither the resident record vector nor a telemetry panel ever
+// materializes.
 //
 // Phases (each with its own VmHWM window — Linux lets us reset the
 // kernel's RSS high-water mark via /proc/self/clear_refs between phases):
@@ -28,6 +29,10 @@
 // Usage: bench_population [--scale=F] [--seed=N] [--shards=K]
 //                         [--budget-mib=N] [--rss-limit-mib=N]
 //                         [--rss-gate=0|1] [--out=PATH]
+//
+// --budget-mib defaults to 16 MiB x scale: at scale 1.0 that is 16 MiB
+// against a 24 MiB spill, and scaling it keeps the budget load-bearing
+// (shards really evict) at smaller populations too.
 //
 // --rss-gate=0 drops the RSS cap check while keeping the checksum and
 // paging gates — for sanitizer flavours, where shadow memory makes RSS
@@ -154,7 +159,7 @@ int main(int argc, char** argv) {
   auto args = bench::parse_args(argc, argv);
   args.scale = 1.0;  // the point is a population that should NOT sit resident
   std::uint32_t shards = 32;
-  std::size_t budget_mib = 16;
+  double budget_mib = -1.0;  // < 0: the scale-proportional default
   double rss_limit_mib = 512.0;
   bool rss_gate = true;
   std::string out_path = "BENCH_population.json";
@@ -164,7 +169,7 @@ int main(int argc, char** argv) {
     else if (std::strncmp(argv[i], "--shards=", 9) == 0)
       shards = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
     else if (std::strncmp(argv[i], "--budget-mib=", 13) == 0)
-      budget_mib = static_cast<std::size_t>(std::atoll(argv[i] + 13));
+      budget_mib = std::atof(argv[i] + 13);
     else if (std::strncmp(argv[i], "--rss-limit-mib=", 16) == 0)
       rss_limit_mib = std::atof(argv[i] + 16);
     else if (std::strncmp(argv[i], "--rss-gate=", 11) == 0)
@@ -173,6 +178,7 @@ int main(int argc, char** argv) {
       out_path = argv[i] + 6;
   }
 
+  if (budget_mib < 0) budget_mib = 16.0 * args.scale;
   obs::MetricsRegistry::global().set_enabled(true);
 
   bench::BenchJson json("population");
@@ -180,7 +186,7 @@ int main(int argc, char** argv) {
       .num("scale", args.scale)
       .num("seed", static_cast<double>(args.seed))
       .num("shards", shards)
-      .num("budget_mib", static_cast<double>(budget_mib))
+      .num("budget_mib", budget_mib)
       .num("rss_limit_mib", rss_limit_mib);
 
   const bool rss_windows = reset_peak_rss();
@@ -195,7 +201,7 @@ int main(int argc, char** argv) {
           .string();
   PopulationShardingOptions sharding;
   sharding.shards = shards;
-  sharding.budget_bytes = budget_mib << 20;
+  sharding.budget_bytes = static_cast<std::size_t>(budget_mib * (1 << 20));
   sharding.spill_dir = spill_dir;
   sharding.keep_files = false;
   workloads::ScenarioOptions scenario_options;
@@ -292,7 +298,7 @@ int main(int argc, char** argv) {
       .add(oracle_gen_ms + oracle_ms, 1)
       .add(oracle_rss, 1);
   std::printf("%s", table.to_string().c_str());
-  std::printf("  RSS cap: %.0f MiB; decoded-record budget: %zu MiB\n",
+  std::printf("  RSS cap: %.0f MiB; decoded-record budget: %.1f MiB\n",
               rss_limit_mib, budget_mib);
   json.write(out_path);
 

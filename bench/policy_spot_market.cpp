@@ -53,9 +53,13 @@ int main(int argc, char** argv) {
 
   bench::banner("Learned eviction risk by submission hour (ref [15])");
   std::vector<std::pair<std::string, double>> bars;
-  for (int h = 0; h < 24; h += 2)
-    bars.emplace_back("h" + std::to_string(h),
-                      report.eviction_risk_by_hour[h]);
+  for (int h = 0; h < 24; h += 2) {
+    // Appending (not "h" + to_string) sidesteps a GCC 12 -Wrestrict false
+    // positive that breaks the -Werror Release build.
+    std::string label = "h";
+    label += std::to_string(h);
+    bars.emplace_back(std::move(label), report.eviction_risk_by_hour[h]);
+  }
   std::printf("%s", render_bars(bars, 40).c_str());
 
   bench::banner("Snape-style mixture policy (ref [16])");

@@ -4,9 +4,6 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "analysis/shard_stream.h"
-#include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "stats/descriptive.h"
 #include "stats/fft.h"
@@ -91,51 +88,20 @@ PatternShares classify_population(const AnalysisContext& ctx, CloudType cloud,
       candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
 
   // Hot path: each strided VM pulls its panel row (or evaluates it once
-  // into a scratch buffer when the panel is off) and runs the
+  // into a scratch buffer when there is no panel) and runs the
   // ACF/periodicity tests. Per-VM labels land in independent slots, so the
-  // fan-out is thread-count-invariant; the tally below walks them in
-  // candidate order.
-  std::vector<UtilizationClass> labels;
-  const TelemetryShardStore* shards = trace.telemetry_shards();
-  if (shards != nullptr) {
-    // Out-of-core mode: same per-VM classify kernel, streamed shard by
-    // shard with slot-per-VM outputs — identical labels, bounded RSS.
-    labels.resize(sampled, UtilizationClass::kStable);
-    stream_by_shard(
-        *shards, sampled,
-        [&](std::size_t k) { return shards->shard_of_vm(candidates[k * stride]); },
-        [&](std::size_t k) {
-          labels[k] =
-              classify(shards->row(candidates[k * stride]), grid, options);
-        },
-        parallel);
-  } else if (const PopulationShardStore* pop = trace.population_shards();
-             pop != nullptr) {
-    // Population-sharded mode: scratch rows (no panel exists), grouped by
-    // the record shard so each pages in once — identical labels.
-    labels.resize(sampled, UtilizationClass::kStable);
-    stream_by_shard(
-        *pop, sampled,
-        [&](std::size_t k) { return pop->shard_of_vm(candidates[k * stride]); },
-        [&](std::size_t k) {
-          std::vector<double> scratch;
-          const std::span<const double> row = vm_telemetry_row(
-              trace, nullptr, candidates[k * stride], grid, scratch);
-          labels[k] = classify(row, grid, options);
-        },
-        parallel);
-  } else {
-    labels = parallel_map<UtilizationClass>(
-        sampled,
-        [&](std::size_t k) {
-          std::vector<double> scratch;
-          const std::span<const double> row =
-              vm_telemetry_row(trace, panel, candidates[k * stride], grid,
-                               scratch);
-          return classify(row, grid, options);
-        },
-        parallel);
-  }
+  // fan-out is thread-count- and shard-invariant; the tally below walks
+  // them in candidate order.
+  std::vector<UtilizationClass> labels(sampled, UtilizationClass::kStable);
+  stream_by_shard(
+      trace, sampled, [&](std::size_t k) { return candidates[k * stride]; },
+      [&](std::size_t k) {
+        std::vector<double> scratch;
+        const std::span<const double> row = vm_telemetry_row(
+            trace, panel, candidates[k * stride], grid, scratch);
+        labels[k] = classify(row, grid, options);
+      },
+      parallel);
 
   PatternShares shares;
   for (const UtilizationClass label : labels) {

@@ -3,7 +3,7 @@
 // The analyses historically walked `trace.vms()` — a span over the
 // resident record vector. In population-sharded mode (cloudsim/
 // population.h) that span does not exist: records live in K spill files
-// and page in a shard at a time. These helpers express the three access
+// and page in a shard at a time. These helpers express the four access
 // shapes the analyses actually use so each analysis is written once and
 // runs bounded-RSS in either mode:
 //
@@ -22,17 +22,27 @@
 //
 //   any_vm: short-circuit existence check.
 //
+//   stream_by_shard: a parallel fan-out over work items keyed by a VM or
+//     subscription id. Resident: one plain parallel_for. Sharded: the
+//     items of shard 0 fan out over the pool, the pool drains (ThreadPool::
+//     run blocks, providing the happens-before edge), the store evicts
+//     down to its budget at that serial point, then shard 1 begins. Each
+//     item writes only its own output slot, so the result is the same at
+//     any thread count and in either mode.
+//
 // References and spans obtained inside a group callback follow the shard
 // store's lifetime rules: valid within the callback, not across groups.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "cloudsim/population.h"
 #include "cloudsim/trace.h"
+#include "common/parallel.h"
 
 namespace cloudlens::analysis {
 
@@ -83,6 +93,43 @@ bool any_vm(const TraceStore& trace, Pred&& pred) {
     pop->evict_over_budget();
   }
   return false;
+}
+
+namespace detail {
+inline std::uint32_t shard_of_key(const PopulationShardStore& pop, VmId id) {
+  return pop.shard_of_vm(id);
+}
+inline std::uint32_t shard_of_key(const PopulationShardStore& pop,
+                                  SubscriptionId sub) {
+  return pop.shard_of(sub);
+}
+}  // namespace detail
+
+/// Runs item_fn(i) for every i in [0, n). key_of_item(i) names the VmId or
+/// SubscriptionId item i reads; in population-sharded mode the items run
+/// grouped by that key's shard, shard by shard with budget eviction at
+/// each shard boundary, and otherwise as one parallel_for. item_fn must
+/// write only to slot i of its output (the parallel_for contract); records
+/// obtained inside it are valid within the current shard's region only.
+template <typename KeyOf, typename Fn>
+void stream_by_shard(const TraceStore& trace, std::size_t n,
+                     KeyOf&& key_of_item, Fn&& item_fn,
+                     const ParallelConfig& parallel) {
+  const PopulationShardStore* pop = trace.population_shards();
+  if (pop == nullptr) {
+    parallel_for(n, item_fn, parallel);
+    return;
+  }
+  std::vector<std::vector<std::size_t>> by_shard(pop->shard_count());
+  for (std::size_t i = 0; i < n; ++i) {
+    by_shard[detail::shard_of_key(*pop, key_of_item(i))].push_back(i);
+  }
+  for (const std::vector<std::size_t>& items : by_shard) {
+    if (items.empty()) continue;
+    parallel_for(
+        items.size(), [&](std::size_t j) { item_fn(items[j]); }, parallel);
+    pop->evict_over_budget();
+  }
 }
 
 }  // namespace cloudlens::analysis

@@ -7,9 +7,7 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "analysis/shard_stream.h"
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 #include "stats/correlation.h"
@@ -21,13 +19,9 @@ namespace {
 /// matching the paper's "averaged utilization computed at the region
 /// level"). Consumes the panel's hourly companion view: one 168-sample
 /// row accumulation per VM instead of re-rolling 12-tick windows over a
-/// freshly evaluated 2016-sample series per subscription. In out-of-core
-/// mode (`shards` non-null) the hourly rows come off the mapped shard
-/// instead — identical bits, since both are produced by the same
-/// hourly_from_row kernel.
+/// freshly evaluated 2016-sample series per subscription.
 stats::TimeSeries average_hourly_utilization(const TraceStore& trace,
                                              const TelemetryPanel* panel,
-                                             const TelemetryShardStore* shards,
                                              std::span<const VmId> vms,
                                              const TimeGrid& grid) {
   CL_CHECK(!vms.empty());
@@ -39,10 +33,7 @@ stats::TimeSeries average_hourly_utilization(const TraceStore& trace,
   std::vector<double> row_scratch, hourly_scratch;
   for (const VmId id : vms) {
     const std::span<const double> hourly =
-        shards != nullptr
-            ? shards->hourly_row(id)
-            : vm_hourly_row(trace, panel, id, grid, row_scratch,
-                            hourly_scratch);
+        vm_hourly_row(trace, panel, id, grid, row_scratch, hourly_scratch);
     for (std::size_t i = 0; i < values.size(); ++i) values[i] += hourly[i];
   }
   sum.scale(1.0 / static_cast<double>(vms.size()));
@@ -86,65 +77,31 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
   const std::size_t sampled =
       candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
 
+  // Hot path: one node-utilization roll-up plus one fused Pearson per
+  // hosted VM, streaming panel rows — no per-VM series materialization.
+  // Each strided node fills its own slot; slots are concatenated in node
+  // order below, so output is independent of scheduling.
+  const auto per_node = parallel_map<std::vector<double>>(
+      sampled,
+      [&](std::size_t k) {
+        const auto& [node_id, vms] = candidates[k * stride];
+        const auto node_series = trace.node_utilization(node_id, grid);
+        std::vector<double> rs;
+        rs.reserve(vms.size());
+        std::vector<double> scratch;
+        for (const VmId id : vms) {
+          const std::span<const double> row =
+              vm_telemetry_row(trace, panel, id, grid, scratch);
+          rs.push_back(stats::pearson_fused(row, node_series.values()));
+        }
+        return rs;
+      },
+      parallel);
   std::vector<double> out;
-  const TelemetryShardStore* shards = trace.telemetry_shards();
-  if (shards != nullptr) {
-    // Out-of-core mode. The node roll-ups come first (they evaluate VM
-    // models into per-task scratch — small and shard-independent), one
-    // slot per sampled node. Then every (node, VM) Pearson becomes a pair
-    // item laid out node-major — exactly the order the resident path
-    // concatenates per_node — and the pairs stream shard by shard, so the
-    // sorted result is bit-identical with one-to-two shards mapped.
-    const auto node_series = parallel_map<stats::TimeSeries>(
-        sampled,
-        [&](std::size_t k) {
-          return trace.node_utilization(candidates[k * stride].first, grid);
-        },
-        parallel);
-    std::vector<std::uint32_t> pair_node;
-    std::vector<VmId> pair_vm;
-    for (std::size_t k = 0; k < sampled; ++k) {
-      for (const VmId id : candidates[k * stride].second) {
-        pair_node.push_back(static_cast<std::uint32_t>(k));
-        pair_vm.push_back(id);
-      }
-    }
-    out.assign(pair_vm.size(), 0.0);
-    stream_by_shard(
-        *shards, pair_vm.size(),
-        [&](std::size_t p) { return shards->shard_of_vm(pair_vm[p]); },
-        [&](std::size_t p) {
-          out[p] = stats::pearson_fused(shards->row(pair_vm[p]),
-                                        node_series[pair_node[p]].values());
-        },
-        parallel);
-  } else {
-    // Hot path: one node-utilization roll-up plus one fused Pearson per
-    // hosted VM, streaming panel rows — no per-VM series materialization.
-    // Each strided node fills its own slot; slots are concatenated in node
-    // order below, so output is independent of scheduling.
-    const auto per_node = parallel_map<std::vector<double>>(
-        sampled,
-        [&](std::size_t k) {
-          const auto& [node_id, vms] = candidates[k * stride];
-          const auto node_series = trace.node_utilization(node_id, grid);
-          std::vector<double> rs;
-          rs.reserve(vms.size());
-          std::vector<double> scratch;
-          for (const VmId id : vms) {
-            const std::span<const double> row =
-                vm_telemetry_row(trace, panel, id, grid, scratch);
-            rs.push_back(stats::pearson_fused(row, node_series.values()));
-          }
-          return rs;
-        },
-        parallel);
-    for (const auto& rs : per_node)
-      out.insert(out.end(), rs.begin(), rs.end());
-    // The fan-out paged in whatever shards its row evaluations touched;
-    // the pool has drained, so release them here.
-    if (pop != nullptr) pop->evict_over_budget();
-  }
+  for (const auto& rs : per_node) out.insert(out.end(), rs.begin(), rs.end());
+  // The fan-out paged in whatever shards its row evaluations touched; the
+  // pool has drained, so release them here.
+  if (pop != nullptr) pop->evict_over_budget();
   std::sort(out.begin(), out.end());
   ctx.count(obs::Counter::kAnalysisCorrelations, out.size());
   return out;
@@ -160,9 +117,8 @@ std::vector<RegionProfile> subscription_region_profiles(
   const TimeGrid& grid = trace.telemetry_grid();
   const TelemetryPanel* panel = trace.telemetry_panel();
   // A subscription's VMs all live in one shard (the router hashes the
-  // subscription id), so in out-of-core mode this whole call touches at
-  // most one mapped shard.
-  const TelemetryShardStore* shards = trace.telemetry_shards();
+  // subscription id), so in population-sharded mode this whole call pages
+  // in at most one shard.
   std::unordered_map<RegionId, std::vector<VmId>> by_region;
   for (const VmId id : trace.vms_of_subscription(sub)) {
     const auto& vm = trace.vm(id);
@@ -177,7 +133,7 @@ std::vector<RegionProfile> subscription_region_profiles(
     p.region = region;
     p.vms_used = vms.size();
     p.hourly_utilization =
-        average_hourly_utilization(trace, panel, shards, vms, grid);
+        average_hourly_utilization(trace, panel, vms, grid);
     out.push_back(std::move(p));
   }
   std::sort(out.begin(), out.end(),
@@ -248,10 +204,8 @@ std::vector<double> cross_region_correlations(const AnalysisContext& ctx,
                                               max_vms_per_region);
         },
         parallel);
-    // Serial point between blocks: drop mapped shards back under budget
-    // before the next fan-out pages more in.
-    if (const TelemetryShardStore* shards = trace.telemetry_shards())
-      shards->evict_over_budget();
+    // Serial point between blocks: drop shards back under budget before
+    // the next fan-out pages more in.
     if (const PopulationShardStore* pop = trace.population_shards())
       pop->evict_over_budget();
     for (const auto& profiles : profile_block) {
@@ -329,13 +283,9 @@ std::vector<RegionAgnosticVerdict> detect_region_agnostic_services(
   for (const ServiceId service : services)
     region_sets.push_back(&by_service.at(service));
 
-  // Every pooled member's hourly row lands in its own slot. Slotting the
-  // rows gives this analysis the stream_by_shard shape the other
-  // out-of-core passes use — services span subscriptions (and so shards)
-  // arbitrarily, but the *rows* group cleanly by shard — so in sharded
-  // modes the rows come off the stores with eviction at every shard
-  // boundary instead of the scratch fallback the old single fan-out was
-  // pinned to.
+  // Every pooled member's hourly row lands in its own slot. Services span
+  // subscriptions (and so shards) arbitrarily, but the *rows* group
+  // cleanly by shard, so stream_by_shard pages each record shard in once.
   CL_CHECK(grid.step > 0 && kHour % grid.step == 0);
   const std::size_t factor = static_cast<std::size_t>(kHour / grid.step);
   const std::size_t hours = grid.count / factor;
@@ -351,32 +301,16 @@ std::vector<RegionAgnosticVerdict> detect_region_agnostic_services(
     }
   }
   std::vector<double> rows(member_vm.size() * hours, 0.0);
-  const auto fill_slot = [&](std::size_t p) {
-    std::vector<double> row_scratch, hourly_scratch;
-    const std::span<const double> hourly = vm_hourly_row(
-        trace, panel, member_vm[p], grid, row_scratch, hourly_scratch);
-    std::copy(hourly.begin(), hourly.end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(p * hours));
-  };
-  if (const TelemetryShardStore* shards = trace.telemetry_shards()) {
-    stream_by_shard(
-        *shards, member_vm.size(),
-        [&](std::size_t p) { return shards->shard_of_vm(member_vm[p]); },
-        [&](std::size_t p) {
-          const std::span<const double> hourly =
-              shards->hourly_row(member_vm[p]);
-          std::copy(hourly.begin(), hourly.end(),
-                    rows.begin() + static_cast<std::ptrdiff_t>(p * hours));
-        },
-        parallel);
-  } else if (const PopulationShardStore* pop = trace.population_shards()) {
-    stream_by_shard(
-        *pop, member_vm.size(),
-        [&](std::size_t p) { return pop->shard_of_vm(member_vm[p]); },
-        fill_slot, parallel);
-  } else {
-    parallel_for(member_vm.size(), fill_slot, parallel);
-  }
+  stream_by_shard(
+      trace, member_vm.size(), [&](std::size_t p) { return member_vm[p]; },
+      [&](std::size_t p) {
+        std::vector<double> row_scratch, hourly_scratch;
+        const std::span<const double> hourly = vm_hourly_row(
+            trace, panel, member_vm[p], grid, row_scratch, hourly_scratch);
+        std::copy(hourly.begin(), hourly.end(),
+                  rows.begin() + static_cast<std::ptrdiff_t>(p * hours));
+      },
+      parallel);
 
   // Per-service verdicts over the slots: each region profile sums its
   // members in pool order — the same accumulation order

@@ -4,9 +4,7 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "analysis/shard_stream.h"
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 #include "stats/descriptive.h"
@@ -33,61 +31,26 @@ UtilizationDistribution utilization_distribution(const AnalysisContext& ctx,
     stride = candidates.size() / max_vms;
 
   // Hot path #1: per-VM hourly roll-up straight off the panel's hourly
-  // companion view (or an identically-computed scratch row when the panel
-  // is off). Slot-per-VM fan-out, merged in candidate order.
+  // companion view (or an identically-computed scratch row when there is
+  // no panel). Slot-per-VM fan-out, grouped by record shard when the
+  // population is sharded; the assembled vector is the same either way.
   const std::size_t sampled =
       candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
   CL_CHECK(grid.step > 0 && kHour % grid.step == 0);
   const std::size_t factor = static_cast<std::size_t>(kHour / grid.step);
   const TimeGrid hourly_grid{grid.start, kHour, grid.count / factor};
-  std::vector<stats::TimeSeries> hourly;
-  const TelemetryShardStore* shards = trace.telemetry_shards();
-  if (shards != nullptr) {
-    // Out-of-core mode: stream the roll-up shard by shard (bounded RSS).
-    // Each sampled VM still fills its own slot k, so the assembled vector
-    // is identical to the resident path, bit for bit.
-    hourly.resize(sampled);
-    stream_by_shard(
-        *shards, sampled,
-        [&](std::size_t k) { return shards->shard_of_vm(candidates[k * stride]); },
-        [&](std::size_t k) {
-          const std::span<const double> row =
-              shards->hourly_row(candidates[k * stride]);
-          hourly[k] = stats::TimeSeries(
-              hourly_grid, std::vector<double>(row.begin(), row.end()));
-        },
-        parallel);
-  } else if (const PopulationShardStore* pop = trace.population_shards();
-             pop != nullptr) {
-    // Population-sharded mode: no panel exists, so rows come from the
-    // scratch fill (identical bits). Group by the record shard so each
-    // shard pages in once and evicts at the group boundary.
-    hourly.resize(sampled);
-    stream_by_shard(
-        *pop, sampled,
-        [&](std::size_t k) { return pop->shard_of_vm(candidates[k * stride]); },
-        [&](std::size_t k) {
-          std::vector<double> row_scratch, hourly_scratch;
-          const std::span<const double> row = vm_hourly_row(
-              trace, nullptr, candidates[k * stride], grid, row_scratch,
-              hourly_scratch);
-          hourly[k] = stats::TimeSeries(
-              hourly_grid, std::vector<double>(row.begin(), row.end()));
-        },
-        parallel);
-  } else {
-    hourly = parallel_map<stats::TimeSeries>(
-        sampled,
-        [&](std::size_t k) {
-          std::vector<double> row_scratch, hourly_scratch;
-          const std::span<const double> row = vm_hourly_row(
-              trace, panel, candidates[k * stride], grid, row_scratch,
-              hourly_scratch);
-          return stats::TimeSeries(
-              hourly_grid, std::vector<double>(row.begin(), row.end()));
-        },
-        parallel);
-  }
+  std::vector<stats::TimeSeries> hourly(sampled);
+  stream_by_shard(
+      trace, sampled, [&](std::size_t k) { return candidates[k * stride]; },
+      [&](std::size_t k) {
+        std::vector<double> row_scratch, hourly_scratch;
+        const std::span<const double> row =
+            vm_hourly_row(trace, panel, candidates[k * stride], grid,
+                          row_scratch, hourly_scratch);
+        hourly[k] = stats::TimeSeries(
+            hourly_grid, std::vector<double>(row.begin(), row.end()));
+      },
+      parallel);
 
   UtilizationDistribution out;
   out.vms_used = hourly.size();

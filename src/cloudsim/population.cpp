@@ -8,14 +8,25 @@
 #include <limits>
 #include <string_view>
 
-#include "cloudsim/shard.h"
 #include "cloudsim/snapshot.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace cloudlens {
 
 namespace fs = std::filesystem;
+
+std::uint32_t shard_of_subscription(SubscriptionId sub,
+                                    std::uint32_t shard_count) {
+  CL_CHECK(shard_count > 0);
+  // SplitMix64 finalizer over the raw id: stable across platforms, runs,
+  // and thread counts, and strong enough that sequentially assigned ids
+  // spread evenly over any K.
+  return static_cast<std::uint32_t>(
+      SplitMix64(static_cast<std::uint64_t>(sub.value())).next() %
+      shard_count);
+}
 
 namespace {
 
@@ -33,12 +44,10 @@ constexpr std::size_t kRecordBytes = 64;
 /// Spill-log staging buffer flush threshold.
 constexpr std::size_t kStageBytes = 256u << 10;
 
-/// FNV-1a over the router inputs — the population twin of the telemetry
-/// router digest (shard.cpp), with its own salt and with the subscription
-/// table folded in. Binds spill files to (record metadata, subscription
-/// metadata, grid, K). Model *internals* are not hashed; directories that
-/// may be shared across traces must be keyed by trace content, which the
-/// pipeline does.
+/// FNV-1a over the router inputs, with the subscription table folded in.
+/// Binds spill files to (record metadata, subscription metadata, grid, K).
+/// Model *internals* are not hashed; directories that may be shared across
+/// traces must be keyed by trace content, which the pipeline does.
 class Fnv64 {
  public:
   Fnv64() = default;

@@ -1,22 +1,24 @@
 // Out-of-core population: sharded VM/subscription record spill files.
 //
-// The telemetry shard store (shard.h) took the VM × tick matrix out of
-// core, but the records themselves — VmRecord, SubscriptionInfo, and the
-// per-node/per-subscription indices — stayed resident, which caps the
-// population at what one vector holds (Azure's public slice alone is 2.6M
-// VMs). The PopulationShardStore extends the same subscription-hash
-// discipline to the records: K shards, each spilled as its own CLSN
-// snapshot container (snapshot.h sections POPULATION_META /
+// A trace's records — VmRecord, SubscriptionInfo, and the per-node/
+// per-subscription indices — normally live in resident vectors, which caps
+// the population at what one vector holds (Azure's public slice alone is
+// 2.6M VMs). The PopulationShardStore is the one out-of-core mode: K
+// shards keyed by subscription hash, each spilled as its own CLSN snapshot
+// container (snapshot.h sections POPULATION_META /
 // POPULATION_SUBSCRIPTIONS / POPULATION_VMS / POPULATION_MODELS /
 // POPULATION_NODE_INDEX), paged in on demand and evicted LRU under a
-// mapped+decoded-bytes budget.
+// decoded-bytes budget. Telemetry is never spilled: a sharded trace has no
+// panel, and every row is computed on demand from the VM's model with
+// TelemetryPanel::fill_row (identical bits to the resident panel).
 //
-// Shard hash contract: identical to the telemetry store —
-// shard_of_subscription(sub, K), a pure function of (subscription id, K) —
-// so a subscription's VMs and its SubscriptionInfo always live in one
-// shard, whole subscriptions stream without crossing shard boundaries, and
-// the population shards of a trace line up one-to-one with its telemetry
-// shards for the same K.
+// Shard hash contract: shard_of_subscription(sub, K) =
+// SplitMix64(sub.value()).next() % K, a pure function of (subscription
+// id, K) — independent of thread count, build order, and platform — so a
+// subscription's VMs and its SubscriptionInfo always live in one shard,
+// whole subscriptions stream without crossing shard boundaries, and spill
+// files are reusable across runs (the router digest binds a file to its
+// trace + K).
 //
 // Two build paths:
 //  * Streaming (the generator and the ingest backends): construct with
@@ -38,7 +40,7 @@
 // budget), so record references behave exactly like resident ones while
 // the shard stays paged in.
 //
-// Concurrency / lifetime rules (TSan-policed, same as shard.h):
+// Concurrency / lifetime rules (TSan-policed):
 //   - view()/record()/subscription()/vms_of_subscription() may be called
 //     from any number of pool workers; a shard's first toucher decodes it
 //     under a mutex and publishes the view with a release-store.
@@ -68,6 +70,10 @@
 namespace cloudlens {
 
 class SnapshotModelCodec;
+
+/// Stable shard assignment; pure function of (subscription id, K).
+std::uint32_t shard_of_subscription(SubscriptionId sub,
+                                    std::uint32_t shard_count);
 
 struct PopulationShardingOptions {
   /// Number of shards (K). Clamped to >= 1.

@@ -103,8 +103,10 @@ using snapshot_codec::append_u8;
 using snapshot_codec::Reader;
 
 // Section ids. Values are part of the on-disk format; never renumber.
-// Ids 11-15 belong to the population shard files and are defined publicly
-// in snapshot.h (snapshot_sections) for cloudsim/population.cpp.
+// Ids 8-10 are retired (they held the removed telemetry panel shards) and
+// must not be reused. Ids 11-15 belong to the population shard files and
+// are defined publicly in snapshot.h (snapshot_sections) for
+// cloudsim/population.cpp.
 enum Section : std::uint32_t {
   kGrid = 1,
   kTopology = 2,
@@ -113,9 +115,7 @@ enum Section : std::uint32_t {
   kModels = 5,
   kVms = 6,
   kPanel = 7,
-  kShardMeta = 8,
-  kShardRows = 9,
-  kShardHourly = 10,
+  // 8-10: retired.
   // 11-15: population meta / subscriptions / vms / models / node index.
 };
 
@@ -753,107 +753,6 @@ bool SnapshotMapping::has_section(std::uint32_t id) const {
   bool found = false;
   find_section(sections_, id, &found);
   return found;
-}
-
-// --- panel shard files ---------------------------------------------------
-
-void save_panel_shard_snapshot(const PanelShardHeader& header,
-                               std::span<const double> rows,
-                               std::span<const double> hourly,
-                               std::ostream& out) {
-  CL_CHECK_MSG(rows.size() == header.row_count * header.grid.count,
-               "shard snapshot: rows span size mismatch");
-  CL_CHECK_MSG(hourly.size() == header.row_count * header.hourly_count,
-               "shard snapshot: hourly span size mismatch");
-  std::string meta;
-  append_grid(meta, header.grid);
-  append_u64(meta, header.shard_index);
-  append_u64(meta, header.shard_count);
-  append_u64(meta, header.row_count);
-  append_u64(meta, header.hourly_count);
-  append_u64(meta, header.router_digest);
-
-  std::string head;
-  append_u32(head, kSnapshotMagic);
-  append_u32(head, kSnapshotFormatVersion);
-  append_u32(head, 3);  // SHARD_META, SHARD_ROWS, SHARD_HOURLY
-  append_u32(head, 0);
-  const std::uint64_t meta_off = head.size() + 3 * 24;
-  const std::uint64_t rows_off = meta_off + meta.size();
-  const std::uint64_t rows_bytes = rows.size_bytes();
-  const std::uint64_t hourly_off = rows_off + rows_bytes;
-  // Alignment contract: the double payloads must start on 8-byte file
-  // offsets so a mapped shard can serve them in place. Header + table is
-  // 88 bytes and meta is fixed-width u64s, so this holds by construction;
-  // keep it checked against future meta growth.
-  CL_CHECK_MSG(rows_off % alignof(double) == 0 &&
-                   hourly_off % alignof(double) == 0,
-               "shard snapshot: misaligned payload layout");
-  std::string table;
-  append_u32(table, kShardMeta);
-  append_u32(table, 0);
-  append_u64(table, meta_off);
-  append_u64(table, meta.size());
-  append_u32(table, kShardRows);
-  append_u32(table, 0);
-  append_u64(table, rows_off);
-  append_u64(table, rows_bytes);
-  append_u32(table, kShardHourly);
-  append_u32(table, 0);
-  append_u64(table, hourly_off);
-  append_u64(table, hourly.size_bytes());
-
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  out.write(table.data(), static_cast<std::streamsize>(table.size()));
-  out.write(meta.data(), static_cast<std::streamsize>(meta.size()));
-  // Payload spans stream straight to the file: no staging copy, so the
-  // writer's transient memory stays O(header) even for GB shards.
-  out.write(reinterpret_cast<const char*>(rows.data()),
-            static_cast<std::streamsize>(rows.size_bytes()));
-  out.write(reinterpret_cast<const char*>(hourly.data()),
-            static_cast<std::streamsize>(hourly.size_bytes()));
-  CL_CHECK_MSG(out.good(), "shard snapshot: write failed");
-}
-
-namespace {
-
-std::span<const double> shard_payload_span(std::string_view payload,
-                                           std::uint64_t expected,
-                                           const char* what) {
-  CL_CHECK_MSG(payload.size() == expected * sizeof(double),
-               "shard snapshot: " << what << " payload size "
-                                  << payload.size() << " != expected "
-                                  << expected * sizeof(double));
-  CL_CHECK_MSG(reinterpret_cast<std::uintptr_t>(payload.data()) %
-                       alignof(double) ==
-                   0,
-               "shard snapshot: misaligned " << what << " payload");
-  return {reinterpret_cast<const double*>(payload.data()),
-          static_cast<std::size_t>(expected)};
-}
-
-}  // namespace
-
-PanelShardView open_panel_shard(const SnapshotMapping& mapping) {
-  PanelShardView view;
-  Reader meta(mapping.section(kShardMeta));
-  view.header.grid = read_grid(meta);
-  view.header.shard_index = meta.u64();
-  view.header.shard_count = meta.u64();
-  view.header.row_count = meta.u64();
-  view.header.hourly_count = meta.u64();
-  view.header.router_digest = meta.u64();
-  CL_CHECK_MSG(meta.done(), "shard snapshot: trailing meta bytes");
-  CL_CHECK_MSG(view.header.shard_count > 0 &&
-                   view.header.shard_index < view.header.shard_count,
-               "shard snapshot: bad shard index");
-  view.rows = shard_payload_span(
-      mapping.section(kShardRows),
-      view.header.row_count * view.header.grid.count, "rows");
-  view.hourly = shard_payload_span(
-      mapping.section(kShardHourly),
-      view.header.row_count * view.header.hourly_count, "hourly");
-  return view;
 }
 
 }  // namespace cloudlens

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -111,9 +110,9 @@ class Reader {
 }  // namespace snapshot_codec
 
 /// Section ids used by the population shard files (cloudsim/population.h),
-/// which build their containers by hand the way the panel shards do. The
-/// values live in snapshot.cpp's Section enum; they are part of the
-/// on-disk format and must never be renumbered.
+/// which build their containers by hand. The values live in snapshot.cpp's
+/// Section enum; they are part of the on-disk format and must never be
+/// renumbered.
 namespace snapshot_sections {
 inline constexpr std::uint32_t kPopulationMeta = 11;
 inline constexpr std::uint32_t kPopulationSubscriptions = 12;
@@ -178,7 +177,7 @@ std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in);
 // SnapshotMapping opens a snapshot file read-only and serves the container
 // bytes as a view. On POSIX hosts the file is mmap'd, so section payloads
 // page in on demand instead of being slurped — the enabler for out-of-core
-// panel shards, where only the rows an analysis touches ever enter RSS.
+// population shards, where only the shards an analysis touches are read.
 // When mmap is unavailable or fails (or CLOUDLENS_NO_MMAP=1 is set) the
 // mapping degrades to the buffered reader: the whole file is read into an
 // owned buffer and the same view API works unchanged. Either way the
@@ -186,8 +185,8 @@ std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in);
 // malformed file fails with CheckError at open, never at first touch of a
 // payload.
 //
-// Lifetime: every view returned by section()/open_panel_shard() points
-// into the mapping; the mapping must outlive all such views.
+// Lifetime: every view returned by section() points into the mapping; the
+// mapping must outlive all such views.
 class SnapshotMapping {
  public:
   /// Opens and validates `path`. Throws CheckError when the file cannot be
@@ -219,47 +218,10 @@ class SnapshotMapping {
 
 /// Mapping-based loads: identical results to the stream overloads, byte
 /// for byte, but panel payloads are referenced in place before the copy
-/// into the panel's own storage (and shard payloads are never copied at
-/// all — see open_panel_shard).
+/// into the panel's own storage.
 LoadedSnapshot load_trace_snapshot(const SnapshotMapping& mapping,
                                    const SnapshotModelCodec* codec = nullptr);
 std::unique_ptr<TelemetryPanel> load_panel_snapshot(
     const SnapshotMapping& mapping);
-
-// --- panel shard files ---------------------------------------------------
-//
-// One shard = the dense row-major sub-matrix of its member VMs (full-res
-// rows + the hourly companion), stored as its own container with three
-// sections: SHARD_META, SHARD_ROWS, SHARD_HOURLY. The double payloads are
-// 8-byte aligned in the file (the writer checks this), so a mapped shard
-// serves rows directly out of the page cache with zero copies.
-
-struct PanelShardHeader {
-  TimeGrid grid;                   ///< full-resolution telemetry grid
-  std::uint64_t shard_index = 0;   ///< this shard's index in [0, shard_count)
-  std::uint64_t shard_count = 0;   ///< total shards in the store
-  std::uint64_t row_count = 0;     ///< member VMs (rows in this shard)
-  std::uint64_t hourly_count = 0;  ///< ticks per hourly row
-  std::uint64_t router_digest = 0; ///< binds the file to (trace, K, hash fn)
-};
-
-/// Writes one shard container. `rows` is row_count x grid.count row-major;
-/// `hourly` is row_count x hourly_count. Payload spans are streamed to the
-/// ostream directly (no staging copy).
-void save_panel_shard_snapshot(const PanelShardHeader& header,
-                               std::span<const double> rows,
-                               std::span<const double> hourly,
-                               std::ostream& out);
-
-/// Zero-copy view of a mapped shard file. Spans alias the mapping.
-struct PanelShardView {
-  PanelShardHeader header;
-  std::span<const double> rows;
-  std::span<const double> hourly;
-};
-
-/// Validates and opens the shard sections of `mapping`. Throws CheckError
-/// on missing sections, size mismatches, or misaligned payloads.
-PanelShardView open_panel_shard(const SnapshotMapping& mapping);
 
 }  // namespace cloudlens

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 
@@ -66,7 +65,6 @@ VmId TraceStore::add_vm(VmRecord record) {
   node_index_valid_ = false;
   sub_index_valid_ = false;
   panel_valid_ = false;
-  shards_valid_ = false;
   return id;
 }
 
@@ -85,7 +83,6 @@ void TraceStore::set_vm_deleted(VmId id, SimTime when) {
   node_index_valid_ = false;
   sub_index_valid_ = false;
   panel_valid_ = false;
-  shards_valid_ = false;
 }
 
 void TraceStore::build_node_index() const {
@@ -114,18 +111,17 @@ void TraceStore::build_telemetry_panel() const {
 }
 
 const TelemetryPanel* TraceStore::telemetry_panel() const {
-  // Out-of-core mode: the resident matrix must never materialize; the
-  // streaming consumers read shards and everyone else takes the scratch
-  // fallback (identical bits either way). Population sharding implies the
-  // same: no resident per-VM matrix of any kind.
-  if (sharding_ != nullptr || pop_shards_ != nullptr) return nullptr;
+  // Population-sharded mode holds no resident per-VM matrix of any kind:
+  // consumers compute rows on demand with the same fill kernel (identical
+  // bits).
+  if (pop_shards_ != nullptr) return nullptr;
   if (!panel_enabled_) return nullptr;
   if (!panel_valid_.load(std::memory_order_acquire)) build_telemetry_panel();
   return panel_.get();
 }
 
 bool TraceStore::adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel) {
-  if (sharding_ != nullptr || pop_shards_ != nullptr) return false;
+  if (pop_shards_ != nullptr) return false;
   if (!panel_enabled_ || panel == nullptr) return false;
   if (panel->grid() != grid_ || panel->vm_count() != vm_span().size()) {
     return false;
@@ -142,40 +138,6 @@ void TraceStore::set_telemetry_panel_enabled(bool enabled) {
     panel_valid_ = false;
     panel_.reset();
   }
-}
-
-void TraceStore::set_telemetry_sharding(
-    const TelemetryShardingOptions& options) {
-  CL_CHECK_MSG(pop_shards_ == nullptr,
-               "telemetry sharding and population sharding are mutually "
-               "exclusive (population mode already streams rows on demand)");
-  sharding_ = std::make_unique<TelemetryShardingOptions>(options);
-  // Sharding and the resident panel are mutually exclusive; drop any
-  // materialized matrix now so RSS never holds both.
-  panel_valid_ = false;
-  panel_.reset();
-  shards_valid_ = false;
-  shards_.reset();
-}
-
-void TraceStore::clear_telemetry_sharding() {
-  sharding_.reset();
-  shards_valid_ = false;
-  shards_.reset();
-}
-
-void TraceStore::build_telemetry_shards() const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (shards_valid_.load(std::memory_order_relaxed)) return;
-  shards_ = std::make_unique<TelemetryShardStore>(*this, *sharding_);
-  shards_valid_.store(true, std::memory_order_release);
-}
-
-const TelemetryShardStore* TraceStore::telemetry_shards() const {
-  if (sharding_ == nullptr) return nullptr;
-  if (!shards_valid_.load(std::memory_order_acquire))
-    build_telemetry_shards();
-  return shards_.get();
 }
 
 std::span<const SubscriptionInfo> TraceStore::subscriptions() const {
@@ -237,9 +199,6 @@ void TraceStore::begin_population_spill(
   CL_CHECK_MSG(pop_shards_ == nullptr, "population spill already active");
   CL_CHECK_MSG(vms_.empty() && adopted_vms_ == nullptr,
                "population spill must start before any VM is added");
-  CL_CHECK_MSG(sharding_ == nullptr,
-               "telemetry sharding and population sharding are mutually "
-               "exclusive");
   pop_shards_ = std::make_unique<PopulationShardStore>(grid_, options);
   pop_spilling_ = true;
 }
@@ -261,9 +220,6 @@ void TraceStore::finish_population_spill() {
 void TraceStore::set_population_sharding(
     const PopulationShardingOptions& options) {
   CL_CHECK_MSG(pop_shards_ == nullptr, "population sharding already enabled");
-  CL_CHECK_MSG(sharding_ == nullptr,
-               "telemetry sharding and population sharding are mutually "
-               "exclusive");
   CL_CHECK_MSG(adopted_vms_ == nullptr,
                "cannot population-shard adopted records");
   pop_shards_ = PopulationShardStore::build(*this, options);
@@ -290,7 +246,6 @@ void TraceStore::adopt_vm_records(
   node_index_valid_ = false;
   sub_index_valid_ = false;
   panel_valid_ = false;
-  shards_valid_ = false;
 }
 
 void TraceStore::set_sample_valid_ticks(std::size_t ticks) {

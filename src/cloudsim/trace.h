@@ -26,8 +26,6 @@
 namespace cloudlens {
 
 class TelemetryPanel;
-class TelemetryShardStore;
-struct TelemetryShardingOptions;
 class PopulationShardStore;
 struct PopulationShardingOptions;
 
@@ -180,8 +178,9 @@ class TraceStore {
   /// The columnar telemetry cache (row-major VM × tick utilization matrix
   /// plus an hourly-mean companion view), materialized lazily on first call
   /// over `telemetry_grid()` and invalidated by add_vm/set_vm_deleted.
-  /// Returns nullptr when the panel is disabled — consumers fall back to
-  /// on-demand row evaluation with identical bits (see telemetry_panel.h).
+  /// Returns nullptr when the panel is disabled or the trace is
+  /// population-sharded — consumers fall back to on-demand row evaluation
+  /// with identical bits (see telemetry_panel.h).
   /// Safe for concurrent readers: the first reader builds the panel under
   /// the index mutex and publishes it with a release-store, exactly like
   /// the node/subscription indexes.
@@ -206,23 +205,6 @@ class TraceStore {
   /// like every other mutator.
   bool adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel);
 
-  /// Out-of-core mode: shard the telemetry matrix by subscription hash
-  /// into mmap-backed spill files (cloudsim/shard.h) instead of one
-  /// resident panel. While sharding is enabled telemetry_panel() returns
-  /// nullptr — non-streaming consumers fall back to on-demand row
-  /// evaluation through the same fill kernel (identical bits), and the
-  /// restructured streaming passes read rows via telemetry_shards().
-  /// Mutation must be externally serialized against readers.
-  void set_telemetry_sharding(const TelemetryShardingOptions& options);
-  void clear_telemetry_sharding();
-  bool telemetry_sharding_enabled() const { return sharding_ != nullptr; }
-
-  /// The shard store, built lazily on first use (filling + spilling the
-  /// shard files), or nullptr when sharding is disabled. Publication
-  /// follows the telemetry_panel() pattern, so concurrent readers are
-  /// safe; add_vm/set_vm_deleted invalidate it.
-  const TelemetryShardStore* telemetry_shards() const;
-
   // --- population sharding (out-of-core VM/subscription records) --------
   //
   // Two ways in:
@@ -235,9 +217,9 @@ class TraceStore {
   //    spills the resident records and drops them.
   // Either way the store ends up population-sharded: vms()/subscriptions()
   // become unavailable, record lookups page shards in on demand, and
-  // mutation (add_vm/set_vm_deleted) is rejected. Population sharding is
-  // mutually exclusive with the telemetry panel and telemetry sharding —
-  // consumers take the scratch fill_row fallback (identical bits).
+  // mutation (add_vm/set_vm_deleted) is rejected. A population-sharded
+  // trace has no telemetry panel: consumers compute rows on demand with
+  // TelemetryPanel::fill_row (identical bits).
   void begin_population_spill(const PopulationShardingOptions& options);
   void finish_population_spill();
   void set_population_sharding(const PopulationShardingOptions& options);
@@ -275,7 +257,6 @@ class TraceStore {
   void build_node_index() const;
   void build_subscription_index() const;
   void build_telemetry_panel() const;
-  void build_telemetry_shards() const;
 
   const Topology* topology_;
   TimeGrid grid_;
@@ -303,13 +284,6 @@ class TraceStore {
   ParallelConfig panel_parallel_{};
   mutable std::atomic<bool> panel_valid_{false};
   mutable std::unique_ptr<TelemetryPanel> panel_;
-
-  // Out-of-core sharding (same publication pattern as the panel).
-  // `sharding_` is plain mutator-written state; the store itself is a
-  // lazy cache.
-  std::unique_ptr<TelemetryShardingOptions> sharding_;
-  mutable std::atomic<bool> shards_valid_{false};
-  mutable std::unique_ptr<TelemetryShardStore> shards_;
 
   // Population sharding: non-null once begin_population_spill() or
   // set_population_sharding() ran; `pop_spilling_` is true between

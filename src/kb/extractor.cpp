@@ -5,10 +5,8 @@
 #include <unordered_set>
 
 #include "analysis/context.h"
-#include "analysis/shard_stream.h"
+#include "analysis/record_stream.h"
 #include "analysis/spatial.h"
-#include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
@@ -59,19 +57,14 @@ std::optional<SubscriptionKnowledge> extract_subscription(
       covering.size() > options.max_classified_vms)
     stride = covering.size() / options.max_classified_vms;
   std::size_t classified = 0;
-  // Stream panel rows (or scratch evaluations when the panel is off): one
+  // Stream panel rows (or scratch evaluations when there is no panel): one
   // contiguous read per VM feeds both the classifier and the moments, with
-  // no per-VM TimeSeries materialization. In out-of-core mode the rows
-  // come off the mapped shard instead — and because the router hashes the
-  // subscription id, every row below lives in the *same* shard.
+  // no per-VM TimeSeries materialization.
   const TelemetryPanel* panel = trace.telemetry_panel();
-  const TelemetryShardStore* shards = trace.telemetry_shards();
   std::vector<double> scratch;
   for (std::size_t i = 0; i < covering.size(); i += stride) {
     const std::span<const double> row =
-        shards != nullptr
-            ? shards->row(covering[i])
-            : vm_telemetry_row(trace, panel, covering[i], grid, scratch);
+        vm_telemetry_row(trace, panel, covering[i], grid, scratch);
     const auto cls = analysis::classify(row, grid, options.classifier);
     ++votes[static_cast<std::size_t>(cls)];
     ++classified;
@@ -151,38 +144,17 @@ std::vector<SubscriptionKnowledge> extract_all(
   // One slot per subscription; extraction of each subscription is
   // independent and deterministic, and slots are concatenated in
   // subscription order below, so the record list is bit-identical to the
-  // old serial loop at any thread count. In out-of-core modes the
-  // subscriptions are processed grouped by shard (every subscription's
-  // rows — and, under population sharding, its records — live in exactly
-  // one shard, by the router contract), with budget eviction between
-  // shards — same slots, bounded RSS.
-  std::vector<std::optional<SubscriptionKnowledge>> slots;
-  if (const TelemetryShardStore* shards = trace.telemetry_shards()) {
-    slots.resize(sub_count);
-    analysis::stream_by_shard(
-        *shards, sub_count,
-        [&](std::size_t i) { return shards->shard_of(sub_id(i)); },
-        [&](std::size_t i) {
-          slots[i] = extract_subscription(ctx, sub_id(i), options);
-        },
-        ctx.parallel());
-  } else if (const PopulationShardStore* pop = trace.population_shards()) {
-    slots.resize(sub_count);
-    analysis::stream_by_shard(
-        *pop, sub_count,
-        [&](std::size_t i) { return pop->shard_of(sub_id(i)); },
-        [&](std::size_t i) {
-          slots[i] = extract_subscription(ctx, sub_id(i), options);
-        },
-        ctx.parallel());
-  } else {
-    slots = parallel_map<std::optional<SubscriptionKnowledge>>(
-        sub_count,
-        [&](std::size_t i) {
-          return extract_subscription(ctx, sub_id(i), options);
-        },
-        ctx.parallel());
-  }
+  // old serial loop at any thread count. Under population sharding the
+  // subscriptions run grouped by shard (every subscription's records live
+  // in exactly one shard, by the router contract), with budget eviction
+  // between shards — same slots, bounded RSS.
+  std::vector<std::optional<SubscriptionKnowledge>> slots(sub_count);
+  analysis::stream_by_shard(
+      trace, sub_count, sub_id,
+      [&](std::size_t i) {
+        slots[i] = extract_subscription(ctx, sub_id(i), options);
+      },
+      ctx.parallel());
 
   std::vector<SubscriptionKnowledge> out;
   out.reserve(slots.size());

@@ -73,11 +73,6 @@ namespace cloudlens::obs {
   X(kPanelRowsFilled, "panel.rows_filled")                     \
   X(kPanelRowHits, "panel.row_hits")                           \
   X(kPanelRowMisses, "panel.row_misses")                       \
-  /* cloudsim/shard: out-of-core telemetry shard store */      \
-  X(kPanelShardSpills, "panel.shard_spills")                   \
-  X(kPanelShardPageIns, "panel.shard_page_ins")                \
-  X(kPanelShardEvictions, "panel.shard_evictions")             \
-  X(kPanelShardRowReads, "panel.shard_row_reads")              \
   /* cloudsim/population: out-of-core record shard store */    \
   X(kPopulationShardSpills, "population.shard_spills")         \
   X(kPopulationShardPageIns, "population.shard_page_ins")      \
@@ -151,8 +146,6 @@ namespace cloudlens::obs {
   X(kParallelPoolWorkers, "parallel.pool_workers")             \
   X(kPanelBytes, "panel.bytes")                                \
   X(kPanelVms, "panel.vms")                                    \
-  X(kPanelShardCount, "panel.shard_count")                     \
-  X(kPanelShardResidentBytes, "panel.shard_resident_bytes")    \
   X(kPopulationShardCount, "population.shard_count")           \
   X(kPopulationShardResidentBytes, "population.shard_resident_bytes") \
   /* resolved kernel dispatch: Tier / Mode enum values */      \

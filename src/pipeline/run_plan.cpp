@@ -12,7 +12,6 @@
 
 #include "analysis/context.h"
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/snapshot.h"
 #include "common/check.h"
 #include "ingest/backend.h"
@@ -27,11 +26,6 @@ namespace {
 /// (the panel lives inside it either way; this pins *that it is built*).
 struct PanelArtifact {
   const TelemetryPanel* panel = nullptr;
-};
-
-/// The shards stage's artifact: a view into the TraceStore's shard store.
-struct ShardArtifact {
-  const TelemetryShardStore* shards = nullptr;
 };
 
 /// The pop-shards stage's artifact: a view into the TraceStore's
@@ -212,11 +206,9 @@ Stage make_panel_stage() {
 /// caching off, a per-process temp directory is used and removed with the
 /// store.
 std::string shard_spill_dir(bool cache_enabled, const std::string& cache_dir,
-                            const std::string& trace_key_hex,
-                            const std::string& prefix) {
+                            const std::string& trace_key_hex) {
   if (cache_enabled && !trace_key_hex.empty()) {
-    return (std::filesystem::path(cache_dir) /
-            (prefix + "-" + trace_key_hex))
+    return (std::filesystem::path(cache_dir) / ("pop-shards-" + trace_key_hex))
         .string();
   }
   std::string pid = "0";
@@ -224,11 +216,11 @@ std::string shard_spill_dir(bool cache_enabled, const std::string& cache_dir,
   pid = std::to_string(static_cast<unsigned long>(::getpid()));
 #endif
   return (std::filesystem::temp_directory_path() /
-          ("cloudlens-" + prefix + "-" + pid))
+          ("cloudlens-pop-shards-" + pid))
       .string();
 }
 
-///// Streaming spill options for record-sharded runs with caching off: the
+/// Streaming spill options for record-sharded runs with caching off: the
 /// records route straight to shard logs in a per-process temp dir during
 /// generation/import, and the files are removed with the store.
 PopulationShardingOptions streaming_population_options(
@@ -236,53 +228,14 @@ PopulationShardingOptions streaming_population_options(
   PopulationShardingOptions po;
   po.shards = shards;
   po.budget_bytes = budget_mib << 20;
-  po.spill_dir = shard_spill_dir(false, "", "", "pop-shards");
+  po.spill_dir = shard_spill_dir(false, "", "");
   po.keep_files = false;
   po.model_codec = &workloads::pattern_snapshot_codec();
   return po;
 }
 
-/// The out-of-core replacement for the panel stage. Uncacheable as a
-///// pipeline artifact on purpose: the spill files themselves are the
-/// persistent form, revalidated by the router digest in their headers, so
-/// save/load would only duplicate them.
-Stage make_shards_stage(const RunPlanOptions& options,
-                        PipelineRunner* runner) {
-  Stage stage;
-  stage.name = "shards";
-  stage.inputs = {"trace"};
-  const std::uint32_t shards = options.panel_shards;
-  stage.key_extra = [shards](ContentHash& h) {
-    h.u8(1);  // key layout version for this stage
-    h.u64(shards);
-    // The residency budget never reaches the key: like thread counts, it
-    // changes how the run executes, not what the artifacts contain.
-  };
-  const bool cache_enabled =
-      options.cache_enabled && !options.cache_dir.empty();
-  const std::string cache_dir = options.cache_dir;
-  const std::size_t budget_mib = options.shard_budget_mib;
-  stage.compute = [shards, cache_enabled, cache_dir, budget_mib,
-                   runner](const StageInputs& inputs) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    TelemetryShardingOptions so;
-    so.shards = shards;
-    so.budget_bytes = budget_mib << 20;
-    so.spill_dir = shard_spill_dir(cache_enabled, cache_dir,
-                                   runner->key_hex("trace"), "panel-shards");
-    so.keep_files = cache_enabled;
-    so.parallel = inputs.parallel();
-    trace->trace->set_telemetry_sharding(so);
-    const TelemetryShardStore* store = trace->trace->telemetry_shards();
-    CL_CHECK_MSG(store != nullptr, "shards stage failed to build the store");
-    return std::make_shared<ShardArtifact>(ShardArtifact{store});
-  };
-  return stage;
-}
-
-/// The out-of-core population stage, keyed like the telemetry shards
-/// stage: only K reaches the key; the budget is execution environment.
-/// Uncacheable as a pipeline artifact on purpose — the spill files are
+/// The out-of-core population stage: only K reaches the key; the budget
+/// is execution environment. Uncacheable as a pipeline artifact on purpose — the spill files are
 /// the persistent form, revalidated against the population router digest
 /// in their headers on warm adoption. When the trace stage already
 /// streamed the records into shards (cache off), this stage is just the
@@ -311,7 +264,7 @@ Stage make_population_stage(const RunPlanOptions& options,
       po.shards = shards;
       po.budget_bytes = budget_mib << 20;
       po.spill_dir = shard_spill_dir(cache_enabled, cache_dir,
-                                     runner->key_hex("trace"), "pop-shards");
+                                     runner->key_hex("trace"));
       po.keep_files = cache_enabled;
       po.model_codec = &workloads::pattern_snapshot_codec();
       trace->trace->set_population_sharding(po);
@@ -378,16 +331,10 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
   PipelineRunner runner(
       ArtifactCache(options.cache_dir, options.cache_enabled),
       options.parallel, options.metrics, options.sink);
-  const bool sharded = options.panel_shards > 0;
   const bool record_sharded = options.record_shards > 0;
-  CL_CHECK_MSG(!(sharded && record_sharded),
-               "panel sharding and record sharding are mutually exclusive "
-               "(population mode already streams rows on demand)");
   runner.add(make_trace_stage(options));
   if (record_sharded) {
     runner.add(make_population_stage(options, &runner));
-  } else if (sharded) {
-    runner.add(make_shards_stage(options, &runner));
   } else if (options.want_panel) {
     runner.add(make_panel_stage());
   }
@@ -395,12 +342,10 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
 
   ResolvedRun run;
   run.trace = runner.resolve_as<TraceArtifact>("trace");
-  // Out-of-core modes replace the resident panel: their stage must
-  // resolve before kb so extraction streams over the spill files.
+  // Out-of-core mode replaces the resident panel: its stage must resolve
+  // before kb so extraction streams over the spill files.
   if (record_sharded) {
     runner.resolve("pop-shards");
-  } else if (sharded) {
-    runner.resolve("shards");
   } else if (options.want_panel) {
     runner.resolve("panel");
   }
@@ -409,28 +354,6 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
   }
   run.reports = runner.reports();
   return run;
-}
-
-std::size_t resolve_shard_budget_mib(bool shard_flag_given,
-                                     std::size_t shard_budget_mib,
-                                     bool panel_flag_given,
-                                     std::size_t panel_budget_mib,
-                                     std::ostream& warnings,
-                                     std::size_t fallback) {
-  if (shard_flag_given) {
-    if (panel_flag_given && panel_budget_mib != shard_budget_mib) {
-      warnings << "warning: --panel-budget-mib is ignored when "
-                  "--shard-budget-mib is given\n";
-    }
-    return shard_budget_mib;
-  }
-  if (panel_flag_given) {
-    warnings << "warning: --panel-budget-mib is deprecated; use "
-                "--shard-budget-mib (it budgets both --panel-shards and "
-                "--record-shards)\n";
-    return panel_budget_mib;
-  }
-  return fallback;
 }
 
 }  // namespace cloudlens::pipeline

@@ -62,28 +62,18 @@ struct RunPlanOptions {
 
   /// Resolve the panel stage (materialized telemetry matrices).
   bool want_panel = true;
-  /// Out-of-core telemetry: when > 0 the panel stage is replaced by a
-  /// "shards" stage that spills K mmap-ready shard snapshots and puts the
-  /// TraceStore into sharded mode (telemetry_panel() stays null; the
-  /// streaming analyses page shards in under a mapped-bytes budget).
-  /// Outputs are bit-identical either way, so downstream stage keys (kb)
-  /// are unchanged; only K reaches the shards stage's key — the budget,
-  /// like thread counts, is execution environment.
-  std::uint32_t panel_shards = 0;
-  /// Out-of-core VM/subscription records: when > 0 the trace runs
-  /// population-sharded (cloudsim/population.h) with this many record
-  /// shards. With caching enabled the trace stage stays a cached resident
-  /// snapshot and a "pop-shards" stage converts it (warm-reusing spill
-  /// files via the router digest); with caching disabled the records
-  /// stream straight into the shards during generation/import and the
-  /// resident record vector never materializes. Mutually exclusive with
-  /// panel_shards and want_panel (population mode streams rows on
-  /// demand). Outputs are byte-identical either way; only K reaches the
-  /// stage key.
+  /// The one out-of-core mode: when > 0 the trace runs population-sharded
+  /// (cloudsim/population.h) with this many record shards. With caching
+  /// enabled the trace stage stays a cached resident snapshot and a
+  /// "pop-shards" stage converts it (warm-reusing spill files via the
+  /// router digest); with caching disabled the records stream straight
+  /// into the shards during generation/import and the resident record
+  /// vector never materializes. A record-sharded run has no panel stage:
+  /// telemetry rows are computed from the models on demand. Outputs are
+  /// byte-identical either way; only K reaches the stage key.
   std::uint32_t record_shards = 0;
-  /// Shared residency budget for the out-of-core stores (mapped telemetry
-  /// shards and decoded population shards), in MiB. Like thread counts it
-  /// is execution environment, never part of a cache key.
+  /// Residency budget for the decoded population shards, in MiB. Like
+  /// thread counts it is execution environment, never part of a cache key.
   std::size_t shard_budget_mib = 256;
   /// Resolve the kb stage.
   bool want_kb = false;
@@ -119,17 +109,5 @@ struct ResolvedRun {
 /// Build the stage graph for `options`, resolve the requested artifacts,
 /// and return them with the per-stage reports.
 ResolvedRun run_trace_plan(const RunPlanOptions& options);
-
-/// CLI flag-compat shim: `--shard-budget-mib` is the shared residency
-/// budget for both out-of-core stores; `--panel-budget-mib` is its
-/// deprecated warning-emitting alias. Returns the effective budget —
-/// the new flag when given (the alias is then ignored, with a warning),
-/// else the alias value (with a deprecation warning), else `fallback`.
-std::size_t resolve_shard_budget_mib(bool shard_flag_given,
-                                     std::size_t shard_budget_mib,
-                                     bool panel_flag_given,
-                                     std::size_t panel_budget_mib,
-                                     std::ostream& warnings,
-                                     std::size_t fallback = 256);
 
 }  // namespace cloudlens::pipeline

@@ -1,5 +1,8 @@
 #!/bin/sh
-# End-to-end CLI round trip: generate -> insights -> figures -> advise.
+# End-to-end CLI round trip: generate -> insights -> figures -> advise,
+# then the out-of-core mode: a record-sharded analyze must write the same
+# report bytes as the resident one, and the retired telemetry-shard flag
+# must be rejected as a usage error rather than ignored.
 set -e
 CLI="$1"
 DIR=$(mktemp -d)
@@ -11,4 +14,14 @@ test -s "$DIR/fig1a_vms_per_subscription.csv"
 test -s "$DIR/fig5d_pattern_shares.csv"
 test -s "$DIR/fig6_weekly_private.csv"
 "$CLI" advise --in "$DIR" --cloud public | grep -q "adopt-spot"
+"$CLI" analyze --in "$DIR" --report "$DIR/a.md"
+"$CLI" analyze --in "$DIR" --record-shards 4 --shard-budget-mib 0 --no-cache \
+    --report "$DIR/b.md"
+cmp "$DIR/a.md" "$DIR/b.md"
+rc=0
+"$CLI" insights --in "$DIR" --panel-shards 4 >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "retired flag: insights exited $rc, want 2 (unknown flag)" >&2
+    exit 1
+fi
 echo "CLI round trip OK"

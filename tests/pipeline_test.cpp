@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/check.h"
@@ -283,31 +282,6 @@ TEST_F(TempDirTest, RunPlanCacheDisabledNeverStores) {
   ASSERT_EQ(run.reports.size(), 1u);
   EXPECT_EQ(run.reports[0].source, StageReport::Source::kComputed);
   EXPECT_TRUE(fs::is_empty(dir()));
-}
-
-TEST(ShardBudgetFlagTest, NewFlagWinsAndAliasWarns) {
-  // Neither flag: the fallback default, no warning.
-  std::ostringstream quiet;
-  EXPECT_EQ(resolve_shard_budget_mib(false, 256, false, 256, quiet, 128),
-            128u);
-  EXPECT_TRUE(quiet.str().empty());
-
-  // Alias alone still works but emits the deprecation warning.
-  std::ostringstream warn;
-  EXPECT_EQ(resolve_shard_budget_mib(false, 256, true, 64, warn), 64u);
-  EXPECT_NE(warn.str().find("--panel-budget-mib is deprecated"),
-            std::string::npos);
-  EXPECT_NE(warn.str().find("--shard-budget-mib"), std::string::npos);
-
-  // The new flag wins; a conflicting alias value is called out.
-  std::ostringstream conflict;
-  EXPECT_EQ(resolve_shard_budget_mib(true, 96, true, 64, conflict), 96u);
-  EXPECT_NE(conflict.str().find("--shard-budget-mib"), std::string::npos);
-
-  // New flag alone: silent.
-  std::ostringstream clean;
-  EXPECT_EQ(resolve_shard_budget_mib(true, 96, false, 256, clean), 96u);
-  EXPECT_TRUE(clean.str().empty());
 }
 
 TEST(StageTableTest, RendersOneRowPerReport) {

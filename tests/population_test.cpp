@@ -1,4 +1,5 @@
-// Out-of-core population shard store tests: conversion round-trips the
+// Out-of-core population shard store tests: the subscription-hash router
+// is a pure function of (subscription, K), conversion round-trips the
 // records/subscriptions/indices bit-for-bit, the streaming build path
 // (generator-order appends) produces the same router digest as
 // conversion, budget-driven eviction, warm spill-file reuse, the
@@ -6,7 +7,7 @@
 // spill dir, disk-full short write, truncated shard file), concurrent
 // shard acquisition (TSan-policed in the sanitizer CI flavour), and the
 // analyses staying byte-identical to the resident path at any thread
-// count.
+// count, both per pass and as the full rendered output set.
 #include "cloudsim/population.h"
 
 #include <gtest/gtest.h>
@@ -19,9 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/classifier.h"
 #include "analysis/context.h"
 #include "analysis/figures.h"
 #include "analysis/report.h"
+#include "analysis/spatial.h"
+#include "analysis/utilization.h"
 #include "cloudsim/trace.h"
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -76,6 +80,30 @@ std::string rendered_outputs(const TraceStore& trace,
   });
   out << figure.str();
   return out.str();
+}
+
+TEST(ShardRouter, IsAPureFunctionOfSubscriptionAndK) {
+  for (std::uint32_t k : {1u, 2u, 7u, 16u, 101u}) {
+    for (std::uint64_t raw : {0ull, 1ull, 42ull, 65535ull, 123456789ull}) {
+      const SubscriptionId sub(
+          static_cast<SubscriptionId::underlying>(raw));
+      const std::uint32_t s = shard_of_subscription(sub, k);
+      EXPECT_LT(s, k);
+      EXPECT_EQ(s, shard_of_subscription(sub, k));  // stable
+    }
+  }
+  // K=1 degenerates to a single shard.
+  EXPECT_EQ(shard_of_subscription(SubscriptionId(7), 1), 0u);
+  // Distinct subscriptions spread over shards (not all colliding).
+  std::vector<bool> hit(16, false);
+  for (std::uint64_t raw = 0; raw < 256; ++raw) {
+    hit[shard_of_subscription(
+        SubscriptionId(static_cast<SubscriptionId::underlying>(raw)), 16)] =
+        true;
+  }
+  std::size_t used = 0;
+  for (bool h : hit) used += h ? 1 : 0;
+  EXPECT_GT(used, 8u);
 }
 
 class PopulationGeneratedTest : public ::testing::Test {
@@ -402,6 +430,71 @@ TEST(PopulationAnalyses, ByteIdenticalToResidentAtAnyThreadCount) {
     const std::string sharded =
         rendered_outputs(trace, ParallelConfig::with_threads(threads));
     EXPECT_EQ(sharded, resident);
+  }
+}
+
+TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
+  // Private scenario: set_population_sharding converts the trace for good.
+  workloads::ScenarioOptions options;
+  options.scale = 0.03;
+  options.seed = 17;
+  auto scenario = workloads::make_scenario(options);
+  TraceStore& trace = *scenario.trace;
+  ASSERT_NE(trace.telemetry_panel(), nullptr);
+
+  // Resident reference results (panel-backed, 2 worker threads).
+  const ParallelConfig two = ParallelConfig::with_threads(2);
+  const auto shares_ref = analysis::classify_population(
+      AnalysisContext(trace, two), CloudType::kPrivate, 150, {});
+  const auto dist_ref = analysis::utilization_distribution(
+      AnalysisContext(trace, two), CloudType::kPublic, 150);
+  const auto corr_ref = analysis::node_vm_correlations(
+      AnalysisContext(trace, two), CloudType::kPrivate, 40);
+  const auto xr_ref = analysis::cross_region_correlations(
+      AnalysisContext(trace, two), CloudType::kPrivate, 60, 10);
+
+  TempSpillDir dir("per-pass");
+  auto opts = spill_options(dir.path(), 6);
+  opts.budget_bytes = 0;  // evict to a single shard at every serial point
+  trace.set_population_sharding(opts);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const ParallelConfig par = ParallelConfig::with_threads(threads);
+    const auto shares = analysis::classify_population(
+        AnalysisContext(trace, par), CloudType::kPrivate, 150, {});
+    EXPECT_EQ(shares.classified, shares_ref.classified);
+    EXPECT_EQ(bits(shares.diurnal), bits(shares_ref.diurnal));
+    EXPECT_EQ(bits(shares.stable), bits(shares_ref.stable));
+    EXPECT_EQ(bits(shares.irregular), bits(shares_ref.irregular));
+    EXPECT_EQ(bits(shares.hourly_peak), bits(shares_ref.hourly_peak));
+
+    const auto dist = analysis::utilization_distribution(
+        AnalysisContext(trace, par), CloudType::kPublic, 150);
+    EXPECT_EQ(dist.vms_used, dist_ref.vms_used);
+    ASSERT_EQ(dist.weekly.p50.size(), dist_ref.weekly.p50.size());
+    for (std::size_t i = 0; i < dist.weekly.p50.size(); ++i) {
+      EXPECT_EQ(bits(dist.weekly.p25[i]), bits(dist_ref.weekly.p25[i]));
+      EXPECT_EQ(bits(dist.weekly.p50[i]), bits(dist_ref.weekly.p50[i]));
+      EXPECT_EQ(bits(dist.weekly.p75[i]), bits(dist_ref.weekly.p75[i]));
+      EXPECT_EQ(bits(dist.weekly.p95[i]), bits(dist_ref.weekly.p95[i]));
+    }
+    for (std::size_t h = 0; h < 24; ++h) {
+      EXPECT_EQ(bits(dist.daily_p50[h]), bits(dist_ref.daily_p50[h]));
+      EXPECT_EQ(bits(dist.daily_p95[h]), bits(dist_ref.daily_p95[h]));
+    }
+
+    const auto corr = analysis::node_vm_correlations(
+        AnalysisContext(trace, par), CloudType::kPrivate, 40);
+    ASSERT_EQ(corr.size(), corr_ref.size());
+    for (std::size_t i = 0; i < corr.size(); ++i)
+      EXPECT_EQ(bits(corr[i]), bits(corr_ref[i]));
+
+    const auto xr = analysis::cross_region_correlations(
+        AnalysisContext(trace, par), CloudType::kPrivate, 60, 10);
+    ASSERT_EQ(xr.size(), xr_ref.size());
+    for (std::size_t i = 0; i < xr.size(); ++i)
+      EXPECT_EQ(bits(xr[i]), bits(xr_ref[i]));
   }
 }
 

@@ -470,47 +470,5 @@ TEST_F(SnapshotGeneratedTest, PanelSnapshotLoadsIdenticallyViaMapping) {
   }
 }
 
-TEST(SnapshotMappingTest, PanelShardRoundTripsThroughMapping) {
-  // Hand-built shard: 3 rows x 24 ticks + 3 x 2 hourly samples.
-  PanelShardHeader header;
-  header.grid = TimeGrid{0, kHour / 12, 24};
-  header.shard_index = 2;
-  header.shard_count = 5;
-  header.row_count = 3;
-  header.hourly_count = 2;
-  header.router_digest = 0xABCDEF0123456789ull;
-  std::vector<double> rows(3 * 24), hourly(3 * 2);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    rows[i] = 0.001 * static_cast<double>(i) - 0.5;
-  for (std::size_t i = 0; i < hourly.size(); ++i)
-    hourly[i] = 1.0 / (1.0 + static_cast<double>(i));
-
-  std::ostringstream out(std::ios::binary);
-  save_panel_shard_snapshot(header, rows, hourly, out);
-  TempSnapshotFile file(out.str(), "shard");
-
-  SnapshotMapping mapping(file.path());
-  const PanelShardView view = open_panel_shard(mapping);
-  EXPECT_EQ(view.header.shard_index, header.shard_index);
-  EXPECT_EQ(view.header.shard_count, header.shard_count);
-  EXPECT_EQ(view.header.row_count, header.row_count);
-  EXPECT_EQ(view.header.hourly_count, header.hourly_count);
-  EXPECT_EQ(view.header.router_digest, header.router_digest);
-  EXPECT_EQ(view.header.grid.count, header.grid.count);
-  ASSERT_EQ(view.rows.size(), rows.size());
-  ASSERT_EQ(view.hourly.size(), hourly.size());
-  // The payload spans alias the mapping at natural double alignment and
-  // reproduce every sample bit for bit.
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(view.rows.data()) %
-                alignof(double),
-            0u);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(view.rows[i]),
-              std::bit_cast<std::uint64_t>(rows[i]));
-  for (std::size_t i = 0; i < hourly.size(); ++i)
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(view.hourly[i]),
-              std::bit_cast<std::uint64_t>(hourly[i]));
-}
-
 }  // namespace
 }  // namespace cloudlens

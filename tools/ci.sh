@@ -24,32 +24,28 @@
 # publication path the panel build uses — and the serve suites (stream
 # format pins, streamed-vs-batch byte identity, concurrent ingest/query),
 # where the TSan pass polices the serve engine's snapshot publication.
-# The Release flavour finishes with five perf smokes: a small-trace
+# The Release flavour finishes with perf smokes: a small-trace
 # bench_telemetry run that checks panel/legacy checksum identity, a
 # bench_obs run that fails if enabling metrics+tracing costs more than 3%
 # on the panel-mode analysis suite, a bench_simd checksum smoke (strict
 # kernel outputs and the rendered report must match the scalar oracle
 # bit-for-bit), a bench_pipeline run that fails unless a warm artifact
-# cache reproduces the cold run byte-for-byte and is faster, and a
-# bench_outofcore run that fails unless the sharded streaming analyses
-# stay under a peak-RSS budget while matching the resident-panel
-# checksum exactly, plus a bench_ingest decode smoke (parallel CSV
-# decode bit-identical to serial) and an end-to-end azure import smoke
-# over the checked-in fixture (1-vs-8-thread report identity + warm
-# cache hit), and a full-scale bench_population run — the record-sharded
-# tentpole's acceptance gate: generation + the whole analysis suite over
-# population shards must stay under a peak-RSS cap while byte-matching a
-# resident regeneration at 1 and 8 threads. Every smoke must leave its
-# JSON document behind — a bench that silently emits nothing fails the
-# run. The TSan flavour re-runs bench_outofcore and bench_population (no
-# RSS gates — shadow memory dwarfs them) to police the two shard stores'
-# concurrent map/evict paths, and bench_ingest to police the decode
-# chunk fan-out.
+# cache reproduces the cold run byte-for-byte and is faster, a
+# bench_ingest decode smoke (parallel CSV decode bit-identical to serial),
+# an end-to-end azure import smoke over the checked-in fixture
+# (1-vs-8-thread report identity + warm cache hit), and a full-scale
+# bench_population run — the out-of-core acceptance gate: generation +
+# the whole analysis suite over record shards must stay under a peak-RSS
+# cap while byte-matching a resident regeneration at 1 and 8 threads.
+# Every smoke must leave its JSON document behind — a bench that silently
+# emits nothing fails the run. The TSan flavour re-runs bench_population
+# (no RSS gate — shadow memory dwarfs it) to police the record shard
+# store's concurrent decode/evict paths, and bench_ingest to police the
+# decode chunk fan-out.
 # (The full-size numbers recorded in EXPERIMENTS.md come from
 # `bench_telemetry --scale=0.1`, `bench_obs --scale=0.1`,
-# `bench_simd --min-speedup=1.5`, `bench_pipeline --scale=0.35`,
-# `bench_outofcore --scale=1.0`, and `bench_population` at its
-# scale-1.0 defaults.)
+# `bench_simd --min-speedup=1.5`, `bench_pipeline --scale=0.35`, and
+# `bench_population` at its scale-1.0 defaults.)
 #
 # Usage: tools/ci.sh [build-root]       (default: ./ci-build)
 # Environment: CTEST_PARALLEL_LEVEL (default 2), CLOUDLENS_CI_JOBS
@@ -87,7 +83,7 @@ run_flavour() {
     # budget, failure paths, and the resident-vs-sharded byte-identity
     # contract (the TSan pass polices the concurrent shard acquire).
     ctest --test-dir "$dir" --output-on-failure \
-        -R 'Population|ShardBudgetFlag'
+        -R 'Population'
     echo "== [$name] serve suites =="
     # Streaming ingest: the event-stream format pins, the engine's
     # epoch/cutoff accounting, the streamed-vs-batch byte-identity
@@ -143,16 +139,6 @@ echo "== [tsan] ingest decode smoke =="
     --size-mb=4 --min-speedup=0 \
     --out="$BUILD_ROOT/BENCH_ingest_tsan_smoke.json"
 require_json "$BUILD_ROOT/BENCH_ingest_tsan_smoke.json"
-
-echo "== [tsan] out-of-core shard smoke =="
-# Small sharded end-to-end pass under TSan: polices the shard store's
-# concurrent acquire/publish path and the streamed analyses. RSS gates
-# are off (TSan shadow memory dominates); the checksum identity and
-# paging gates are what matter.
-"$BUILD_ROOT/tsan/bench/bench_outofcore" \
-    --scale=0.02 --shards=4 --budget-mib=8 --rss-gate=0 \
-    --out="$BUILD_ROOT/BENCH_outofcore_tsan_smoke.json"
-require_json "$BUILD_ROOT/BENCH_outofcore_tsan_smoke.json"
 
 # UBSan flavour (address+undefined plus float-cast-overflow): polices the
 # kernel tier's u64→f64 conversions and intrinsic shims. Builds the full
@@ -218,22 +204,12 @@ echo "== [release] serve streaming smoke =="
     --out="$BUILD_ROOT/BENCH_serve_smoke.json"
 require_json "$BUILD_ROOT/BENCH_serve_smoke.json"
 
-echo "== [release] out-of-core RSS budget smoke =="
-# Sharded streaming analyses at reduced scale: peak RSS must stay under
-# the budget and the FNV checksum must match the resident path at 1 and
-# 8 threads (the full-scale gate lives in `bench_outofcore --scale=1.0`,
-# recorded in BENCH_outofcore.json).
-"$BUILD_ROOT/release/bench/bench_outofcore" \
-    --scale=0.05 --shards=8 --budget-mib=8 --rss-limit-mib=64 \
-    --out="$BUILD_ROOT/BENCH_outofcore_smoke.json"
-require_json "$BUILD_ROOT/BENCH_outofcore_smoke.json"
-
 echo "== [release] population RSS budget smoke =="
 # Record-sharded path at FULL scale: generation streams the VM records
 # straight into population shards, the whole analysis suite runs over
 # them under the decoded-bytes budget, peak RSS must stay under the cap,
 # and the report/figure/kb checksums must byte-match a fully resident
-# regeneration at 1 and 8 threads. This is the tentpole's acceptance
+# regeneration at 1 and 8 threads. This is the out-of-core acceptance
 # gate, so it runs at scale 1.0 even in the smoke.
 "$BUILD_ROOT/release/bench/bench_population" \
     --scale=1.0 --rss-limit-mib=512 \

@@ -84,18 +84,11 @@ struct CliArgs {
   /// Worker threads for generation and analysis: 0 = all hardware threads,
   /// 1 = serial. Outputs are bit-identical at any setting.
   std::size_t threads = 0;
-  /// Out-of-core telemetry: shard count (0 = resident panel). Outputs
-  /// are bit-identical either way.
-  std::uint32_t panel_shards = 0;
-  /// Out-of-core VM/subscription records: shard count (0 = resident).
+  /// Out-of-core mode: record shard count (0 = resident). Outputs are
+  /// byte-identical either way.
   std::uint32_t record_shards = 0;
-  /// Shared residency budget for both out-of-core stores; the old
-  /// --panel-budget-mib spelling is a deprecated alias
-  /// (pipeline::resolve_shard_budget_mib arbitrates).
+  /// Residency budget for the decoded record shards.
   std::uint64_t shard_budget_mib = 256;
-  bool shard_budget_given = false;
-  std::uint64_t panel_budget_mib = 256;
-  bool panel_budget_given = false;
   CloudType cloud = CloudType::kPublic;
   bool cloud_given = false;
   /// serve: optional AF_UNIX listen socket (empty = stdin/stdout only),
@@ -133,17 +126,13 @@ constexpr const char* kCommonFlagHelp =
     "  --kernel-mode M     strict (bit-identical to scalar, default) or\n"
     "                      fast (SIMD reductions, tiny |Δr| tolerance;\n"
     "                      also via CLOUDLENS_KERNEL_MODE)\n"
-    "  --panel-shards N    out-of-core telemetry: spill the panel as N\n"
-    "                      mmap'd shards instead of holding it resident;\n"
-    "                      output is bit-identical (0 = resident, default)\n"
-    "  --record-shards N   out-of-core population: spill the VM records\n"
-    "                      as N CLSN shards instead of holding them\n"
-    "                      resident; output is byte-identical\n"
-    "                      (0 = resident, default)\n"
-    "  --shard-budget-mib N  shared residency budget for --panel-shards\n"
-    "                      and --record-shards (default 256; execution\n"
-    "                      knob, never cached). --panel-budget-mib is a\n"
-    "                      deprecated alias\n"
+    "  --record-shards N   out-of-core mode: spill the VM and\n"
+    "                      subscription records as N CLSN shards keyed by\n"
+    "                      subscription hash, and compute telemetry rows\n"
+    "                      on demand instead of holding a panel; output is\n"
+    "                      byte-identical (0 = resident, default)\n"
+    "  --shard-budget-mib N  residency budget for --record-shards\n"
+    "                      (default 256; execution knob, never cached)\n"
     "  --backend B         ingest backend for --in directories:\n"
     "                      cloudlens (default) | azure | google\n"
     "flags also accept the --flag=VALUE spelling\n";
@@ -291,12 +280,8 @@ bool parse(int argc, char** argv, CliArgs& args) {
       .value("--seed", &args.seed)
       .value("--util-vms", &args.util_vms)
       .value("--threads", &args.threads)
-      .value("--panel-shards", &args.panel_shards)
       .value("--record-shards", &args.record_shards)
-      .value("--shard-budget-mib", &args.shard_budget_mib,
-             &args.shard_budget_given)
-      .value("--panel-budget-mib", &args.panel_budget_mib,
-             &args.panel_budget_given)
+      .value("--shard-budget-mib", &args.shard_budget_mib)
       .value("--report", &args.report_path)
       .value("--metrics-out", &args.metrics_out)
       .value("--trace-out", &args.trace_out)
@@ -349,11 +334,8 @@ pipeline::RunPlanOptions make_plan(const CliArgs& args) {
     plan.scenario.seed = args.seed;
   }
   plan.parallel = args.parallel();
-  plan.panel_shards = args.panel_shards;
   plan.record_shards = args.record_shards;
-  plan.shard_budget_mib = pipeline::resolve_shard_budget_mib(
-      args.shard_budget_given, args.shard_budget_mib, args.panel_budget_given,
-      args.panel_budget_mib, std::cerr);
+  plan.shard_budget_mib = args.shard_budget_mib;
   plan.cache_dir = args.effective_cache_dir();
   plan.cache_enabled = !args.no_cache;
   return plan;
