@@ -54,6 +54,7 @@ Accuracy measure(const TraceStore& trace,
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
   const auto scenario = bench::make_bench_scenario(args);
+  scenario.trace->build_telemetry_panel();
   const TraceStore& trace = *scenario.trace;
 
   bench::banner("Ablation: stable-sigma threshold sweep");

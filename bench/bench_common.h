@@ -1,15 +1,21 @@
-// Shared scaffolding for the figure-reproduction benches: scenario
-// construction from command-line flags and small formatting helpers.
+// Shared scaffolding for the benches: scenario construction from
+// command-line flags, formatting, per-phase timing and peak-RSS windows,
+// FNV-1a checksums, and the BENCH_*.json writer.
 //
 // Every bench prints (a) the series/rows the corresponding paper figure
 // reports, (b) a paper-vs-measured table of the figure's headline numbers,
 // and (c) a PASS/FAIL shape check mirroring EXPERIMENTS.md.
 #pragma once
 
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,6 +76,70 @@ inline double peak_rss_mib() {
   return 0.0;
 #endif
 }
+
+/// Peak RSS (VmHWM) in MiB from /proc — unlike ru_maxrss this can be
+/// reset per phase via reset_peak_rss().
+inline double vm_hwm_mib() {
+#if defined(__linux__)
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0)
+      return std::atof(line.c_str() + 6) / 1024.0;
+  }
+#endif
+  return peak_rss_mib();
+}
+
+/// Resets the kernel's RSS high-water mark so the next vm_hwm_mib() call
+/// reports the peak of this phase only. Returns false when unsupported.
+inline bool reset_peak_rss() {
+#if defined(__linux__)
+  std::ofstream out("/proc/self/clear_refs");
+  if (!out.good()) return false;
+  out << "5";
+  out.flush();
+  return out.good();
+#else
+  return false;
+#endif
+}
+
+inline double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// FNV-1a digest for bench checksums: any single changed input byte
+/// changes it.
+class Fnv64 {
+ public:
+  /// The bytes of `s` alone.
+  void raw(std::string_view s) {
+    for (const char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  /// The bytes of `s`, then its length, so consecutive strings cannot
+  /// collide by shifting bytes across their boundary.
+  void bytes(std::string_view s) {
+    raw(s);
+    u64(s.size());
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 /// Machine-readable benchmark sink: collects flat records (one object of
 /// numeric and string fields per measured configuration) and writes them as

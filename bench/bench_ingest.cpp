@@ -69,33 +69,10 @@ IngestBenchArgs parse_ingest_args(int argc, char** argv) {
   return args;
 }
 
-/// FNV-1a over parsed rows, mixed strictly in file order.
-class Fnv64 {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 std::uint64_t fnv_bytes(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  bench::Fnv64 h;
+  h.raw(s);
+  return h.digest();
 }
 
 struct ReadingRow {
@@ -146,7 +123,8 @@ DecodeResult decode_file(const std::string& path,
   options.file = "synthetic.csv";
   options.parallel = parallel;
   DecodeResult result;
-  Fnv64 digest;
+  // FNV-1a over parsed rows, mixed strictly in file order.
+  bench::Fnv64 digest;
   const auto start = std::chrono::steady_clock::now();
   ingest::decode_csv<ReadingRow>(
       in, options,
@@ -167,7 +145,7 @@ DecodeResult decode_file(const std::string& path,
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  result.checksum = digest.value();
+  result.checksum = digest.digest();
   return result;
 }
 

@@ -123,8 +123,7 @@ int main(int argc, char** argv) {
   global.set_enabled(true);
   const auto scenario = bench::make_bench_scenario(args);
   TraceStore& trace = *scenario.trace;
-  trace.set_telemetry_panel_enabled(true);
-  trace.telemetry_panel();  // panel.* counters + build histogram
+  trace.build_telemetry_panel();  // panel.* counters + build histogram
   {
     const AnalysisContext ctx(trace);
     analysis_suite(ctx);  // analysis.* counters

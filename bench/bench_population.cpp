@@ -42,7 +42,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -61,36 +60,13 @@ using namespace cloudlens;
 
 namespace {
 
-/// FNV-1a over the suite's rendered bytes: any single changed byte in the
-/// report, any figure CSV, or the kb CSV changes the digest.
-class Fnv64 {
- public:
-  void bytes(const std::string& s) {
-    for (const char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= 0x100000001b3ULL;
-    }
-    u64(s.size());
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 /// The full user-visible output set, digested: characterization report
 /// markdown, every figure CSV (name + bytes, in emission order), and the
 /// knowledge-base CSV. Identical bytes => identical digest.
 std::uint64_t suite_checksum(const TraceStore& trace,
                              const ParallelConfig& parallel) {
   const AnalysisContext ctx(trace, parallel);
-  Fnv64 h;
+  bench::Fnv64 h;
 
   std::ostringstream report;
   analysis::write_characterization_report(ctx, report);
@@ -117,40 +93,6 @@ std::uint64_t suite_checksum(const TraceStore& trace,
   const kb::KnowledgeBase knowledge(kb::extract_all(ctx, kb_options));
   h.bytes(knowledge.to_csv());
   return h.digest();
-}
-
-/// Peak RSS (VmHWM) in MiB from /proc — unlike ru_maxrss this can be
-/// reset per phase via /proc/self/clear_refs.
-double vm_hwm_mib() {
-#if defined(__linux__)
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0)
-      return std::atof(line.c_str() + 6) / 1024.0;
-  }
-#endif
-  return bench::peak_rss_mib();
-}
-
-/// Resets the kernel's RSS high-water mark so the next vm_hwm_mib() call
-/// reports the peak of this phase only. Returns false when unsupported.
-bool reset_peak_rss() {
-#if defined(__linux__)
-  std::ofstream out("/proc/self/clear_refs");
-  if (!out.good()) return false;
-  out << "5";
-  out.flush();
-  return out.good();
-#else
-  return false;
-#endif
-}
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 }  // namespace
@@ -189,7 +131,7 @@ int main(int argc, char** argv) {
       .num("budget_mib", budget_mib)
       .num("rss_limit_mib", rss_limit_mib);
 
-  const bool rss_windows = reset_peak_rss();
+  const bool rss_windows = bench::reset_peak_rss();
   if (!rss_windows)
     std::printf("  note: VmHWM reset unavailable; RSS figures are "
                 "whole-process peaks\n");
@@ -210,8 +152,8 @@ int main(int argc, char** argv) {
   scenario_options.population_sharding = &sharding;
   auto gen_start = std::chrono::steady_clock::now();
   auto streamed = workloads::make_scenario(scenario_options);
-  const double gen_ms = ms_since(gen_start);
-  const double gen_rss = vm_hwm_mib();
+  const double gen_ms = bench::ms_since(gen_start);
+  const double gen_rss = bench::vm_hwm_mib();
   TraceStore& trace = *streamed.trace;
   const std::size_t vms = trace.vm_count();
   const PopulationShardStore* store = trace.population_shards();
@@ -227,13 +169,13 @@ int main(int argc, char** argv) {
       .num("peak_rss_mib", gen_rss)
       .num("spill_mib", spill_mib);
 
-  reset_peak_rss();
+  bench::reset_peak_rss();
   bench::banner("Streamed suite over population shards (1 thread)");
   auto t1_start = std::chrono::steady_clock::now();
   const std::uint64_t sum_1t =
       suite_checksum(trace, ParallelConfig::with_threads(1));
-  const double streamed_1t_ms = ms_since(t1_start);
-  const double streamed_1t_rss = vm_hwm_mib();
+  const double streamed_1t_ms = bench::ms_since(t1_start);
+  const double streamed_1t_rss = bench::vm_hwm_mib();
   std::printf("  %.1f ms, peak RSS %.1f MiB, checksum %016llx\n",
               streamed_1t_ms, streamed_1t_rss,
               static_cast<unsigned long long>(sum_1t));
@@ -241,13 +183,13 @@ int main(int argc, char** argv) {
       .num("wall_ms", streamed_1t_ms)
       .num("peak_rss_mib", streamed_1t_rss);
 
-  reset_peak_rss();
+  bench::reset_peak_rss();
   bench::banner("Streamed suite over population shards (8 threads)");
   auto t8_start = std::chrono::steady_clock::now();
   const std::uint64_t sum_8t =
       suite_checksum(trace, ParallelConfig::with_threads(8));
-  const double streamed_8t_ms = ms_since(t8_start);
-  const double streamed_8t_rss = vm_hwm_mib();
+  const double streamed_8t_ms = bench::ms_since(t8_start);
+  const double streamed_8t_rss = bench::vm_hwm_mib();
   std::printf("  %.1f ms, peak RSS %.1f MiB, checksum %016llx\n",
               streamed_8t_ms, streamed_8t_rss,
               static_cast<unsigned long long>(sum_8t));
@@ -269,15 +211,16 @@ int main(int argc, char** argv) {
       .num("record_reads", static_cast<double>(record_reads));
 
   bench::banner("Oracle: the identical scenario, fully resident");
-  reset_peak_rss();
+  bench::reset_peak_rss();
   auto oracle_start = std::chrono::steady_clock::now();
   auto resident = bench::make_bench_scenario(args);
-  const double oracle_gen_ms = ms_since(oracle_start);
+  const double oracle_gen_ms = bench::ms_since(oracle_start);
   auto oracle_suite_start = std::chrono::steady_clock::now();
+  resident.trace->build_telemetry_panel();
   const std::uint64_t sum_resident =
       suite_checksum(*resident.trace, ParallelConfig::with_threads(8));
-  const double oracle_ms = ms_since(oracle_suite_start);
-  const double oracle_rss = vm_hwm_mib();
+  const double oracle_ms = bench::ms_since(oracle_suite_start);
+  const double oracle_rss = bench::vm_hwm_mib();
   std::printf("  gen %.1f ms, suite %.1f ms, peak RSS %.1f MiB, "
               "checksum %016llx%s\n",
               oracle_gen_ms, oracle_ms, oracle_rss,

@@ -7,17 +7,19 @@
 // correlations, utilization bands, cross-region correlations,
 // region-agnostic detection, used-cores roll-up) twice per configuration:
 //
-//   per-tick — the pre-PR cost model: panel disabled AND every model
+//   per-tick — the pre-panel cost model: no panel AND every model
 //              evaluated through the per-tick virtual at() loop (models are
 //              wrapped so their batched sample() overrides can't kick in);
-//   batched  — panel disabled: rows re-derived on demand, but through the
-//              hoisted batch samplers (this PR's fill kernel, uncached);
-//   panel    — panel enabled: the columnar cache is materialized once,
-//              every later pass reads contiguous rows.
+//   batched  — no panel: rows re-derived on demand, but through the
+//              hoisted batch samplers (the panel's fill kernel, uncached);
+//   panel    — build_telemetry_panel() materializes the columnar cache
+//              once, every later pass reads contiguous rows.
 //
 // Results are bit-identical in all three (see parallel_equivalence_test);
 // only wall-clock and memory move. Emits BENCH_telemetry.json with wall-ms,
 // peak-RSS, and VM-weeks/s per configuration for CI and EXPERIMENTS.md.
+// Each configuration's peak RSS is its own phase's VmHWM (reset before the
+// phase), so it includes the resident trace but no earlier phase's peak.
 //
 // Usage: bench_telemetry [--scale=F] [--seed=N] [--passes=N] [--out=PATH]
 //                        [--min-speedup=F]
@@ -88,8 +90,8 @@ class PerTickModel final : public UtilizationModel {
 };
 
 /// Clone of `trace` (same topology, subscriptions, VM records and ids) with
-/// every utilization model wrapped in PerTickModel and the panel disabled:
-/// the faithful "before this optimization" trace.
+/// every utilization model wrapped in PerTickModel and no panel: the
+/// faithful "before this optimization" trace.
 std::unique_ptr<TraceStore> per_tick_clone(const TraceStore& trace) {
   auto clone = std::make_unique<TraceStore>(&trace.topology(),
                                             trace.telemetry_grid());
@@ -100,7 +102,6 @@ std::unique_ptr<TraceStore> per_tick_clone(const TraceStore& trace) {
       rec.utilization = std::make_shared<PerTickModel>(rec.utilization);
     clone->add_vm(std::move(rec));
   }
-  clone->set_telemetry_panel_enabled(false);
   return clone;
 }
 
@@ -108,9 +109,7 @@ Measurement run_passes(const TraceStore& trace, int passes) {
   Measurement m;
   const auto start = std::chrono::steady_clock::now();
   for (int p = 0; p < passes; ++p) m.checksum += analysis_suite(trace);
-  m.wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
+  m.wall_ms = bench::ms_since(start);
   return m;
 }
 
@@ -144,13 +143,14 @@ int main(int argc, char** argv) {
       .num("passes", passes)
       .num("vms", static_cast<double>(vms));
 
-  bench::banner("Repeated-analysis suite: per-tick baseline (pre-PR)");
+  bench::banner("Repeated-analysis suite: per-tick baseline");
   Measurement baseline;
   double baseline_rss = 0;
   {
+    bench::reset_peak_rss();
     const auto before = per_tick_clone(trace);
     baseline = run_passes(*before, passes);
-    baseline_rss = bench::peak_rss_mib();
+    baseline_rss = bench::vm_hwm_mib();
   }
   const double baseline_vm_weeks_s =
       1000.0 * static_cast<double>(vms) * passes / baseline.wall_ms;
@@ -161,10 +161,10 @@ int main(int argc, char** argv) {
       .num("peak_rss_mib", baseline_rss)
       .num("vm_weeks_per_s", baseline_vm_weeks_s);
 
-  bench::banner("Repeated-analysis suite: batched samplers (panel off)");
-  trace.set_telemetry_panel_enabled(false);
+  bench::banner("Repeated-analysis suite: batched samplers (no panel)");
+  bench::reset_peak_rss();
   const auto legacy = run_passes(trace, passes);
-  const double legacy_rss = bench::peak_rss_mib();
+  const double legacy_rss = bench::vm_hwm_mib();
   const double legacy_vm_weeks_s =
       1000.0 * static_cast<double>(vms) * passes / legacy.wall_ms;
   std::printf("  %.1f ms for %d passes (%.0f VM-weeks/s)\n", legacy.wall_ms,
@@ -175,18 +175,16 @@ int main(int argc, char** argv) {
       .num("vm_weeks_per_s", legacy_vm_weeks_s);
 
   bench::banner("Repeated-analysis suite: columnar panel");
-  trace.set_telemetry_panel_enabled(true);
+  bench::reset_peak_rss();
   // Time the build separately so the JSON shows where the first pass goes.
   const auto build_start = std::chrono::steady_clock::now();
-  const TelemetryPanel* panel = trace.telemetry_panel();
-  const double build_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - build_start)
-                              .count();
+  const TelemetryPanel* panel = trace.build_telemetry_panel();
+  const double build_ms = bench::ms_since(build_start);
   const double panel_mib =
       panel ? static_cast<double>(panel->memory_bytes()) / (1024.0 * 1024.0)
             : 0.0;
   const auto with_panel = run_passes(trace, passes);
-  const double panel_rss = bench::peak_rss_mib();
+  const double panel_rss = bench::vm_hwm_mib();
   const double panel_vm_weeks_s =
       1000.0 * static_cast<double>(vms) * passes / with_panel.wall_ms;
   std::printf(
@@ -216,7 +214,7 @@ int main(int argc, char** argv) {
   bench::banner("Summary");
   TextTable table({"config", "wall ms", "VM-weeks/s", "peak RSS MiB"});
   table.row()
-      .add("per-tick baseline (pre-PR)")
+      .add("per-tick baseline")
       .add(baseline.wall_ms, 1)
       .add(baseline_vm_weeks_s, 0)
       .add(baseline_rss, 1);

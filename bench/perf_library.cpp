@@ -5,6 +5,8 @@
 // The parallel variants use `state.range(0)` as the thread count; outputs
 // are bit-identical across the sweep by the engine's determinism contract,
 // so only wall-clock changes.
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
 #include "analysis/classifier.h"
@@ -181,13 +183,28 @@ BENCHMARK(BM_AllocateRelease);
 // --- Thread-scaling sweeps -------------------------------------------------
 // One shared scenario for all parallel benchmarks (built once).
 
+/// The shared scale-0.1 scenario, with its telemetry panel built the way
+/// the CLI's panel stage builds it: every bench below reads panel rows.
 const workloads::Scenario& shared_scenario() {
   static const workloads::Scenario scenario = [] {
     workloads::ScenarioOptions options;
     options.scale = 0.1;
-    return workloads::make_scenario(options);
+    auto built = workloads::make_scenario(options);
+    built.trace->build_telemetry_panel();
+    return built;
   }();
   return scenario;
+}
+
+/// A copy of `trace` (same records, ids and shared models) without a
+/// panel, so analyses evaluate rows on demand.
+std::unique_ptr<TraceStore> panel_less_copy(const TraceStore& trace) {
+  auto copy = std::make_unique<TraceStore>(&trace.topology(),
+                                           trace.telemetry_grid());
+  for (const auto& svc : trace.services()) copy->add_service(svc);
+  for (const auto& sub : trace.subscriptions()) copy->add_subscription(sub);
+  for (const auto& vm : trace.vms()) copy->add_vm(vm);
+  return copy;
 }
 
 void BM_ClassifyPopulationThreads(benchmark::State& state) {
@@ -255,19 +272,15 @@ double repeated_analysis_suite(const TraceStore& trace) {
 }
 
 void BM_RepeatedAnalysesLegacy(benchmark::State& state) {
-  TraceStore& trace = *shared_scenario().trace;
-  trace.set_telemetry_panel_enabled(false);
+  const auto trace = panel_less_copy(*shared_scenario().trace);
   for (auto _ : state)
-    benchmark::DoNotOptimize(repeated_analysis_suite(trace));
-  trace.set_telemetry_panel_enabled(true);
+    benchmark::DoNotOptimize(repeated_analysis_suite(*trace));
   state.SetLabel("panel off");
 }
 BENCHMARK(BM_RepeatedAnalysesLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_RepeatedAnalysesPanel(benchmark::State& state) {
-  TraceStore& trace = *shared_scenario().trace;
-  trace.set_telemetry_panel_enabled(true);
-  trace.telemetry_panel();  // warm the build outside the timed region
+  const TraceStore& trace = *shared_scenario().trace;
   for (auto _ : state)
     benchmark::DoNotOptimize(repeated_analysis_suite(trace));
   state.SetLabel("panel on");

@@ -69,8 +69,7 @@ PatternShares classify_population(const AnalysisContext& ctx, CloudType cloud,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Opt into the columnar telemetry cache; built serially here, before the
-  // fan-out, so workers only ever read it.
+  // Use the columnar telemetry cache when the trace holds one.
   const TelemetryPanel* panel = trace.telemetry_panel();
 
   const std::vector<VmId> candidates =

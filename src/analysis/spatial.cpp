@@ -49,8 +49,7 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Opt into the columnar telemetry cache (and build it serially, before
-  // the fan-out), alongside the node index warm-up below.
+  // Use the columnar telemetry cache when the trace holds one.
   const TelemetryPanel* panel = trace.telemetry_panel();
 
   // Candidate nodes: host >= 2 window-covering VMs of this cloud. (This
@@ -170,10 +169,8 @@ std::vector<double> cross_region_correlations(const AnalysisContext& ctx,
       candidates.push_back(sub.id);
     }
   }
-  // Warm the subscription index and the telemetry panel serially before
-  // fanning out.
+  // Warm the subscription index serially before fanning out.
   if (!candidates.empty()) trace.vms_of_subscription(candidates.front());
-  trace.telemetry_panel();
 
   // The region profiles (up to 25 VM roll-ups per region) dominate the
   // cost; the pairwise Pearsons over hourly series are cheap. Profiles are
@@ -234,7 +231,6 @@ std::vector<RegionAgnosticVerdict> detect_region_agnostic_services(
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Serial panel warm-up before the per-service fan-out.
   const TelemetryPanel* panel = trace.telemetry_panel();
 
   // Membership first: eligible (id, service, region) triples in global id

@@ -18,7 +18,7 @@ UtilizationDistribution utilization_distribution(const AnalysisContext& ctx,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Opt into the columnar telemetry cache (serial warm-up).
+  // Use the columnar telemetry cache when the trace holds one.
   const TelemetryPanel* panel = trace.telemetry_panel();
 
   const std::vector<VmId> candidates =

@@ -575,7 +575,8 @@ std::uint32_t PopulationShardStore::shard_of(SubscriptionId sub) const {
 }
 
 std::uint32_t PopulationShardStore::shard_of_vm(VmId id) const {
-  return vm_shards_.at(id.value());
+  CL_CHECK_MSG(id.value() < vm_shards_.size(), "unknown " << id);
+  return vm_shards_[id.value()];
 }
 
 const PopulationShardView& PopulationShardStore::acquire(
@@ -689,8 +690,7 @@ const PopulationShardView& PopulationShardStore::view(
 }
 
 const VmRecord& PopulationShardStore::record(VmId id) const {
-  const std::uint32_t shard = vm_shards_.at(id.value());
-  const PopulationShardView& v = acquire(shard);
+  const PopulationShardView& v = acquire(shard_of_vm(id));
   const VmRecord* rec = v.find(id);
   CL_CHECK_MSG(rec != nullptr,
                "population store: record " << id.value() << " missing from "
@@ -702,8 +702,7 @@ const VmRecord& PopulationShardStore::record(VmId id) const {
 
 const SubscriptionInfo& PopulationShardStore::subscription(
     SubscriptionId id) const {
-  CL_CHECK_MSG(id.valid() && id.value() < sub_count_,
-               "population store: unknown subscription " << id.value());
+  CL_CHECK_MSG(id.value() < sub_count_, "unknown " << id);
   const PopulationShardView& v = acquire(shard_of(id));
   const SubscriptionInfo* sub = v.find_subscription(id);
   CL_CHECK_MSG(sub != nullptr,

@@ -250,10 +250,10 @@ void decode_subscriptions(Reader& r, TraceStore& trace) {
   }
 }
 
-/// One model record: [u8 tag][u32 payload size][payload bytes].
-void encode_model(const UtilizationModel& model, const TimeGrid& grid,
-                  const SnapshotModelCodec* codec, std::string& out,
-                  std::size_t valid_ticks = SIZE_MAX) {
+}  // namespace
+
+void encode_model_record(const UtilizationModel& model, const TimeGrid& grid,
+                         const SnapshotModelCodec* codec, std::string& out) {
   std::string payload;
   std::uint8_t tag = 0;
   if (const auto* c = dynamic_cast<const ConstantUtilization*>(&model)) {
@@ -269,19 +269,12 @@ void encode_model(const UtilizationModel& model, const TimeGrid& grid,
                  "model codec returned a reserved tag");
   } else {
     // Unknown model type: degrade to explicit samples over the telemetry
-    // grid (exact at every grid tick, step-interpolated elsewhere). Only
-    // the first `valid_ticks` ticks are sampled — zeros beyond, matching
-    // the live trace's valid-ticks clamp — so models whose backing store
-    // is still being appended to (serve) are never read past the clamp.
+    // grid (exact at every grid tick, step-interpolated elsewhere).
     tag = kModelSampled;
     payload.clear();
     append_grid(payload, grid);
-    std::vector<double> samples(grid.count, 0.0);
-    const std::size_t head = std::min(grid.count, valid_ticks);
-    if (head > 0) {
-      const TimeGrid head_grid{grid.start, grid.step, head};
-      model.sample(head_grid, std::span<double>(samples).first(head));
-    }
+    std::vector<double> samples(grid.count);
+    model.sample(grid, samples);
     payload.append(reinterpret_cast<const char*>(samples.data()),
                    samples.size() * sizeof(double));
   }
@@ -289,7 +282,7 @@ void encode_model(const UtilizationModel& model, const TimeGrid& grid,
   append_string(out, payload);
 }
 
-std::shared_ptr<const UtilizationModel> decode_model(
+std::shared_ptr<const UtilizationModel> decode_model_record(
     Reader& r, const SnapshotModelCodec* codec) {
   const std::uint8_t tag = r.u8();
   const std::string payload = r.str();
@@ -318,6 +311,8 @@ std::shared_ptr<const UtilizationModel> decode_model(
     }
   }
 }
+
+namespace {
 
 std::string encode_panel(const TelemetryPanel& panel) {
   std::string out;
@@ -470,18 +465,6 @@ Container read_container(std::istream& in) {
 
 }  // namespace
 
-void encode_model_record(const UtilizationModel& model,
-                         const TimeGrid& fallback_grid,
-                         const SnapshotModelCodec* codec, std::string& out,
-                         std::size_t valid_ticks) {
-  encode_model(model, fallback_grid, codec, out, valid_ticks);
-}
-
-std::shared_ptr<const UtilizationModel> decode_model_record(
-    snapshot_codec::Reader& r, const SnapshotModelCodec* codec) {
-  return decode_model(r, codec);
-}
-
 void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
                          std::ostream& out,
                          const SnapshotWriteOptions& options) {
@@ -518,8 +501,8 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
     const auto [it, inserted] =
         model_index.emplace(vm.utilization.get(), next_model);
     if (inserted) {
-      encode_model(*vm.utilization, grid, options.model_codec, model_records,
-                   trace.sample_valid_ticks());
+      encode_model_record(*vm.utilization, grid, options.model_codec,
+                          model_records);
       ++next_model;
     }
     append_u32(vms, it->second);
@@ -537,7 +520,7 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
   if (options.include_panel) {
     const TelemetryPanel* panel = trace.telemetry_panel();
     CL_CHECK_MSG(panel != nullptr,
-                 "snapshot: panel requested but disabled on the trace");
+                 "snapshot: panel requested but not built on the trace");
     sections.emplace_back(kPanel, encode_panel(*panel));
   }
   write_container(out, sections);
@@ -570,7 +553,7 @@ LoadedSnapshot load_trace_sections(const Sections& c,
   std::vector<std::shared_ptr<const UtilizationModel>> models;
   models.reserve(model_count);
   for (std::uint64_t i = 0; i < model_count; ++i) {
-    models.push_back(decode_model(model_r, codec));
+    models.push_back(decode_model_record(model_r, codec));
   }
 
   Reader vm_r(c.section(kVms));

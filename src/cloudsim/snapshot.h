@@ -125,14 +125,11 @@ inline constexpr std::uint32_t kPopulationNodeIndex = 15;
 /// This is the same encoding the MODELS section uses; it is exposed so the
 /// population shard store can stream per-VM model records into its own
 /// sections. Models that are neither native nor codec-handled degrade to
-/// explicit samples over `fallback_grid`, sampled only over the first
-/// min(grid.count, valid_ticks) ticks with zeros beyond — mirroring
-/// TelemetryPanel::fill_row's valid-ticks clamp, so a degraded model
-/// round-trips the same bits the live trace serves.
+/// explicit samples over `fallback_grid`, so a degraded model round-trips
+/// the bits the live trace serves at every grid tick.
 void encode_model_record(const UtilizationModel& model,
                          const TimeGrid& fallback_grid,
-                         const SnapshotModelCodec* codec, std::string& out,
-                         std::size_t valid_ticks = SIZE_MAX);
+                         const SnapshotModelCodec* codec, std::string& out);
 
 /// Reads one record encode_model_record() produced (advances the reader).
 /// Throws CheckError on unknown tags with no codec.
@@ -140,8 +137,8 @@ std::shared_ptr<const UtilizationModel> decode_model_record(
     snapshot_codec::Reader& r, const SnapshotModelCodec* codec);
 
 struct SnapshotWriteOptions {
-  /// Also write the PANEL section. Requires the panel to be enabled on the
-  /// trace; the write materializes it if it has not been built yet.
+  /// Also write the PANEL section. Requires a built (or adopted) panel on
+  /// the trace.
   bool include_panel = false;
   /// Codec for non-native utilization models (nullptr = sampled fallback).
   const SnapshotModelCodec* model_codec = nullptr;
@@ -156,7 +153,7 @@ struct LoadedSnapshot {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;
   /// True when the snapshot carried a PANEL section and the trace adopted
-  /// it (no lazy rebuild needed).
+  /// it (no build needed).
   bool panel_loaded = false;
 };
 

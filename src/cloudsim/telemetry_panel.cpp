@@ -18,8 +18,7 @@ inline std::size_t ceil_div(SimDuration a, SimDuration b) {
 }  // namespace
 
 void TelemetryPanel::fill_row(const VmRecord& vm, const TimeGrid& grid,
-                              std::span<double> out,
-                              std::size_t valid_ticks) {
+                              std::span<double> out) {
   CL_CHECK(out.size() == grid.count);
   if (!vm.utilization) {
     std::fill(out.begin(), out.end(), 0.0);
@@ -27,7 +26,7 @@ void TelemetryPanel::fill_row(const VmRecord& vm, const TimeGrid& grid,
   }
   // Alive index window [i0, i1): at(i) >= created and at(i) < deleted.
   std::size_t i0 = 0;
-  std::size_t i1 = std::min(grid.count, valid_ticks);
+  std::size_t i1 = grid.count;
   if (vm.created > grid.start)
     i0 = std::min(i1, ceil_div(vm.created - grid.start, grid.step));
   if (vm.deleted < grid.end())
@@ -80,7 +79,6 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   hourly_.resize(rows_ * hourly_grid_.count);
 
   const std::span<const VmRecord> vms = trace.vms();
-  const std::size_t valid_ticks = trace.sample_valid_ticks();
   // Deterministic parallel fill: VM v writes only its own row(s), so the
   // matrix is bit-identical at any thread count.
   parallel_for(
@@ -88,7 +86,7 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
       [&](std::size_t v) {
         const std::span<double> row{data_.data() + v * grid_.count,
                                     grid_.count};
-        fill_row(vms[v], grid_, row, valid_ticks);
+        fill_row(vms[v], grid_, row);
         if (hourly_grid_.count > 0) {
           hourly_from_row(row, grid_,
                           {hourly_.data() + v * hourly_grid_.count,
@@ -145,12 +143,7 @@ std::span<const double> vm_telemetry_row(const TraceStore& trace,
   }
   obs::MetricsRegistry::global().add(obs::Counter::kPanelRowMisses);
   scratch.resize(grid.count);
-  // The valid-ticks clamp is defined over the trace's own grid; rows over
-  // other grids are unclamped (serve never requests them).
-  TelemetryPanel::fill_row(trace.vm(id), grid, scratch,
-                           grid == trace.telemetry_grid()
-                               ? trace.sample_valid_ticks()
-                               : SIZE_MAX);
+  TelemetryPanel::fill_row(trace.vm(id), grid, scratch);
   return scratch;
 }
 

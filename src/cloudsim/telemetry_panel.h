@@ -1,27 +1,27 @@
 // Columnar telemetry cache.
 //
-// Every analysis pass used to re-derive the same 5-minute telemetry from
-// scratch: one virtual UtilizationModel::at(t) call per tick per request,
-// plus a fresh 2016-sample TimeSeries allocation per call — and the node
-// correlation pass alone evaluated each VM's week at least twice. The
-// TelemetryPanel materializes the whole VM × tick utilization matrix
-// *once* per TraceStore in a cache-friendly row-major (structure-of-arrays)
-// layout, filled in parallel (each VM fills its own row, so the build is
-// bit-identical at any thread count), fed by the batched
-// UtilizationModel::sample() API that hoists the per-tick virtual dispatch
-// and noise/envelope recomputation out of the loop.
+// Every analysis pass would otherwise re-derive the same 5-minute
+// telemetry from scratch: one virtual UtilizationModel::at(t) call per
+// tick per request, plus a fresh 2016-sample TimeSeries allocation per
+// call — and the node correlation pass alone evaluates each VM's week at
+// least twice. The TelemetryPanel materializes the whole VM × tick
+// utilization matrix *once* per TraceStore in a cache-friendly row-major
+// (structure-of-arrays) layout, filled in parallel (each VM fills its own
+// row, so the build is bit-identical at any thread count), fed by the
+// batched UtilizationModel::sample() API that hoists the per-tick virtual
+// dispatch and noise/envelope recomputation out of the loop.
 //
 // Memory: one double per VM per tick — 16 KB per VM for the default
 // one-week 5-minute grid (2016 ticks), plus 1.3 KB for the hourly
-// companion view (168 samples). A 100k-VM trace costs ~1.7 GB; disable the
-// panel (TraceStore::set_telemetry_panel_enabled(false)) to trade the
-// memory back for recomputation — every consumer falls back to on-demand
-// row evaluation through the *same* fill kernel, so results are identical
-// either way, bit for bit.
+// companion view (168 samples). A 100k-VM trace costs ~1.7 GB, so the
+// panel exists only on request: TraceStore::build_telemetry_panel()
+// materializes it (the pipeline's panel stage calls it, or adopts a cached
+// copy), and a trace nobody asked for a panel holds none. Every consumer
+// then falls back to on-demand row evaluation through the *same* fill
+// kernel, so results are identical either way, bit for bit.
 //
-// Consumers opt in by asking the trace for the panel once, up front
-// (serially, before any parallel fan-out), then pulling contiguous
-// std::span<const double> rows:
+// Consumers ask the trace for the panel once, up front, then pull
+// contiguous std::span<const double> rows:
 //
 //   const TelemetryPanel* panel = trace.telemetry_panel();  // may be null
 //   std::vector<double> scratch;
@@ -29,8 +29,8 @@
 //       vm_telemetry_row(trace, panel, id, grid, scratch);
 //
 // Invalidation: TraceStore drops the panel on add_vm and set_vm_deleted
-// (a VM's row depends on its [created, deleted) window) and rebuilds it
-// lazily on next use.
+// (a VM's row depends on its [created, deleted) window); it stays absent
+// until the next build_telemetry_panel() call.
 #pragma once
 
 #include <span>
@@ -90,14 +90,8 @@ class TelemetryPanel {
   /// VMs). `out.size()` must equal `grid.count`. Used both by the panel
   /// build and by the scratch fallback path, so panel-on and panel-off
   /// analyses see identical bits by construction.
-  ///
-  /// `valid_ticks` clamps the row: out[i] = 0 for i >= valid_ticks, and
-  /// the model is never sampled there (serve snapshots use this to keep
-  /// readers off sample buffers still being appended to — see
-  /// TraceStore::set_sample_valid_ticks). SIZE_MAX = no clamp.
   static void fill_row(const VmRecord& vm, const TimeGrid& grid,
-                       std::span<double> out,
-                       std::size_t valid_ticks = SIZE_MAX);
+                       std::span<double> out);
 
   /// Roll a row into hourly means — bit-identical to
   /// stats::TimeSeries::hourly_mean on the same values. `out.size()` must

@@ -52,8 +52,8 @@ VmId TraceStore::add_vm(VmRecord record) {
   CL_CHECK_MSG(record.subscription.valid() &&
                    record.subscription.value() < subscriptions_.size(),
                "VM references unknown subscription");
-  CL_CHECK_MSG(!population_sharded() && adopted_vms_ == nullptr,
-               "trace records are frozen (population-sharded or adopted)");
+  CL_CHECK_MSG(!population_sharded(),
+               "population-sharded trace is immutable");
   if (pop_spilling_) {
     // Streaming spill: the record goes straight to its shard's spill log;
     // it never joins the resident vector.
@@ -62,34 +62,35 @@ VmId TraceStore::add_vm(VmRecord record) {
   const VmId id(static_cast<VmId::underlying>(vms_.size()));
   record.id = id;
   vms_.push_back(std::move(record));
-  node_index_valid_ = false;
-  sub_index_valid_ = false;
-  panel_valid_ = false;
+  invalidate_derived();
   return id;
 }
 
 void TraceStore::set_vm_deleted(VmId id, SimTime when) {
-  CL_CHECK_MSG(pop_shards_ == nullptr && adopted_vms_ == nullptr,
-               "trace records are frozen (population-sharded or adopted)");
-  CL_CHECK(id.valid() && id.value() < vms_.size());
+  CL_CHECK_MSG(pop_shards_ == nullptr,
+               "population-sharded trace is immutable");
+  CL_CHECK_MSG(id.value() < vms_.size(), "unknown " << id);
   VmRecord& rec = vms_[id.value()];
   CL_CHECK_MSG(when < rec.deleted && when > rec.created,
                "early termination must shorten the VM's life");
   rec.deleted = when;
   // Shortening a VM's life changes derived telemetry (its panel row is
   // zero outside [created, deleted)) and any liveness-derived index, so
-  // invalidate the lazy caches exactly the way add_vm does. Rebuilds are
-  // lazy, so bursts of terminations (failure injection) pay once.
+  // drop the caches exactly the way add_vm does.
+  invalidate_derived();
+}
+
+void TraceStore::invalidate_derived() {
   node_index_valid_ = false;
   sub_index_valid_ = false;
-  panel_valid_ = false;
+  panel_.reset();
 }
 
 void TraceStore::build_node_index() const {
   std::lock_guard<std::mutex> lock(index_mutex_);
   if (node_index_valid_.load(std::memory_order_relaxed)) return;
   node_index_.clear();
-  for (const auto& vm : vm_span()) {
+  for (const auto& vm : vms_) {
     if (vm.placed()) node_index_[vm.node].push_back(vm.id);
   }
   node_index_valid_.store(true, std::memory_order_release);
@@ -99,45 +100,27 @@ void TraceStore::build_subscription_index() const {
   std::lock_guard<std::mutex> lock(index_mutex_);
   if (sub_index_valid_.load(std::memory_order_relaxed)) return;
   sub_index_.clear();
-  for (const auto& vm : vm_span()) sub_index_[vm.subscription].push_back(vm.id);
+  for (const auto& vm : vms_) sub_index_[vm.subscription].push_back(vm.id);
   sub_index_valid_.store(true, std::memory_order_release);
 }
 
-void TraceStore::build_telemetry_panel() const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (panel_valid_.load(std::memory_order_relaxed)) return;
-  panel_ = std::make_unique<TelemetryPanel>(*this, grid_, panel_parallel_);
-  panel_valid_.store(true, std::memory_order_release);
-}
-
-const TelemetryPanel* TraceStore::telemetry_panel() const {
+const TelemetryPanel* TraceStore::build_telemetry_panel(
+    const ParallelConfig& parallel) {
   // Population-sharded mode holds no resident per-VM matrix of any kind:
   // consumers compute rows on demand with the same fill kernel (identical
   // bits).
-  if (pop_shards_ != nullptr) return nullptr;
-  if (!panel_enabled_) return nullptr;
-  if (!panel_valid_.load(std::memory_order_acquire)) build_telemetry_panel();
+  CL_CHECK_MSG(pop_shards_ == nullptr,
+               "a population-sharded trace has no telemetry panel");
+  if (panel_ == nullptr)
+    panel_ = std::make_unique<TelemetryPanel>(*this, grid_, parallel);
   return panel_.get();
 }
 
 bool TraceStore::adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel) {
-  if (pop_shards_ != nullptr) return false;
-  if (!panel_enabled_ || panel == nullptr) return false;
-  if (panel->grid() != grid_ || panel->vm_count() != vm_span().size()) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(index_mutex_);
+  if (pop_shards_ != nullptr || panel == nullptr) return false;
+  if (panel->grid() != grid_ || panel->vm_count() != vms_.size()) return false;
   panel_ = std::move(panel);
-  panel_valid_.store(true, std::memory_order_release);
   return true;
-}
-
-void TraceStore::set_telemetry_panel_enabled(bool enabled) {
-  panel_enabled_ = enabled;
-  if (!enabled) {
-    panel_valid_ = false;
-    panel_.reset();
-  }
 }
 
 std::span<const SubscriptionInfo> TraceStore::subscriptions() const {
@@ -153,12 +136,12 @@ std::span<const VmRecord> TraceStore::vms() const {
   CL_CHECK_MSG(!population_sharded() && !pop_spilling_,
                "vms() is unavailable in population-sharded mode; use "
                "vm_count()/vm() or stream shards (record_stream.h)");
-  return vm_span();
+  return vms_;
 }
 
 std::size_t TraceStore::vm_count() const {
   if (pop_shards_ != nullptr) return pop_shards_->vm_count();
-  return vm_span().size();
+  return vms_.size();
 }
 
 std::size_t TraceStore::subscription_count() const {
@@ -168,12 +151,14 @@ std::size_t TraceStore::subscription_count() const {
 
 const SubscriptionInfo& TraceStore::subscription(SubscriptionId id) const {
   if (population_sharded()) return pop_shards_->subscription(id);
-  return subscriptions_.at(id.value());
+  CL_CHECK_MSG(id.value() < subscriptions_.size(), "unknown " << id);
+  return subscriptions_[id.value()];
 }
 
 const VmRecord& TraceStore::vm(VmId id) const {
   if (population_sharded()) return pop_shards_->record(id);
-  return vm_span()[id.value()];
+  CL_CHECK_MSG(id.value() < vms_.size(), "unknown " << id);
+  return vms_[id.value()];
 }
 
 std::span<const VmId> TraceStore::vms_on_node(NodeId node) const {
@@ -197,7 +182,7 @@ std::span<const VmId> TraceStore::vms_of_subscription(
 void TraceStore::begin_population_spill(
     const PopulationShardingOptions& options) {
   CL_CHECK_MSG(pop_shards_ == nullptr, "population spill already active");
-  CL_CHECK_MSG(vms_.empty() && adopted_vms_ == nullptr,
+  CL_CHECK_MSG(vms_.empty(),
                "population spill must start before any VM is added");
   pop_shards_ = std::make_unique<PopulationShardStore>(grid_, options);
   pop_spilling_ = true;
@@ -211,17 +196,12 @@ void TraceStore::finish_population_spill() {
   subscriptions_.clear();
   subscriptions_.shrink_to_fit();
   pop_spilling_ = false;
-  node_index_valid_ = false;
-  sub_index_valid_ = false;
-  panel_valid_ = false;
-  panel_.reset();
+  invalidate_derived();
 }
 
 void TraceStore::set_population_sharding(
     const PopulationShardingOptions& options) {
   CL_CHECK_MSG(pop_shards_ == nullptr, "population sharding already enabled");
-  CL_CHECK_MSG(adopted_vms_ == nullptr,
-               "cannot population-shard adopted records");
   pop_shards_ = PopulationShardStore::build(*this, options);
   // The records and every resident derivative now live out-of-core; drop
   // the in-memory copies so RSS never holds both.
@@ -229,30 +209,9 @@ void TraceStore::set_population_sharding(
   vms_.shrink_to_fit();
   subscriptions_.clear();
   subscriptions_.shrink_to_fit();
-  node_index_valid_ = false;
+  invalidate_derived();
   node_index_.clear();
-  sub_index_valid_ = false;
   sub_index_.clear();
-  panel_valid_ = false;
-  panel_.reset();
-}
-
-void TraceStore::adopt_vm_records(
-    std::shared_ptr<const std::vector<VmRecord>> records) {
-  CL_CHECK_MSG(records != nullptr, "adopt_vm_records: null records");
-  CL_CHECK_MSG(vms_.empty() && pop_shards_ == nullptr,
-               "adopt_vm_records requires an empty, unsharded store");
-  adopted_vms_ = std::move(records);
-  node_index_valid_ = false;
-  sub_index_valid_ = false;
-  panel_valid_ = false;
-}
-
-void TraceStore::set_sample_valid_ticks(std::size_t ticks) {
-  sample_valid_ticks_ = ticks;
-  // The clamp changes row contents; drop any materialized matrix.
-  panel_valid_ = false;
-  panel_.reset();
 }
 
 stats::TimeSeries TraceStore::vm_utilization(VmId id,
@@ -264,8 +223,7 @@ stats::TimeSeries TraceStore::vm_utilization(VmId id,
     const auto row = panel->row(id);
     std::copy(row.begin(), row.end(), out.mutable_values().begin());
   } else {
-    TelemetryPanel::fill_row(rec, grid, out.mutable_values(),
-                             grid == grid_ ? sample_valid_ticks_ : SIZE_MAX);
+    TelemetryPanel::fill_row(rec, grid, out.mutable_values());
   }
   return out;
 }

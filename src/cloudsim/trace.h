@@ -1,9 +1,18 @@
 // Trace records: the simulated equivalent of the paper's dataset —
 // per-VM metadata plus 5-minute average CPU utilization.
 //
-// Utilization is not materialized: each VM carries a deterministic
-// UtilizationModel evaluated on demand, so traces with hundreds of
-// thousands of VMs fit easily in memory.
+// Utilization is not materialized by default: each VM carries a
+// deterministic UtilizationModel evaluated on demand, so traces with
+// hundreds of thousands of VMs fit easily in memory.
+//
+// A TraceStore holds its records in one of two storage modes:
+//  * resident — services, subscriptions and VMs in vectors, with an
+//    optional TelemetryPanel (the VM × tick matrix) that exists only once
+//    build_telemetry_panel() or adopt_telemetry_panel() installed it;
+//  * population-sharded — subscription-hashed record shards spilled to
+//    disk and paged in on demand (cloudsim/population.h); no panel.
+// Every consumer reads rows through the same fill kernel in both modes,
+// so results are bit-identical whichever mode and panel state a run uses.
 #pragma once
 
 #include <atomic>
@@ -127,6 +136,9 @@ class TraceStore {
   ServiceId add_service(ServiceInfo info);
   SubscriptionId add_subscription(SubscriptionInfo info);
   VmId add_vm(VmRecord record);
+  /// Room for `count` resident VM records, so a bulk load of a known size
+  /// (a serve snapshot) allocates the record vector once.
+  void reserve_vms(std::size_t count) { vms_.reserve(count); }
 
   /// Terminate a VM earlier than recorded (used by failure injection).
   /// The new time must precede the current deletion time.
@@ -154,7 +166,8 @@ class TraceStore {
   /// Record lookups. In population-sharded mode these page the owning
   /// shard in on demand (thread-safe); the returned reference stays valid
   /// until the next population_shards() eviction, which may only happen
-  /// at serial points (see cloudsim/population.h).
+  /// at serial points (see cloudsim/population.h). An invalid or
+  /// out-of-range id throws CheckError naming it, in either mode.
   const SubscriptionInfo& subscription(SubscriptionId id) const;
   const VmRecord& vm(VmId id) const;
 
@@ -176,33 +189,22 @@ class TraceStore {
   double node_used_cores(NodeId id, SimTime t) const;
 
   /// The columnar telemetry cache (row-major VM × tick utilization matrix
-  /// plus an hourly-mean companion view), materialized lazily on first call
-  /// over `telemetry_grid()` and invalidated by add_vm/set_vm_deleted.
-  /// Returns nullptr when the panel is disabled or the trace is
-  /// population-sharded — consumers fall back to on-demand row evaluation
-  /// with identical bits (see telemetry_panel.h).
-  /// Safe for concurrent readers: the first reader builds the panel under
-  /// the index mutex and publishes it with a release-store, exactly like
-  /// the node/subscription indexes.
-  const TelemetryPanel* telemetry_panel() const;
+  /// plus an hourly-mean companion view over `telemetry_grid()`), or
+  /// nullptr when none was built or adopted since the last record
+  /// mutation. Consumers fall back to on-demand row evaluation with
+  /// identical bits (see telemetry_panel.h).
+  const TelemetryPanel* telemetry_panel() const { return panel_.get(); }
 
-  /// Enable/disable the panel (default: enabled). Disabling drops the
-  /// materialized matrix immediately. Mutation must be externally
-  /// serialized against readers, like every other mutator.
-  void set_telemetry_panel_enabled(bool enabled);
-  bool telemetry_panel_enabled() const { return panel_enabled_; }
+  /// Materialize the panel over `telemetry_grid()` (a no-op when one is
+  /// held) and return it. Rows are filled in parallel, one VM per row, so
+  /// any thread count yields identical bits. Rejected (CheckError) for a
+  /// population-sharded or spilling trace, which holds no resident matrix.
+  const TelemetryPanel* build_telemetry_panel(
+      const ParallelConfig& parallel = {});
 
-  /// Parallelism used for the lazy panel build (results are per-row
-  /// independent, so any thread count yields identical bits).
-  void set_telemetry_parallel(const ParallelConfig& parallel) {
-    panel_parallel_ = parallel;
-  }
-
-  /// Install a prebuilt panel (snapshot load) instead of rebuilding it
-  /// lazily. The panel must cover every VM over `telemetry_grid()`; a
-  /// mismatched or disabled panel is rejected (returns false, store
-  /// unchanged). Mutation must be externally serialized against readers,
-  /// like every other mutator.
+  /// Install a prebuilt panel (snapshot load) instead of building one. The
+  /// panel must cover every VM over `telemetry_grid()`; a mismatched panel
+  /// is rejected (returns false, store unchanged).
   bool adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel);
 
   // --- population sharding (out-of-core VM/subscription records) --------
@@ -230,33 +232,11 @@ class TraceStore {
   bool population_sharded() const { return population_shards() != nullptr; }
   bool population_spilling() const { return pop_spilling_; }
 
-  // --- shared records (serve epoch snapshots) ---------------------------
-
-  /// Adopt a prebuilt, externally shared VM record vector instead of
-  /// copying records in one add_vm at a time. The store must hold no VMs
-  /// yet; subscriptions/services must already cover every referenced id.
-  /// After adoption the store is immutable (add_vm/set_vm_deleted are
-  /// rejected) — the serve engine shares one frozen record vector across
-  /// every epoch snapshot instead of deep-copying it per epoch.
-  void adopt_vm_records(std::shared_ptr<const std::vector<VmRecord>> records);
-
-  /// Valid-ticks clamp for on-demand sample evaluation: every telemetry
-  /// row served for this trace's own grid is forced to zero at tick
-  /// indices >= `ticks`. Used by serve snapshots whose sample buffers are
-  /// still being appended to beyond the snapshot epoch: the clamp keeps
-  /// readers off the in-flight tail (bit-identical to the old baked-copy
-  /// path, which zeroed the same cells). Default: no clamp.
-  void set_sample_valid_ticks(std::size_t ticks);
-  std::size_t sample_valid_ticks() const { return sample_valid_ticks_; }
-
  private:
-  std::span<const VmRecord> vm_span() const {
-    return adopted_vms_ != nullptr ? std::span<const VmRecord>(*adopted_vms_)
-                                   : std::span<const VmRecord>(vms_);
-  }
+  /// Drops every derived cache (indexes, panel) after a record mutation.
+  void invalidate_derived();
   void build_node_index() const;
   void build_subscription_index() const;
-  void build_telemetry_panel() const;
 
   const Topology* topology_;
   TimeGrid grid_;
@@ -276,14 +256,10 @@ class TraceStore {
   mutable std::atomic<bool> sub_index_valid_{false};
   mutable std::unordered_map<SubscriptionId, std::vector<VmId>> sub_index_;
 
-  // Lazy columnar telemetry cache (same publication pattern as the
-  // indexes above). `panel_enabled_`/`panel_parallel_` are plain state:
-  // they are only written by mutators, which are serialized against
-  // readers by contract.
-  bool panel_enabled_ = true;
-  ParallelConfig panel_parallel_{};
-  mutable std::atomic<bool> panel_valid_{false};
-  mutable std::unique_ptr<TelemetryPanel> panel_;
+  // Columnar telemetry cache: set only by build/adopt, dropped by every
+  // record mutation. Plain state like the records themselves: mutators
+  // are serialized against readers by contract.
+  std::unique_ptr<TelemetryPanel> panel_;
 
   // Population sharding: non-null once begin_population_spill() or
   // set_population_sharding() ran; `pop_spilling_` is true between
@@ -291,13 +267,6 @@ class TraceStore {
   // Mutator-written state, serialized against readers by contract.
   std::unique_ptr<PopulationShardStore> pop_shards_;
   bool pop_spilling_ = false;
-
-  // Externally shared record vector (serve); mutually exclusive with
-  // `vms_` and with population sharding.
-  std::shared_ptr<const std::vector<VmRecord>> adopted_vms_;
-
-  // Valid-ticks clamp over `grid_` (SIZE_MAX = no clamp).
-  std::size_t sample_valid_ticks_ = SIZE_MAX;
 };
 
 }  // namespace cloudlens

@@ -136,10 +136,9 @@ std::vector<SubscriptionKnowledge> extract_all(
   const auto sub_id = [](std::size_t i) {
     return SubscriptionId(static_cast<SubscriptionId::underlying>(i));
   };
-  // Serial warm-up of the lazily-built shared state (subscription index,
-  // telemetry panel) before fanning out; workers then only read.
+  // Serial warm-up of the lazily-built subscription index before fanning
+  // out; workers then only read.
   if (sub_count > 0) trace.vms_of_subscription(sub_id(0));
-  trace.telemetry_panel();
 
   // One slot per subscription; extraction of each subscription is
   // independent and deterministic, and slots are concatenated in

@@ -126,8 +126,6 @@ namespace cloudlens::obs {
   X(kServeSamplesIngested, "serve.samples_ingested")           \
   X(kServeSnapshotsBuilt, "serve.snapshots_built")             \
   X(kServeSnapshotReuses, "serve.snapshot_reuses")             \
-  X(kServePopulationFreezes, "serve.population_freezes")       \
-  X(kServePopulationReuses, "serve.population_reuses")         \
   X(kServeQueries, "serve.queries")                            \
   X(kServeKbReused, "serve.kb_records_reused")                 \
   X(kServeKbRecomputed, "serve.kb_records_recomputed")         \

@@ -23,7 +23,7 @@ namespace cloudlens::pipeline {
 namespace {
 
 /// The panel stage's artifact: a view into the trace stage's TraceStore
-/// (the panel lives inside it either way; this pins *that it is built*).
+/// (the panel lives inside it, built or adopted by this stage).
 struct PanelArtifact {
   const TelemetryPanel* panel = nullptr;
 };
@@ -155,14 +155,12 @@ Stage make_trace_stage(const RunPlanOptions& options) {
     snapshot.model_codec = &workloads::pattern_snapshot_codec();
     save_trace_snapshot(*trace.topology, *trace.trace, out, snapshot);
   };
-  stage.load = [parallel = options.parallel](const StageInputs&,
-                                             std::istream& in) {
+  stage.load = [](const StageInputs&, std::istream& in) {
     LoadedSnapshot loaded =
         load_trace_snapshot(in, &workloads::pattern_snapshot_codec());
     auto artifact = std::make_shared<TraceArtifact>();
     artifact->topology = std::move(loaded.topology);
     artifact->trace = std::move(loaded.trace);
-    artifact->trace->set_telemetry_parallel(parallel);
     return artifact;
   };
   return stage;
@@ -176,11 +174,8 @@ Stage make_panel_stage() {
   // both already covered by the trace stage's key.
   stage.compute = [](const StageInputs& inputs) {
     const auto trace = inputs.get<TraceArtifact>("trace");
-    trace->trace->set_telemetry_parallel(inputs.parallel());
-    const TelemetryPanel* panel = trace->trace->telemetry_panel();
-    CL_CHECK_MSG(panel != nullptr,
-                 "panel stage requires the telemetry panel enabled");
-    return std::make_shared<PanelArtifact>(PanelArtifact{panel});
+    return std::make_shared<PanelArtifact>(
+        PanelArtifact{trace->trace->build_telemetry_panel(inputs.parallel())});
   };
   stage.save = [](const std::shared_ptr<void>& artifact, const StageInputs&,
                   std::ostream& out) {

@@ -13,10 +13,11 @@
 //               backend's input files from `trace_dir`; keyed by the
 //               backend name + the raw bytes of those files (editing any
 //               row is a new key) + the telemetry grid.
-//   panel   The materialized TelemetryPanel for the trace (input: trace).
-//           Cached as a GRID+PANEL snapshot and adopted back into the
-//           TraceStore on a hit, so warm analysis commands skip the
-//           panel build entirely.
+//   panel   The materialized TelemetryPanel for the trace (input: trace),
+//           built by TraceStore::build_telemetry_panel — the only place a
+//           run builds one. Cached as a GRID+PANEL snapshot and adopted
+//           back into the TraceStore on a hit, so warm analysis commands
+//           skip the panel build entirely.
 //   kb      SubscriptionKnowledge records (input: trace), keyed by every
 //           ExtractorOptions field; cached as the kb CSV.
 //
@@ -60,7 +61,9 @@ struct RunPlanOptions {
   /// scenario horizon).
   TimeGrid csv_grid = week_telemetry_grid();
 
-  /// Resolve the panel stage (materialized telemetry matrices).
+  /// Resolve the panel stage (materialized telemetry matrices). Without
+  /// it the trace holds no panel and analyses compute rows on demand
+  /// (identical bits).
   bool want_panel = true;
   /// The one out-of-core mode: when > 0 the trace runs population-sharded
   /// (cloudsim/population.h) with this many record shards. With caching
@@ -90,7 +93,7 @@ struct RunPlanOptions {
 };
 
 /// The trace stage's artifact. Mutable TraceStore so the panel stage can
-/// adopt cached matrices into it.
+/// build the panel into it or adopt cached matrices.
 struct TraceArtifact {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;

@@ -27,7 +27,7 @@ PreprovisionReport evaluate_preprovisioning(
   report.demand = stats::TimeSeries(grid);
 
   // Aggregate demand of hourly-peak VMs, streaming one panel row (or one
-  // scratch evaluation when the panel is off) per VM — the row feeds both
+  // scratch evaluation when the trace holds no panel) per VM — the row feeds both
   // the classifier and the demand accumulation.
   const TelemetryPanel* panel = trace.telemetry_panel();
   std::vector<double> scratch;

@@ -1,5 +1,6 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <istream>
@@ -54,35 +55,57 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
 }
 
 /// Zero-copy utilization model over one resident VM's full-grid sample
-/// buffer, windowed to the snapshot grid. The buffer is shared with the
-/// live engine — no per-epoch cell copies. This is safe because stream
-/// timestamps are non-decreasing: a cell can only be written while its
-/// tick is the watermark's own, never once the tick is complete, and a
-/// snapshot's sample_valid_ticks clamp stops every row read exactly at
-/// the completed-tick boundary (zero-filling beyond, byte-identical to
-/// the copied SampledUtilization cells this view replaces — including
-/// the checkpoint encoding, which degrades unknown models to sampled
-/// cells under the same clamp). Reads past the clamp are defined only
-/// through row evaluation, not direct at() calls.
+/// buffer, windowed to the snapshot grid and cut at the snapshot epoch:
+/// every tick at or past `epoch` reads 0.0 without touching the buffer.
+/// The buffer is shared with the live engine — no per-epoch cell copies.
+/// This is safe because stream timestamps are non-decreasing: a cell can
+/// only be written while its tick is incomplete, i.e. at or past the
+/// epoch, and those ticks read as the 0.0 a CSV import of the same event
+/// prefix leaves in unstreamed cells (checkpoints, which degrade this
+/// model to sampled cells, store the same zeros).
 class WindowedSamples final : public UtilizationModel {
  public:
-  WindowedSamples(TimeGrid window, std::size_t offset,
+  WindowedSamples(TimeGrid window, std::size_t offset, std::size_t epoch,
                   std::shared_ptr<const std::vector<double>> cells)
-      : window_(window), offset_(offset), cells_(std::move(cells)) {}
+      : window_(window), offset_(offset), epoch_(epoch),
+        cells_(std::move(cells)) {}
 
   double at(SimTime t) const override {
-    if (t < window_.start) return (*cells_)[offset_];
-    if (t >= window_.end()) return (*cells_)[offset_ + window_.count - 1];
-    return (*cells_)[offset_ + window_.index_of(t)];
+    std::size_t i = 0;
+    if (t >= window_.end()) {
+      i = window_.count - 1;
+    } else if (t >= window_.start) {
+      i = window_.index_of(t);
+    }
+    return i < epoch_ ? (*cells_)[offset_ + i] : 0.0;
+  }
+  /// Same values as the per-tick at() loop. Every snapshot row read samples
+  /// a sub-grid of the window, whose ticks map to consecutive window
+  /// indices: read those cells without a virtual call or a division per
+  /// tick.
+  void sample(const TimeGrid& grid, std::span<double> out) const override {
+    CL_CHECK(out.size() == grid.count);
+    if (grid.step != window_.step || grid.start < window_.start ||
+        (grid.start - window_.start) % grid.step != 0) {
+      for (std::size_t i = 0; i < grid.count; ++i) out[i] = at(grid.at(i));
+      return;
+    }
+    const auto first =
+        static_cast<std::size_t>((grid.start - window_.start) / grid.step);
+    for (std::size_t i = 0; i < grid.count; ++i) {
+      const std::size_t w = std::min(first + i, window_.count - 1);
+      out[i] = w < epoch_ ? (*cells_)[offset_ + w] : 0.0;
+    }
   }
   /// Reports "sampled": exports surface kind() in the vm table's pattern
   /// column, and this view must be indistinguishable from the copied
-  /// SampledUtilization cells it replaces.
+  /// SampledUtilization cells of a CSV import.
   std::string_view kind() const override { return "sampled"; }
 
  private:
   TimeGrid window_;
   std::size_t offset_;
+  std::size_t epoch_;
   std::shared_ptr<const std::vector<double>> cells_;
 };
 
@@ -95,19 +118,6 @@ struct ServeEngine::VmState {
   VmRecord rec;
   std::shared_ptr<std::vector<double>> samples;
   SimTime first_sample = kNoSample;
-};
-
-/// The record array behind epoch snapshots, frozen once per population
-/// generation. `reusable` means no VM straddled the cutoff at build time
-/// (every record's created/deleted/first-sample lies strictly before it),
-/// so later epochs of the same generation represent every VM identically
-/// and may adopt the array as-is.
-struct ServeEngine::FrozenPopulation {
-  std::uint64_t gen = 0;
-  bool reusable = false;
-  std::shared_ptr<const std::vector<VmRecord>> records;
-  /// Dense snapshot VM id -> original stream id, index-aligned.
-  std::vector<std::uint32_t> original_ids;
 };
 
 /// An immutable published view: everything a query needs, detached from
@@ -183,12 +193,8 @@ void ServeEngine::ingest_line(std::string_view line) {
     CL_CHECK_MSG(grid_.contains(t) && (t - grid_.start) % grid_.step == 0,
                  "sample off the grid: " << line);
     VmState& vm = it->second;
-    if (vm.samples == nullptr) {
-      // First sample: the VM gains a utilization model, so the frozen
-      // record array (which bakes in model attachment) must rebuild.
+    if (vm.samples == nullptr)
       vm.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
-      ++population_gen_;
-    }
     (*vm.samples)[grid_.index_of(t)] = std::stod(f[3]);
     if (t < vm.first_sample) vm.first_sample = t;
     touch_subscription(vm.rec.subscription.value());
@@ -203,7 +209,6 @@ void ServeEngine::ingest_line(std::string_view line) {
     CL_CHECK_MSG(t > it->second.rec.created,
                  "vm " << id << " deleted before creation");
     it->second.rec.deleted = t;
-    ++population_gen_;
     touch_subscription(it->second.rec.subscription.value());
     metrics_->add(obs::Counter::kServeVmsDeleted);
   } else {
@@ -257,7 +262,6 @@ void ServeEngine::apply_vm_line(const std::vector<std::string>& f, SimTime t) {
   rec.memory_gb = std::stod(f[11]);
   rec.created = t;
   rec.deleted = kNoEnd;
-  ++population_gen_;
   touch_subscription(rec.subscription.value());
   vms_.emplace(id, std::move(st));
 }
@@ -301,11 +305,8 @@ void ServeEngine::maybe_roll_window() {
         ++it;
       }
     }
-    // Everything is dirty after a roll: the analysis grid changed (and
-    // with it the frozen record array's window view).
+    // Everything is dirty after a roll: the analysis grid changed.
     for (auto& gen : sub_generation_) ++gen;
-    ++population_gen_;
-    frozen_.reset();
     cached_snapshot_.reset();
     ++rolls_;
     metrics_->add(obs::Counter::kServeWindowRolls);
@@ -437,96 +438,55 @@ std::shared_ptr<ServeEngine::Snapshot> ServeEngine::snapshot_locked() {
   snap->topology = topo;
   snap->sub_generations = sub_generation_;
 
-  // The record array is shared across epochs, not rebuilt per snapshot:
-  // freeze it once per population generation and reuse it while no VM
-  // straddles the cutoff (once every created/deleted/first-sample time
-  // is strictly before one cutoff, it is before every later one too, so
-  // the representation is stable until the next lifecycle event).
-  const std::size_t copy_ticks = e < win.count ? e : win.count;
-  std::shared_ptr<const FrozenPopulation> frozen = frozen_;
-  if (frozen == nullptr || frozen->gen != population_gen_ ||
-      !frozen->reusable) {
-    auto built = std::make_shared<FrozenPopulation>();
-    built->gen = population_gen_;
-    auto records = std::make_shared<std::vector<VmRecord>>();
-    records->reserve(vms_.size());
-    std::size_t straddles = 0;
-    // Included VMs in ascending original-id order — exactly the
-    // importer's row order, so the snapshot and a CSV import of the same
-    // prefix agree byte-for-byte.
-    for (const auto& [id, st] : vms_) {
-      if (st.rec.created >= cut) {
-        ++straddles;  // excluded now, included at a later epoch
-        continue;
-      }
-      VmRecord rec = st.rec;
-      rec.id = VmId(static_cast<VmId::underlying>(records->size()));
-      if (st.rec.deleted != kNoEnd && st.rec.deleted >= cut) {
-        rec.deleted = kNoEnd;  // deletion not visible yet
-        ++straddles;
-      }
-      rec.utilization = nullptr;
-      if (st.first_sample != kNoSample) {
-        if (st.first_sample < cut) {
-          rec.utilization = std::make_shared<WindowedSamples>(
-              win, window_start_tick_, st.samples);
-        } else {
-          ++straddles;  // model attaches at a later epoch
-        }
-      }
-      built->original_ids.push_back(id);
-      records->push_back(std::move(rec));
-    }
-    built->records = std::move(records);
-    built->reusable = straddles == 0;
-    frozen_ = built;
-    frozen = built;
-    metrics_->add(obs::Counter::kServePopulationFreezes);
-  } else {
-    metrics_->add(obs::Counter::kServePopulationReuses);
-  }
-
-  // Placeholder ownership universe over the frozen records (same
-  // first-touch semantics as the CSV importer).
-  std::size_t max_sub = 0;
-  std::size_t max_svc = 0;
-  bool any_svc = false;
-  for (const VmRecord& rec : *frozen->records) {
-    max_sub = std::max<std::size_t>(max_sub, rec.subscription.value() + 1);
+  // Included VMs are those created before the cutoff, in ascending
+  // original-id order — exactly the importer's row order, so the snapshot
+  // and a CSV import of the same prefix agree byte-for-byte. First the
+  // placeholder ownership universe over them (same first-touch semantics
+  // as the CSV importer).
+  std::vector<ServiceInfo> services;
+  std::vector<SubscriptionInfo> subscriptions;
+  std::size_t included = 0;
+  for (const auto& [id, st] : vms_) {
+    const VmRecord& rec = st.rec;
+    if (rec.created >= cut) continue;
+    ++included;
+    const std::size_t s = rec.subscription.value();
+    if (s >= subscriptions.size()) subscriptions.resize(s + 1);
+    subscriptions[s].cloud = rec.cloud;
+    subscriptions[s].party = rec.party;
     if (rec.service.valid()) {
-      any_svc = true;
-      max_svc = std::max<std::size_t>(max_svc, rec.service.value() + 1);
-    }
-  }
-  std::vector<ServiceInfo> services(any_svc ? max_svc : 0);
-  std::vector<SubscriptionInfo> subscriptions(max_sub);
-  for (const VmRecord& rec : *frozen->records) {
-    subscriptions[rec.subscription.value()].cloud = rec.cloud;
-    subscriptions[rec.subscription.value()].party = rec.party;
-    if (rec.service.valid()) {
-      subscriptions[rec.subscription.value()].service = rec.service;
-      ServiceInfo& svc = services[rec.service.value()];
-      svc.cloud = rec.cloud;
-      if (svc.name.empty())
-        svc.name = "svc-" + std::to_string(rec.service.value());
+      subscriptions[s].service = rec.service;
+      const std::size_t v = rec.service.value();
+      if (v >= services.size()) services.resize(v + 1);
+      services[v].cloud = rec.cloud;
+      if (services[v].name.empty())
+        services[v].name = "svc-" + std::to_string(v);
     }
   }
 
-  // The per-epoch cost is this shell: services, subscriptions, and a
-  // valid-ticks clamp around the adopted (shared) record array. No
-  // resident panel: analyses fall back to on-demand row evaluation,
-  // which is bit-identical by the panel contract and keeps per-epoch
-  // snapshot cost proportional to resident state, not analyses run.
+  // Then a plain resident trace with no panel (analyses evaluate rows on
+  // demand, bit-identical by the panel contract), holding each included
+  // record as of the cutoff: a deletion or first sample at or past it is
+  // not visible yet.
   auto trace = std::make_shared<TraceStore>(topo.get(), win);
-  trace->set_telemetry_panel_enabled(false);
   for (auto& svc : services) {
     if (svc.name.empty()) svc.name = "svc-unreferenced";
     trace->add_service(svc);
   }
   for (const auto& sub : subscriptions) trace->add_subscription(sub);
-  trace->adopt_vm_records(frozen->records);
-  trace->set_sample_valid_ticks(copy_ticks);
-  snap->original_ids = frozen->original_ids;
+  trace->reserve_vms(included);
+  snap->original_ids.reserve(included);
+  for (const auto& [id, st] : vms_) {
+    if (st.rec.created >= cut) continue;
+    VmRecord rec = st.rec;
+    if (rec.deleted != kNoEnd && rec.deleted >= cut) rec.deleted = kNoEnd;
+    if (st.first_sample < cut) {
+      rec.utilization = std::make_shared<WindowedSamples>(
+          win, window_start_tick_, e, st.samples);
+    }
+    snap->original_ids.push_back(id);
+    trace->add_vm(std::move(rec));
+  }
   snap->trace = std::move(trace);
   metrics_->add(obs::Counter::kServeSnapshotsBuilt);
   metrics_->observe_seconds(obs::Histogram::kServeSnapshotBuildSeconds,
@@ -804,7 +764,6 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
       st.first_sample = std::numeric_limits<SimTime>::min();
     }
     st.rec.utilization = nullptr;
-    ++population_gen_;
     touch_subscription(st.rec.subscription.value());
     vms_.emplace(ids[i], std::move(st));
   }

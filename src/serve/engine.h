@@ -25,23 +25,21 @@
 //
 // ## Concurrency
 //
-// Ingestion mutates engine state under one mutex; queries build a fresh
-// immutable TraceStore *shell* under that mutex — services, subscriptions
-// and a valid-ticks clamp — around a shared frozen record array, publish
-// it as a shared_ptr snapshot, and run the actual analyses outside any
-// engine lock — the release-store view-publication idiom the telemetry
-// shard store uses, applied at the engine level. The record array is
-// never deep-copied per epoch: records are frozen once per population
-// generation (create/del/first-sample/roll events) and adopted by every
-// snapshot until a VM straddles the cutoff, and each record's utilization
-// model is a zero-copy window over the live sample buffer (safe because
+// Ingestion mutates engine state under one mutex. A query at a new epoch
+// builds the snapshot under that mutex as an ordinary resident
+// TraceStore: services and subscriptions, then one add_vm per included
+// VM, each record copied as of the cutoff. The trace holds no telemetry
+// panel — analyses evaluate rows on demand, with the same bits. The
+// snapshot is published as a shared_ptr and the analyses run outside any
+// engine lock. Sample cells are not copied: each record's utilization
+// model is a zero-copy window over the VM's live sample buffer that reads
+// 0.0 at every tick at or past the snapshot epoch. That is safe because
 // stream timestamps are non-decreasing: a cell can only be written while
-// its tick is incomplete, and incomplete ticks sit beyond the snapshot's
-// sample_valid_ticks clamp, which zero-fills them in every row read).
-// Snapshots and per-(epoch, query) results are cached, so repeated
-// queries at an unchanged epoch are reuses, not recomputations. Queries
-// serialize among themselves but never block ingestion for longer than
-// the shell build.
+// its tick is incomplete, i.e. at or past the epoch, so no snapshot ever
+// reads a cell the ingester may still write. Snapshots and per-(epoch,
+// query) results are cached, so repeated queries at an unchanged epoch
+// are reuses, not recomputations. Queries serialize among themselves but
+// never block ingestion for longer than the snapshot build.
 //
 // ## Incremental knowledge base
 //
@@ -151,8 +149,8 @@ class ServeEngine {
   std::string query(const std::string& what);
 
   /// The current epoch's immutable snapshot trace (shared with any
-  /// concurrent queries). Never returns null; the trace's telemetry panel
-  /// is disabled (analyses use on-demand rows — identical bits).
+  /// concurrent queries). Never returns null; the trace holds no
+  /// telemetry panel (analyses use on-demand rows — identical bits).
   std::shared_ptr<const TraceStore> snapshot_trace();
 
   /// Current-window KB records via the incremental per-subscription cache.
@@ -176,7 +174,6 @@ class ServeEngine {
  private:
   struct VmState;
   struct Snapshot;
-  struct FrozenPopulation;
 
   // All pre-locked helpers expect mu_ held.
   void apply_vm_line(const std::vector<std::string>& f, SimTime t);
@@ -218,13 +215,6 @@ class ServeEngine {
   std::vector<std::uint64_t> sub_generation_;
   kb::KnowledgeBase long_term_;
   std::shared_ptr<Snapshot> cached_snapshot_;
-  /// Immutable record array shared by epoch snapshots (built once per
-  /// population generation, reused while no VM straddles the cutoff).
-  std::shared_ptr<const FrozenPopulation> frozen_;
-  /// Bumped by every event that can change a snapshot's record array:
-  /// vm create, del, a VM's first sample (model attachment), window
-  /// rolls, restore.
-  std::uint64_t population_gen_ = 0;
 
   std::mutex query_mu_;             // serializes query-side caches
   struct KbCacheEntry {

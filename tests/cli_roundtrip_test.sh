@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end CLI round trip: generate -> insights -> figures -> advise,
 # then the out-of-core mode: a record-sharded analyze must write the same
-# report bytes as the resident one, and the retired telemetry-shard flag
-# must be rejected as a usage error rather than ignored.
+# report bytes as the resident one, the retired telemetry-shard flag must
+# be rejected as a usage error rather than ignored, and a command that
+# needs resident records must refuse --record-shards before doing work.
 set -e
 CLI="$1"
 DIR=$(mktemp -d)
@@ -22,6 +23,12 @@ rc=0
 "$CLI" insights --in "$DIR" --panel-shards 4 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then
     echo "retired flag: insights exited $rc, want 2 (unknown flag)" >&2
+    exit 1
+fi
+rc=0
+"$CLI" advise --in "$DIR" --record-shards 4 --no-cache >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "advise --record-shards exited $rc, want 2 (usage error)" >&2
     exit 1
 fi
 echo "CLI round trip OK"

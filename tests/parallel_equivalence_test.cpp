@@ -197,13 +197,15 @@ TEST(PanelEquivalenceTest, PanelVsLegacyBitIdenticalAcrossSeeds) {
     const Scenario scenario = small_scenario(seed, 1);
     TraceStore& trace = *scenario.trace;
 
-    trace.set_telemetry_panel_enabled(true);
-    const auto panel_serial = analysis_snapshot(trace, 1);
-    const auto panel_threads = analysis_snapshot(trace, 8);
-
-    trace.set_telemetry_panel_enabled(false);
+    // On-demand rows first (no panel built), then the same passes over
+    // the built panel.
+    ASSERT_EQ(trace.telemetry_panel(), nullptr) << "seed " << seed;
     const auto legacy_serial = analysis_snapshot(trace, 1);
     const auto legacy_threads = analysis_snapshot(trace, 8);
+
+    ASSERT_NE(trace.build_telemetry_panel(), nullptr) << "seed " << seed;
+    const auto panel_serial = analysis_snapshot(trace, 1);
+    const auto panel_threads = analysis_snapshot(trace, 8);
 
     ASSERT_FALSE(panel_serial.empty()) << "seed " << seed;
     EXPECT_EQ(panel_serial, panel_threads) << "seed " << seed;

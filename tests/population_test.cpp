@@ -29,6 +29,7 @@
 #include "cloudsim/trace.h"
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "testutil.h"
 #include "workloads/generator.h"
 #include "workloads/pattern_snapshot.h"
 
@@ -346,6 +347,24 @@ TEST_F(PopulationGeneratedTest, TraceStorePopulationShardedModeContract) {
   EXPECT_EQ(trace.vm(VmId(0)).subscription, resident_first.subscription);
   // No resident per-VM matrix of any kind in population mode.
   EXPECT_EQ(trace.telemetry_panel(), nullptr);
+  EXPECT_THROW(trace.build_telemetry_panel(), CheckError);
+}
+
+TEST(PopulationLookupTest, UnknownIdsThrowCheckErrorNamingTheId) {
+  const Topology topo = test::tiny_topology();
+  test::TraceFixture f(topo);
+  f.add_vm(CloudType::kPublic, f.public_sub,
+           test::first_node(topo, CloudType::kPublic), 2, 0, kNoEnd);
+  TempSpillDir dir("lookup");
+  f.trace.set_population_sharding(spill_options(dir.path(), 2));
+  ASSERT_TRUE(f.trace.population_sharded());
+  EXPECT_EQ(f.trace.vm(VmId(0)).cores, 2);
+  test::expect_unknown_id([&] { f.trace.vm(VmId(1)); }, VmId(1));
+  test::expect_unknown_id([&] { f.trace.vm(VmId()); }, VmId());
+  test::expect_unknown_id([&] { f.trace.subscription(SubscriptionId(2)); },
+                          SubscriptionId(2));
+  test::expect_unknown_id([&] { f.trace.subscription(SubscriptionId()); },
+                          SubscriptionId());
 }
 
 TEST(PopulationFailure, UnwritableSpillDirThrows) {
@@ -440,7 +459,7 @@ TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
   options.seed = 17;
   auto scenario = workloads::make_scenario(options);
   TraceStore& trace = *scenario.trace;
-  ASSERT_NE(trace.telemetry_panel(), nullptr);
+  ASSERT_NE(trace.build_telemetry_panel(), nullptr);
 
   // Resident reference results (panel-backed, 2 worker threads).
   const ParallelConfig two = ParallelConfig::with_threads(2);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -202,6 +203,44 @@ TEST_F(ServeEngineTest, StatsCheckpointAndUnknownQueryEdges) {
   // Checkpointing is disabled without a directory.
   EXPECT_THROW(engine.query("checkpoint"), CheckError);
   EXPECT_THROW(engine.checkpoint(), CheckError);
+}
+
+// The snapshot clamp: a mid-stream snapshot must read 0.0 at the in-flight
+// tick E even though the live buffer already holds a sample there, through
+// both at() and sample(); the snapshot trace holds no panel.
+TEST_F(ServeEngineTest, SnapshotModelReadsZeroAtTheInFlightTick) {
+  const TimeGrid& grid = fx_.trace.telemetry_grid();
+  ServeEngine engine;
+  for (const auto& line : stream_lines()) engine.ingest_line(line);
+  engine.ingest_line("vm,0,0,,private,first-party,0,0,0,0,4,16,0");
+  constexpr std::size_t kEpoch = 6;
+  for (std::size_t i = 0; i <= kEpoch; ++i)
+    engine.ingest_line("sample,0," + std::to_string(grid.at(i)) + ",0.5");
+  ASSERT_EQ(engine.epoch(), kEpoch);
+
+  const auto snap = engine.snapshot_trace();
+  EXPECT_EQ(snap->telemetry_panel(), nullptr);
+  ASSERT_EQ(snap->vm_count(), 1u);
+  const UtilizationModel& model = *snap->vm(VmId(0)).utilization;
+  EXPECT_EQ(model.at(grid.at(kEpoch - 1)), 0.5);
+  EXPECT_EQ(model.at(grid.at(kEpoch)), 0.0);
+  std::vector<double> cells(grid.count);
+  model.sample(grid, cells);
+  EXPECT_EQ(cells[kEpoch - 1], 0.5);
+  EXPECT_EQ(cells[kEpoch], 0.0);
+  // The batched read matches at() tick for tick, on the window's own grid,
+  // on sub-grids (the shape every row read uses, including one running past
+  // the window's end) and off the tick phase.
+  const TimeGrid grids[] = {grid,
+                            {grid.at(kEpoch - 2), grid.step, 5},
+                            {grid.at(grid.count - 2), grid.step, 4},
+                            {grid.start + 7, grid.step, 12}};
+  for (const TimeGrid& g : grids) {
+    std::vector<double> batched(g.count);
+    model.sample(g, batched);
+    for (std::size_t i = 0; i < g.count; ++i)
+      ASSERT_EQ(batched[i], model.at(g.at(i))) << "tick " << i;
+  }
 }
 
 TEST_F(ServeEngineTest, QueriesAtUnchangedEpochReuseTheSnapshot) {

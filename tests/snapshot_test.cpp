@@ -255,7 +255,7 @@ TEST_F(SnapshotGeneratedTest, WithoutCodecDegradesToGridExactSamples) {
 }
 
 TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
-  const TelemetryPanel* panel = scenario_->trace->telemetry_panel();
+  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
 
   SnapshotWriteOptions options;
@@ -290,7 +290,7 @@ TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
 }
 
 TEST_F(SnapshotGeneratedTest, PanelOnlySnapshotRoundTrips) {
-  const TelemetryPanel* panel = scenario_->trace->telemetry_panel();
+  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
   std::ostringstream out(std::ios::binary);
   save_panel_snapshot(*panel, out);
@@ -315,7 +315,7 @@ TEST_F(SnapshotGeneratedTest, AdoptRejectsMismatchedPanel) {
   options.scale = 0.02;
   options.seed = 5;
   auto other = workloads::make_scenario(options);
-  const TelemetryPanel* panel = other.trace->telemetry_panel();
+  const TelemetryPanel* panel = other.trace->build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
   std::ostringstream out(std::ios::binary);
   save_panel_snapshot(*panel, out);
@@ -448,7 +448,7 @@ TEST(SnapshotMappingTest, RejectsEmptyAndMissingFile) {
 }
 
 TEST_F(SnapshotGeneratedTest, PanelSnapshotLoadsIdenticallyViaMapping) {
-  const TelemetryPanel* panel = scenario_->trace->telemetry_panel();
+  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
   std::ostringstream out(std::ios::binary);
   save_panel_snapshot(*panel, out);

@@ -1,8 +1,8 @@
-// Telemetry panel suite: lifecycle (lazy build, add_vm/set_vm_deleted
-// invalidation, enable/disable), row semantics (model-less VMs, partial
-// lifetimes), the batched sample() == at() bit-identity contract, the
-// hourly companion view, concurrent first-build publication (exercised
-// under TSan in CI), and the fused-vs-naive Pearson kernel.
+// Telemetry panel suite: lifecycle (build on request, add_vm/set_vm_deleted
+// invalidation, the unbuilt fallback), row semantics (model-less VMs,
+// partial lifetimes), the batched sample() == at() bit-identity contract,
+// the hourly companion view, concurrent readers of a built panel
+// (exercised under TSan in CI), and the fused-vs-naive Pearson kernel.
 #include "cloudsim/telemetry_panel.h"
 
 #include <gtest/gtest.h>
@@ -27,19 +27,22 @@ std::shared_ptr<const UtilizationModel> diurnal(std::uint64_t seed) {
       workloads::DiurnalUtilization::Params{}, seed);
 }
 
-TEST(TelemetryPanelTest, LazyBuildAndStablePointer) {
+TEST(TelemetryPanelTest, BuildOnRequestAndStablePointer) {
   const Topology topo = test::tiny_topology();
   TraceFixture f(topo);
   const NodeId node = test::first_node(topo, CloudType::kPrivate);
   f.add_vm(CloudType::kPrivate, f.private_sub, node, 4, 0, kNoEnd,
            diurnal(7));
 
-  const TelemetryPanel* panel = f.trace.telemetry_panel();
+  // Reading never builds: a trace nobody asked for a panel holds none.
+  EXPECT_EQ(f.trace.telemetry_panel(), nullptr);
+  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
   EXPECT_EQ(panel->vm_count(), 1u);
   EXPECT_EQ(panel->tick_count(), f.trace.telemetry_grid().count);
-  // Repeated calls return the same materialized panel.
+  // The built panel is what readers see, and building again keeps it.
   EXPECT_EQ(panel, f.trace.telemetry_panel());
+  EXPECT_EQ(panel, f.trace.build_telemetry_panel());
   EXPECT_GT(panel->memory_bytes(), 0u);
 }
 
@@ -49,12 +52,13 @@ TEST(TelemetryPanelTest, AddVmInvalidatesPanel) {
   const NodeId node = test::first_node(topo, CloudType::kPrivate);
   f.add_vm(CloudType::kPrivate, f.private_sub, node, 4, 0, kNoEnd,
            diurnal(7));
-  const TelemetryPanel* before = f.trace.telemetry_panel();
+  const TelemetryPanel* before = f.trace.build_telemetry_panel();
   ASSERT_EQ(before->vm_count(), 1u);
 
   const VmId added = f.add_vm(CloudType::kPrivate, f.private_sub, node, 2, 0,
                               kNoEnd, diurnal(8));
-  const TelemetryPanel* after = f.trace.telemetry_panel();
+  EXPECT_EQ(f.trace.telemetry_panel(), nullptr);
+  const TelemetryPanel* after = f.trace.build_telemetry_panel();
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->vm_count(), 2u);
   // The rebuilt panel covers the new VM with a fully evaluated row.
@@ -75,14 +79,15 @@ TEST(TelemetryPanelTest, SetVmDeletedInvalidatesPanel) {
   const VmId id = f.add_vm(CloudType::kPrivate, f.private_sub, node, 4, 0,
                            kNoEnd, diurnal(7));
 
-  const TelemetryPanel* before = f.trace.telemetry_panel();
+  const TelemetryPanel* before = f.trace.build_telemetry_panel();
   const SimTime cut = grid.start + 2 * kDay;
   const std::size_t cut_index = grid.index_of(cut);
   ASSERT_NE(before->row(id)[cut_index], 0.0)
       << "test needs a non-zero sample at the cut point";
 
   f.trace.set_vm_deleted(id, cut);
-  const TelemetryPanel* after = f.trace.telemetry_panel();
+  EXPECT_EQ(f.trace.telemetry_panel(), nullptr);
+  const TelemetryPanel* after = f.trace.build_telemetry_panel();
   ASSERT_NE(after, nullptr);
   const auto row = after->row(id);
   // Dead from the cut onwards; alive bits unchanged before it.
@@ -93,7 +98,7 @@ TEST(TelemetryPanelTest, SetVmDeletedInvalidatesPanel) {
   EXPECT_EQ(f.trace.vm_utilization(id, grid).value_at(cut), 0.0);
 }
 
-TEST(TelemetryPanelTest, DisableReturnsNullAndFallbackMatches) {
+TEST(TelemetryPanelTest, UnbuiltPanelIsNullAndFallbackMatches) {
   const Topology topo = test::tiny_topology();
   TraceFixture f(topo);
   const TimeGrid& grid = f.trace.telemetry_grid();
@@ -102,29 +107,25 @@ TEST(TelemetryPanelTest, DisableReturnsNullAndFallbackMatches) {
                            grid.start + kDay, grid.start + 4 * kDay,
                            diurnal(21));
 
-  const TelemetryPanel* panel = f.trace.telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  std::vector<double> cached(panel->row(id).begin(), panel->row(id).end());
-
-  f.trace.set_telemetry_panel_enabled(false);
-  EXPECT_EQ(f.trace.telemetry_panel(), nullptr);
-  EXPECT_FALSE(f.trace.telemetry_panel_enabled());
-
-  // The scratch fallback goes through the same fill kernel: identical bits.
+  // No panel yet: the scratch fallback fills the row.
+  const TelemetryPanel* unbuilt = f.trace.telemetry_panel();
+  EXPECT_EQ(unbuilt, nullptr);
   std::vector<double> scratch;
-  const auto row = vm_telemetry_row(f.trace, nullptr, id, grid, scratch);
+  const auto row = vm_telemetry_row(f.trace, unbuilt, id, grid, scratch);
+
+  // The fallback goes through the same fill kernel: identical bits.
+  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
+  ASSERT_NE(panel, nullptr);
+  const auto cached = panel->row(id);
   ASSERT_EQ(row.size(), cached.size());
   for (std::size_t i = 0; i < row.size(); ++i)
     ASSERT_EQ(row[i], cached[i]) << "tick " << i;
-
-  f.trace.set_telemetry_panel_enabled(true);
-  ASSERT_NE(f.trace.telemetry_panel(), nullptr);
 }
 
 TEST(TelemetryPanelTest, EmptyTrace) {
   const Topology topo = test::tiny_topology();
   TraceFixture f(topo);
-  const TelemetryPanel* panel = f.trace.telemetry_panel();
+  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
   EXPECT_EQ(panel->vm_count(), 0u);
   EXPECT_EQ(panel->memory_bytes(), 0u);
@@ -136,7 +137,7 @@ TEST(TelemetryPanelTest, ModelLessVmHasZeroRow) {
   const NodeId node = test::first_node(topo, CloudType::kPrivate);
   const VmId id = f.add_vm(CloudType::kPrivate, f.private_sub, node, 4, 0,
                            kNoEnd, nullptr);
-  const TelemetryPanel* panel = f.trace.telemetry_panel();
+  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
   for (const double v : panel->row(id)) ASSERT_EQ(v, 0.0);
 }
 
@@ -151,7 +152,7 @@ TEST(TelemetryPanelTest, PartialLifetimeRowZeroOutsideLife) {
   const VmId id = f.add_vm(CloudType::kPrivate, f.private_sub, node, 4,
                            created, deleted, diurnal(42));
 
-  const TelemetryPanel* panel = f.trace.telemetry_panel();
+  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
   const auto row = panel->row(id);
   const auto& vm = f.trace.vm(id);
   for (std::size_t i = 0; i < grid.count; ++i) {
@@ -177,7 +178,7 @@ TEST(TelemetryPanelTest, HourlyRowMatchesHourlyMeanBitwise) {
       std::make_shared<workloads::HourlyPeakUtilization>(
           workloads::HourlyPeakUtilization::Params{}, 5));
 
-  const TelemetryPanel* panel = f.trace.telemetry_panel();
+  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
   ASSERT_GT(panel->hourly_grid().count, 0u);
   for (const VmId id : {full, partial}) {
     const auto hourly = panel->hourly_row(id);
@@ -188,13 +189,16 @@ TEST(TelemetryPanelTest, HourlyRowMatchesHourlyMeanBitwise) {
   }
 }
 
-TEST(TelemetryPanelTest, ConcurrentFirstBuildPublishesOnePanel) {
+TEST(TelemetryPanelTest, ConcurrentReadersShareTheBuiltPanel) {
   const Topology topo = test::tiny_topology();
   TraceFixture f(topo);
   const NodeId node = test::first_node(topo, CloudType::kPrivate);
   for (int i = 0; i < 16; ++i)
     f.add_vm(CloudType::kPrivate, f.private_sub, node, 2, 0, kNoEnd,
              diurnal(100 + static_cast<std::uint64_t>(i)));
+  // Built once by a mutator (multi-threaded fill), before any reader runs.
+  const TelemetryPanel* built =
+      f.trace.build_telemetry_panel(ParallelConfig::with_threads(4));
 
   constexpr std::size_t kReaders = 8;
   std::vector<const TelemetryPanel*> seen(kReaders, nullptr);
@@ -204,8 +208,8 @@ TEST(TelemetryPanelTest, ConcurrentFirstBuildPublishesOnePanel) {
     readers.reserve(kReaders);
     for (std::size_t r = 0; r < kReaders; ++r) {
       readers.emplace_back([&, r] {
-        // Every reader races the lazy first build, then immediately reads
-        // through the published rows (data race here => TSan report).
+        // Every reader fetches the panel and reads its rows concurrently
+        // (a data race here => TSan report).
         const TelemetryPanel* panel = f.trace.telemetry_panel();
         seen[r] = panel;
         double sum = 0;
@@ -217,8 +221,7 @@ TEST(TelemetryPanelTest, ConcurrentFirstBuildPublishesOnePanel) {
     for (auto& t : readers) t.join();
   }
   for (std::size_t r = 0; r < kReaders; ++r) {
-    ASSERT_NE(seen[r], nullptr);
-    EXPECT_EQ(seen[r], seen[0]);
+    EXPECT_EQ(seen[r], built);
     EXPECT_GT(sums[r], 0.0);
   }
 }

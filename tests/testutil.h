@@ -2,13 +2,32 @@
 // with exactly known structure.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "cloudsim/simulator.h"
 #include "cloudsim/topology.h"
 #include "cloudsim/trace.h"
+#include "common/check.h"
 
 namespace cloudlens::test {
+
+/// Expects `lookup()` to throw CheckError naming `id` ("unknown vm-7").
+template <typename Fn, typename Tag>
+void expect_unknown_id(Fn&& lookup, Id<Tag> id) {
+  std::ostringstream name;
+  name << "unknown " << id;
+  try {
+    lookup();
+    ADD_FAILURE() << "no CheckError for " << name.str();
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(name.str()), std::string::npos)
+        << e.what();
+  }
+}
 
 /// 2 regions x 1 DC x 1 cluster per cloud x 2 racks x 4 nodes (32 nodes,
 /// 16 per cloud), 16-core nodes.

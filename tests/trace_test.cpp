@@ -65,6 +65,19 @@ TEST_F(TraceTest, InvalidVmRejected) {
   EXPECT_THROW(fx_.trace.add_vm(unknown_sub), CheckError);
 }
 
+TEST_F(TraceTest, UnknownIdsThrowCheckErrorNamingTheId) {
+  fx_.add_vm(CloudType::kPublic, fx_.public_sub,
+             test::first_node(topo_, CloudType::kPublic), 2, 0, kNoEnd);
+  test::expect_unknown_id([&] { fx_.trace.vm(VmId(1)); }, VmId(1));
+  test::expect_unknown_id([&] { fx_.trace.vm(VmId()); }, VmId());
+  test::expect_unknown_id([&] { fx_.trace.subscription(SubscriptionId(2)); },
+                          SubscriptionId(2));
+  test::expect_unknown_id([&] { fx_.trace.subscription(SubscriptionId()); },
+                          SubscriptionId());
+  test::expect_unknown_id([&] { fx_.trace.set_vm_deleted(VmId(1), kHour); },
+                          VmId(1));
+}
+
 TEST_F(TraceTest, NodeIndexTracksPlacedVms) {
   const NodeId node = test::first_node(topo_, CloudType::kPublic);
   const VmId a =

@@ -4,8 +4,8 @@
 #   1. Release        — optimized build, full ctest suite.
 #   2. ThreadSanitizer — same suite under TSan; this is the build that
 #      polices the deterministic parallel engine (common/parallel.*),
-#      every parallel call site, and the telemetry panel's concurrent
-#      lazy build. Run it whenever you touch them.
+#      every parallel call site, and concurrent readers of a built
+#      telemetry panel. Run it whenever you touch them.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
 #      runs the kernel + stats suites, policing the SIMD kernel tier's
 #      integer/float conversions and intrinsic shims.
@@ -15,15 +15,16 @@
 # sides of the dispatch seam stay covered whatever the host CPU is.
 #
 # Both flavours re-run the telemetry-panel suites explicitly (panel
-# lifecycle, sample()==at() contract, panel-vs-legacy bit identity) and
+# lifecycle, sample()==at() contract, built-vs-unbuilt bit identity) and
 # the observability suites (metrics/span/context determinism — the TSan
 # pass polices the sharded registry and the span sink under concurrency).
 # Both also re-run the snapshot + pipeline suites (binary snapshot round
 # trips, cache-key invariants, cold/warm equivalence) — the TSan pass
-# matters here because warm runs adopt cached panels into the same lazy
-# publication path the panel build uses — and the serve suites (stream
-# format pins, streamed-vs-batch byte identity, concurrent ingest/query),
-# where the TSan pass polices the serve engine's snapshot publication.
+# matters here because warm runs adopt cached panels that parallel
+# analyses then read — and the serve suites (stream format pins,
+# streamed-vs-batch byte identity, the snapshot epoch clamp, concurrent
+# ingest/query), where the TSan pass polices the serve engine's snapshot
+# publication.
 # The Release flavour finishes with perf smokes: a small-trace
 # bench_telemetry run that checks panel/legacy checksum identity, a
 # bench_obs run that fails if enabling metrics+tracing costs more than 3%
@@ -33,7 +34,10 @@
 # cache reproduces the cold run byte-for-byte and is faster, a
 # bench_ingest decode smoke (parallel CSV decode bit-identical to serial),
 # an end-to-end azure import smoke over the checked-in fixture
-# (1-vs-8-thread report identity + warm cache hit), and a full-scale
+# (1-vs-8-thread report identity + warm cache hit), the bench_e2e smoke
+# (the repo benchmark built standalone from bench_e2e/, checking its
+# pinned report, figure, KB and advisor digests and the serve oracle on
+# every pass), and a full-scale
 # bench_population run — the out-of-core acceptance gate: generation +
 # the whole analysis suite over record shards must stay under a peak-RSS
 # cap while byte-matching a resident regeneration at 1 and 8 threads.
@@ -225,6 +229,19 @@ echo "== [release] ingest decode smoke =="
     --size-mb=8 --min-speedup=0 \
     --out="$BUILD_ROOT/BENCH_ingest_smoke.json"
 require_json "$BUILD_ROOT/BENCH_ingest_smoke.json"
+
+echo "== [release] end-to-end benchmark smoke =="
+# bench_e2e builds standalone from bench_e2e/ against ../src, exactly as
+# BENCHMARK.json's runner builds it; --smoke runs every workload at scale
+# 0.02 and fails unless the pinned report, figure, KB and advisor digests
+# and the serve oracle all match.
+e2e_dir="$BUILD_ROOT/bench_e2e"
+cmake -S "$ROOT/bench_e2e" -B "$e2e_dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$e2e_dir" --target bench_e2e -j "$JOBS"
+rm -rf "$e2e_dir/work" && mkdir -p "$e2e_dir/work/tmp"
+( cd "$e2e_dir/work" && TMPDIR="$e2e_dir/work/tmp" \
+    "$e2e_dir/bench_e2e" --smoke --work-dir="$e2e_dir/work/smoke" )
+rm -rf "$e2e_dir/work"
 
 echo "== [release] azure import round-trip smoke =="
 # Real-trace ingest end to end, no network (the fixture is checked in):

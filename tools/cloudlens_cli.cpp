@@ -130,7 +130,9 @@ constexpr const char* kCommonFlagHelp =
     "                      subscription records as N CLSN shards keyed by\n"
     "                      subscription hash, and compute telemetry rows\n"
     "                      on demand instead of holding a panel; output is\n"
-    "                      byte-identical (0 = resident, default)\n"
+    "                      byte-identical (0 = resident, default;\n"
+    "                      generate, advise, fit and stream\n"
+    "                      refuse it)\n"
     "  --shard-budget-mib N  residency budget for --record-shards\n"
     "                      (default 256; execution knob, never cached)\n"
     "  --backend B         ingest backend for --in directories:\n"
@@ -341,6 +343,16 @@ pipeline::RunPlanOptions make_plan(const CliArgs& args) {
   return plan;
 }
 
+/// generate, advise, fit and stream read the resident record vector, which
+/// a record-sharded trace does not have: refuse the flag before any work.
+bool rejects_record_shards(const CliArgs& args) {
+  if (args.record_shards == 0) return false;
+  std::cerr << args.command
+            << ": --record-shards is not supported (this command reads "
+               "resident records)\n";
+  return true;
+}
+
 void print_stage_reports(const pipeline::ResolvedRun& run) {
   std::cout << "pipeline stages (cache: "
             << "hit = loaded, miss+stored = computed and cached):\n"
@@ -363,6 +375,7 @@ int cmd_generate(const CliArgs& args) {
     std::cerr << "generate requires --out DIR\n";
     return 2;
   }
+  if (rejects_record_shards(args)) return 2;
   pipeline::RunPlanOptions plan = make_plan(args);
   plan.trace_dir.clear();  // generate is always generated-mode
   plan.want_kb = true;
@@ -413,7 +426,7 @@ int cmd_import(const CliArgs& args) {
     return 2;
   }
   pipeline::RunPlanOptions plan = make_plan(args);
-  plan.want_panel = false;  // decode + cache; analyses resolve it later
+  plan.want_panel = false;  // decode + cache; --report rows come on demand
   const ingest::IngestBackend& backend =
       *ingest::find_backend(plan.trace_backend);
   std::cout << "importing " << args.dir << " via the " << backend.name()
@@ -499,6 +512,7 @@ int cmd_figures(const CliArgs& args) {
 /// inverse problem; see workloads/fit.h). Prints the fitted parameter set
 /// for each cloud present in the trace.
 int cmd_fit(const CliArgs& args) {
+  if (rejects_record_shards(args)) return 2;
   const auto run = resolve_and_report(make_plan(args), args);
   const TraceStore& trace = *run.trace->trace;
   for (const CloudType cloud : {CloudType::kPrivate, CloudType::kPublic}) {
@@ -550,6 +564,7 @@ int cmd_fit(const CliArgs& args) {
 }
 
 int cmd_advise(const CliArgs& args) {
+  if (rejects_record_shards(args)) return 2;
   pipeline::RunPlanOptions plan = make_plan(args);
   // CSV mode keeps the historical contract: DIR/kb.csv is the knowledge
   // base when present. Generated mode resolves the kb stage (same options
@@ -599,6 +614,7 @@ int cmd_stream(const CliArgs& args) {
     std::cerr << "stream writes to stdout; --out makes no sense here\n";
     return 2;
   }
+  if (rejects_record_shards(args)) return 2;
   const auto run = pipeline::run_trace_plan(make_plan(args));
   std::cerr << "streaming " << run.trace->trace->vm_count() << " VMs over "
             << run.trace->trace->telemetry_grid().count << " ticks...\n";
