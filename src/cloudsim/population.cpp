@@ -252,7 +252,7 @@ PopulationShardStore::PopulationShardStore(
   shard_count_ = std::max<std::uint32_t>(1, options_.shards);
   CL_CHECK(grid_.count > 0);
   std::error_code dir_ec;
-  fs::create_directories(options_.spill_dir, dir_ec);
+  created_spill_dir_ = fs::create_directories(options_.spill_dir, dir_ec);
   CL_CHECK_MSG(!dir_ec, "population store: cannot create spill dir "
                             << options_.spill_dir << ": " << dir_ec.message());
   shards_.reserve(shard_count_);
@@ -282,20 +282,18 @@ PopulationShardStore::PopulationShardStore(
 
 PopulationShardStore::~PopulationShardStore() {
   evict_all();
-  // Abandoned spill (finalize never ran): close and drop the logs.
-  for (const auto& b : builders_) {
-    if (b == nullptr) continue;
-    std::error_code ec;
-    fs::remove(b->records_path, ec);
-    fs::remove(b->models_path, ec);
+  std::error_code ec;  // cleanup is best effort
+  // Abandoned spill (finalize never ran or threw): drop the logs and any
+  // half-written shard file.
+  for (std::size_t s = 0; s < builders_.size(); ++s) {
+    fs::remove(builders_[s]->records_path, ec);
+    fs::remove(builders_[s]->models_path, ec);
+    fs::remove(shards_[s]->path + ".tmp", ec);
   }
   if (!options_.keep_files) {
-    for (const auto& s : shards_) {
-      if (!s->path.empty()) {
-        std::error_code ec;
-        fs::remove(s->path, ec);  // best effort
-      }
-    }
+    for (const auto& s : shards_) fs::remove(s->path, ec);
+    // Only an emptied directory goes, and only one this store created.
+    if (created_spill_dir_) fs::remove(options_.spill_dir, ec);
   }
 }
 
@@ -405,65 +403,32 @@ void PopulationShardStore::seal_shard(
   meta.router_digest = router_digest_;
   const std::string meta_payload = encode_meta(meta);
 
-  const std::uint64_t model_bytes =
-      static_cast<std::uint64_t>(fs::file_size(b.models_path));
-
-  // Hand-built container (write_container stages whole payloads; the
-  // models section is streamed from its log instead).
-  std::string head;
-  append_u32(head, kSnapshotMagic);
-  append_u32(head, kSnapshotFormatVersion);
-  append_u32(head, 5);
-  append_u32(head, 0);
-  const std::uint64_t table_bytes = 5 * 24;
-  std::uint64_t offset = head.size() + table_bytes;
-  std::string table;
-  const auto add_section = [&](std::uint32_t id, std::uint64_t size) {
-    append_u32(table, id);
-    append_u32(table, 0);
-    append_u64(table, offset);
-    append_u64(table, size);
-    offset += size;
+  // Every payload but the models is staged; the models section streams
+  // from its log, which dominates the file for sampled traces.
+  const auto copy_models = [&b](SectionSink& sink) {
+    std::ifstream models(b.models_path, std::ios::binary);
+    CL_CHECK_MSG(models.good(),
+                 "population store: cannot reopen " << b.models_path);
+    std::vector<char> chunk(1u << 20);
+    do {
+      models.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      sink.write({chunk.data(), static_cast<std::size_t>(models.gcount())});
+    } while (models);
   };
-  add_section(snapshot_sections::kPopulationMeta, meta_payload.size());
-  add_section(snapshot_sections::kPopulationSubscriptions,
-              sub_payload.size());
-  add_section(snapshot_sections::kPopulationVms, records.size());
-  add_section(snapshot_sections::kPopulationModels, model_bytes);
-  add_section(snapshot_sections::kPopulationNodeIndex, node_index.size());
-
   const std::string tmp = shard.path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     CL_CHECK_MSG(out.good(), "population store: cannot write " << tmp);
-    out.write(head.data(), static_cast<std::streamsize>(head.size()));
-    out.write(table.data(), static_cast<std::streamsize>(table.size()));
-    out.write(meta_payload.data(),
-              static_cast<std::streamsize>(meta_payload.size()));
-    out.write(sub_payload.data(),
-              static_cast<std::streamsize>(sub_payload.size()));
-    out.write(records.data(), static_cast<std::streamsize>(records.size()));
-    {
-      std::ifstream models(b.models_path, std::ios::binary);
-      CL_CHECK_MSG(models.good(),
-                   "population store: cannot reopen " << b.models_path);
-      std::vector<char> chunk(1u << 20);
-      std::uint64_t copied = 0;
-      while (models) {
-        models.read(chunk.data(),
-                    static_cast<std::streamsize>(chunk.size()));
-        const std::streamsize got = models.gcount();
-        if (got <= 0) break;
-        out.write(chunk.data(), got);
-        copied += static_cast<std::uint64_t>(got);
-      }
-      CL_CHECK_MSG(copied == model_bytes,
-                   "population store: model log changed size mid-seal");
-    }
-    out.write(node_index.data(),
-              static_cast<std::streamsize>(node_index.size()));
-    CL_CHECK_MSG(out.good(),
-                 "population store: write failed (disk full?): " << tmp);
+    write_container(
+        out, {staged_section(snapshot_sections::kPopulationMeta, meta_payload),
+              staged_section(snapshot_sections::kPopulationSubscriptions,
+                             sub_payload),
+              staged_section(snapshot_sections::kPopulationVms, records),
+              {snapshot_sections::kPopulationModels,
+               static_cast<std::uint64_t>(fs::file_size(b.models_path)),
+               copy_models},
+              staged_section(snapshot_sections::kPopulationNodeIndex,
+                             node_index)});
   }
   fs::rename(tmp, shard.path);
   std::error_code ec;

@@ -4,11 +4,15 @@
 // per-subscription indices — normally live in resident vectors, which caps
 // the population at what one vector holds (Azure's public slice alone is
 // 2.6M VMs). The PopulationShardStore is the one out-of-core mode: K
-// shards keyed by subscription hash, each spilled as its own CLSN snapshot
+// shards keyed by subscription hash, each spilled as its own CLSN
 // container (snapshot.h sections POPULATION_META /
 // POPULATION_SUBSCRIPTIONS / POPULATION_VMS / POPULATION_MODELS /
 // POPULATION_NODE_INDEX), paged in on demand and evicted LRU under a
-// decoded-bytes budget. Telemetry is never spilled: a sharded trace has no
+// decoded-bytes budget. The store never spells out the container layout:
+// a seal goes through snapshot.h's write_container (the models section
+// streams from its spill log), and a read through SnapshotMapping. A seal
+// that cannot write every byte throws CheckError and publishes no shard
+// file. Telemetry is never spilled: a sharded trace has no
 // panel, and every row is computed on demand from the VM's model with
 // TelemetryPanel::fill_row (identical bits to the resident panel).
 //
@@ -87,6 +91,8 @@ struct PopulationShardingOptions {
   /// router digest matches are adopted instead of rewritten.
   std::string spill_dir;
   /// Leave the spill files on disk at destruction (cache-dir reuse).
+  /// Otherwise the store removes them, and spill_dir too when the store
+  /// created it.
   bool keep_files = false;
   /// Codec for non-native utilization models (workloads pattern models).
   /// Without it such models degrade to explicit samples over the grid —
@@ -227,6 +233,9 @@ class PopulationShardStore {
   std::uint64_t router_digest_ = 0;
   std::size_t sub_count_ = 0;
   bool sealed_ = false;
+  /// The constructor created spill_dir; the destructor removes it unless
+  /// the files are kept.
+  bool created_spill_dir_ = false;
   /// Owning shard per VM, indexed by dense id (4 bytes/VM resident).
   std::vector<std::uint32_t> vm_shards_;
 

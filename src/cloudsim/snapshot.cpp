@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -354,36 +353,8 @@ std::unique_ptr<TelemetryPanel> decode_panel(Reader& r) {
                                           std::move(hourly));
 }
 
-/// Writes the container: header, section table, payloads.
-void write_container(
-    std::ostream& out,
-    const std::vector<std::pair<std::uint32_t, std::string>>& sections) {
-  std::string header;
-  append_u32(header, kSnapshotMagic);
-  append_u32(header, kSnapshotFormatVersion);
-  append_u32(header, static_cast<std::uint32_t>(sections.size()));
-  append_u32(header, 0);
-  const std::size_t table_bytes = sections.size() * 24;
-  std::uint64_t offset = header.size() + table_bytes;
-  std::string table;
-  for (const auto& [id, payload] : sections) {
-    append_u32(table, id);
-    append_u32(table, 0);
-    append_u64(table, offset);
-    append_u64(table, payload.size());
-    offset += payload.size();
-  }
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(table.data(), static_cast<std::streamsize>(table.size()));
-  for (const auto& [id, payload] : sections) {
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  }
-  CL_CHECK_MSG(out.good(), "snapshot: write failed");
-}
-
 /// Validates the container header and section table over `bytes` and
-/// returns id -> payload views into it. Shared by the buffered reader and
-/// SnapshotMapping, so both paths reject the same malformed inputs.
+/// returns id -> payload views into it.
 std::vector<std::pair<std::uint32_t, std::string_view>> parse_sections(
     std::string_view bytes) {
   Reader header(bytes);
@@ -409,65 +380,51 @@ std::vector<std::pair<std::uint32_t, std::string_view>> parse_sections(
   return sections;
 }
 
-std::string_view find_section(
-    const std::vector<std::pair<std::uint32_t, std::string_view>>& sections,
-    std::uint32_t id, bool* found) {
-  for (const auto& [sid, view] : sections) {
-    if (sid == id) {
-      if (found != nullptr) *found = true;
-      return view;
-    }
-  }
-  if (found != nullptr) {
-    *found = false;
-    return {};
-  }
-  CL_CHECK_MSG(false, "snapshot: missing section " << id);
-  return {};
-}
-
-struct Container {
-  std::string bytes;
-  /// Section id -> payload view into `bytes`.
-  std::vector<std::pair<std::uint32_t, std::string_view>> sections;
-
-  std::string_view section(std::uint32_t id) const {
-    return find_section(sections, id, nullptr);
-  }
-  bool has_section(std::uint32_t id) const {
-    bool found = false;
-    find_section(sections, id, &found);
-    return found;
-  }
-};
-
-Container read_container(std::istream& in) {
-  Container c;
-  // Bulk-slurp the stream when it is seekable: istreambuf iterators walk
-  // one char at a time, which on a GB-sized panel section is the
-  // difference between tens of seconds and disk speed.
-  const std::streampos start = in.tellg();
-  if (start != std::streampos(-1) && in.seekg(0, std::ios::end)) {
-    const std::streampos end = in.tellg();
-    in.seekg(start);
-    c.bytes.resize(static_cast<std::size_t>(end - start));
-    in.read(c.bytes.data(), static_cast<std::streamsize>(c.bytes.size()));
-    CL_CHECK_MSG(static_cast<std::size_t>(in.gcount()) == c.bytes.size(),
-                 "snapshot: short read");
-  } else {
-    in.clear();
-    c.bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-  }
-  c.sections = parse_sections(c.bytes);
-  return c;
-}
-
 }  // namespace
 
+// --- the container writer ------------------------------------------------
+
+void SectionSink::write(std::string_view bytes) {
+  out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  written_ += bytes.size();
+}
+
+ContainerSection staged_section(std::uint32_t id, const std::string& payload) {
+  return {id, payload.size(),
+          [&payload](SectionSink& sink) { sink.write(payload); }};
+}
+
+void write_container(std::ostream& out,
+                     const std::vector<ContainerSection>& sections) {
+  std::string head;
+  append_u32(head, kSnapshotMagic);
+  append_u32(head, kSnapshotFormatVersion);
+  append_u32(head, static_cast<std::uint32_t>(sections.size()));
+  append_u32(head, 0);
+  std::uint64_t offset = head.size() + sections.size() * 24;
+  for (const ContainerSection& s : sections) {
+    append_u32(head, s.id);
+    append_u32(head, 0);
+    append_u64(head, offset);
+    append_u64(head, s.size);
+    offset += s.size;
+  }
+  SectionSink sink(out);
+  sink.write(head);
+  for (const ContainerSection& s : sections) {
+    const std::uint64_t before = sink.written();
+    s.write(sink);
+    CL_CHECK_MSG(sink.written() - before == s.size,
+                 "snapshot: section " << s.id << " wrote "
+                                      << sink.written() - before
+                                      << " bytes, declared " << s.size);
+  }
+  out.flush();
+  CL_CHECK_MSG(out.good(), "snapshot: write failed (disk full?)");
+}
+
 void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
-                         std::ostream& out,
-                         const SnapshotWriteOptions& options) {
+                         std::ostream& out, const SnapshotModelCodec* codec) {
   CL_CHECK_MSG(&trace.topology() == &topology,
                "snapshot: trace does not reference the given topology");
   const TimeGrid& grid = trace.telemetry_grid();
@@ -501,8 +458,7 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
     const auto [it, inserted] =
         model_index.emplace(vm.utilization.get(), next_model);
     if (inserted) {
-      encode_model_record(*vm.utilization, grid, options.model_codec,
-                          model_records);
+      encode_model_record(*vm.utilization, grid, codec, model_records);
       ++next_model;
     }
     append_u32(vms, it->second);
@@ -510,29 +466,21 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
   append_u64(models, next_model);
   models += model_records;
 
-  std::vector<std::pair<std::uint32_t, std::string>> sections;
-  sections.emplace_back(kGrid, encode_grid_section(trace));
-  sections.emplace_back(kTopology, encode_topology(topology));
-  sections.emplace_back(kServices, encode_services(trace));
-  sections.emplace_back(kSubscriptions, encode_subscriptions(trace));
-  sections.emplace_back(kModels, std::move(models));
-  sections.emplace_back(kVms, std::move(vms));
-  if (options.include_panel) {
-    const TelemetryPanel* panel = trace.telemetry_panel();
-    CL_CHECK_MSG(panel != nullptr,
-                 "snapshot: panel requested but not built on the trace");
-    sections.emplace_back(kPanel, encode_panel(*panel));
-  }
-  write_container(out, sections);
+  const std::string grid_payload = encode_grid_section(trace);
+  const std::string topology_payload = encode_topology(topology);
+  const std::string services = encode_services(trace);
+  const std::string subscriptions = encode_subscriptions(trace);
+  write_container(out, {staged_section(kGrid, grid_payload),
+                        staged_section(kTopology, topology_payload),
+                        staged_section(kServices, services),
+                        staged_section(kSubscriptions, subscriptions),
+                        staged_section(kModels, models),
+                        staged_section(kVms, vms)});
 }
 
-namespace {
-
-/// Shared by the stream and mapping overloads: `c` is anything with
-/// section(id)/has_section(id) views over a validated container.
-template <typename Sections>
-LoadedSnapshot load_trace_sections(const Sections& c,
+LoadedSnapshot load_trace_snapshot(std::istream& in,
                                    const SnapshotModelCodec* codec) {
+  const SnapshotMapping c(in);
   LoadedSnapshot result;
 
   Reader grid_r(c.section(kGrid));
@@ -580,162 +528,97 @@ LoadedSnapshot load_trace_sections(const Sections& c,
     }
     trace.add_vm(std::move(rec));
   }
-
-  if (c.has_section(kPanel)) {
-    Reader panel_r(c.section(kPanel));
-    result.panel_loaded =
-        trace.adopt_telemetry_panel(decode_panel(panel_r));
-  }
   return result;
 }
 
-}  // namespace
-
-LoadedSnapshot load_trace_snapshot(std::istream& in,
-                                   const SnapshotModelCodec* codec) {
-  const Container c = read_container(in);
-  return load_trace_sections(c, codec);
-}
-
-LoadedSnapshot load_trace_snapshot(const SnapshotMapping& mapping,
-                                   const SnapshotModelCodec* codec) {
-  return load_trace_sections(mapping, codec);
-}
-
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(
-    const SnapshotMapping& mapping) {
-  Reader panel_r(mapping.section(kPanel));
-  return decode_panel(panel_r);
-}
-
 void save_panel_snapshot(const TelemetryPanel& panel, std::ostream& out) {
-  std::vector<std::pair<std::uint32_t, std::string>> sections;
   std::string grid;
   append_grid(grid, panel.grid());
-  sections.emplace_back(kGrid, std::move(grid));
-  sections.emplace_back(kPanel, encode_panel(panel));
-  write_container(out, sections);
+  const std::string payload = encode_panel(panel);
+  write_container(out, {staged_section(kGrid, grid),
+                        staged_section(kPanel, payload)});
 }
 
 std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in) {
-  const Container c = read_container(in);
+  const SnapshotMapping c(in);
   Reader panel_r(c.section(kPanel));
   return decode_panel(panel_r);
 }
 
-// --- SnapshotMapping -----------------------------------------------------
-
-namespace {
-
-bool mmap_disabled_by_env() {
-  const char* v = std::getenv("CLOUDLENS_NO_MMAP");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-}  // namespace
+// --- the container reader ------------------------------------------------
 
 SnapshotMapping::SnapshotMapping(const std::string& path) {
 #if CLOUDLENS_SNAPSHOT_HAS_MMAP
-  if (!mmap_disabled_by_env()) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      struct stat st {};
-      if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-        const auto length = static_cast<std::size_t>(st.st_size);
-        void* base = ::mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd, 0);
-        if (base != MAP_FAILED) {
-          map_base_ = base;
-          map_length_ = length;
-        }
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd >= 0) {
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+      const auto length = static_cast<std::size_t>(st.st_size);
+      void* base = ::mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (base != MAP_FAILED) {
+        map_base_ = base;
+        map_length_ = length;
       }
-      ::close(fd);
     }
+    ::close(fd);
   }
 #endif
   if (map_base_ != nullptr) {
     bytes_ = std::string_view(static_cast<const char*>(map_base_),
                               map_length_);
   } else {
-    // Graceful fallback: buffered read of the whole file. Same validation,
-    // same views — just not demand-paged.
+    // No mapping: the stream constructor's buffered read, same validation.
     std::ifstream in(path, std::ios::binary);
     CL_CHECK_MSG(in.good(), "snapshot: cannot open " << path);
-    in.seekg(0, std::ios::end);
-    const std::streampos end = in.tellg();
-    in.seekg(0);
-    buffer_.resize(end == std::streampos(-1)
-                       ? 0
-                       : static_cast<std::size_t>(end));
-    in.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    CL_CHECK_MSG(static_cast<std::size_t>(in.gcount()) == buffer_.size(),
-                 "snapshot: short read of " << path);
-    bytes_ = buffer_;
+    read_buffered(in);
   }
   try {
     sections_ = parse_sections(bytes_);
   } catch (...) {
-    reset();  // the destructor will not run for a throwing constructor
+    unmap();  // the destructor will not run for a throwing constructor
     throw;
   }
 }
 
-SnapshotMapping::~SnapshotMapping() { reset(); }
+SnapshotMapping::SnapshotMapping(std::istream& in) {
+  read_buffered(in);
+  sections_ = parse_sections(bytes_);
+}
 
-void SnapshotMapping::reset() noexcept {
+SnapshotMapping::~SnapshotMapping() { unmap(); }
+
+void SnapshotMapping::read_buffered(std::istream& in) {
+  // Bulk-read the stream when it is seekable: istreambuf iterators walk
+  // one char at a time, which on a GB-sized panel section is the
+  // difference between tens of seconds and disk speed.
+  const std::streampos start = in.tellg();
+  if (start != std::streampos(-1) && in.seekg(0, std::ios::end)) {
+    const std::streampos end = in.tellg();
+    in.seekg(start);
+    buffer_.resize(static_cast<std::size_t>(end - start));
+    in.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    CL_CHECK_MSG(static_cast<std::size_t>(in.gcount()) == buffer_.size(),
+                 "snapshot: short read");
+  } else {
+    in.clear();
+    buffer_.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  bytes_ = buffer_;
+}
+
+void SnapshotMapping::unmap() noexcept {
 #if CLOUDLENS_SNAPSHOT_HAS_MMAP
   if (map_base_ != nullptr) ::munmap(map_base_, map_length_);
 #endif
-  map_base_ = nullptr;
-  map_length_ = 0;
-  buffer_.clear();
-  bytes_ = {};
-  sections_.clear();
-}
-
-SnapshotMapping::SnapshotMapping(SnapshotMapping&& other) noexcept
-    : map_base_(other.map_base_),
-      map_length_(other.map_length_),
-      buffer_(std::move(other.buffer_)),
-      sections_(std::move(other.sections_)) {
-  bytes_ = map_base_ != nullptr
-               ? std::string_view(static_cast<const char*>(map_base_),
-                                  map_length_)
-               : std::string_view(buffer_);
-  other.map_base_ = nullptr;
-  other.map_length_ = 0;
-  other.buffer_.clear();
-  other.bytes_ = {};
-  other.sections_.clear();
-}
-
-SnapshotMapping& SnapshotMapping::operator=(SnapshotMapping&& other) noexcept {
-  if (this != &other) {
-    reset();
-    map_base_ = other.map_base_;
-    map_length_ = other.map_length_;
-    buffer_ = std::move(other.buffer_);
-    sections_ = std::move(other.sections_);
-    bytes_ = map_base_ != nullptr
-                 ? std::string_view(static_cast<const char*>(map_base_),
-                                    map_length_)
-                 : std::string_view(buffer_);
-    other.map_base_ = nullptr;
-    other.map_length_ = 0;
-    other.buffer_.clear();
-    other.bytes_ = {};
-    other.sections_.clear();
-  }
-  return *this;
 }
 
 std::string_view SnapshotMapping::section(std::uint32_t id) const {
-  return find_section(sections_, id, nullptr);
-}
-
-bool SnapshotMapping::has_section(std::uint32_t id) const {
-  bool found = false;
-  find_section(sections_, id, &found);
-  return found;
+  for (const auto& [sid, view] : sections_) {
+    if (sid == id) return view;
+  }
+  CL_CHECK_MSG(false, "snapshot: missing section " << id);
+  return {};
 }
 
 }  // namespace cloudlens

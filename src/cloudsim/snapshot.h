@@ -1,15 +1,18 @@
-// Binary trace snapshots: the artifact cache's storage format.
+// CLSN: the one binary container format. Trace snapshots and panel
+// snapshots (the artifact cache's storage) and population shard files
+// (cloudsim/population.h) are all CLSN containers, and this file plus
+// snapshot.cpp are the only code that knows the layout: write_container
+// is the one writer, SnapshotMapping the one reader.
 //
 // The CSV bridge (trace_io.h) is the interoperability path — readable,
 // diffable, loadable by external tools — but it is lossy (imported VMs
 // carry step-function SampledUtilization models, and the exporter caps the
 // utilization section) and slow to parse. Snapshots are the opposite
 // trade: a versioned binary columnar container that round-trips the whole
-// in-memory dataset *exactly* — topology, ownership, VM records, the
+// in-memory dataset *exactly* — topology, ownership, VM records, and the
 // generator's parametric utilization models (by type tag + parameters +
-// seed, so at(t) is bit-identical for every t, not just stored ticks), and
-// optionally the materialized TelemetryPanel matrices — with doubles
-// stored as raw bit patterns, no text round-trip anywhere.
+// seed, so at(t) is bit-identical for every t, not just stored ticks) —
+// with doubles stored as raw bit patterns, no text round-trip anywhere.
 //
 // Container layout (all integers little-endian, fixed width):
 //
@@ -17,14 +20,14 @@
 //   section table: per section [u32 id] [u32 0] [u64 offset] [u64 size]
 //   section payloads (order matches the table; offsets from byte 0)
 //
-// Sections (ids in SnapshotSection): GRID (the trace's telemetry grid),
-// TOPOLOGY, SERVICES, SUBSCRIPTIONS, MODELS (deduplicated utilization
-// model table), VMS (records referencing the model table by index), and
-// PANEL (row-major VM x tick matrix plus the hourly companion). A trace
-// snapshot carries all but PANEL by default; a panel snapshot carries only
-// GRID + PANEL. Readers reject bad magic, unknown versions, unknown
-// required sections, and any out-of-bounds section or truncated payload
-// with CheckError.
+// Sections (ids in snapshot.cpp's Section enum): a trace snapshot carries
+// GRID (the trace's telemetry grid), TOPOLOGY, SERVICES, SUBSCRIPTIONS,
+// MODELS (deduplicated utilization model table) and VMS (records
+// referencing the model table by index); a panel snapshot carries GRID and
+// PANEL (row-major VM x tick matrix plus the hourly companion), and PANEL
+// appears in no other container. Shard files use the snapshot_sections
+// ids below. Readers reject bad magic, unknown versions, missing sections,
+// and any out-of-bounds section or truncated payload with CheckError.
 //
 // Versioning: bump kSnapshotFormatVersion on *any* layout change. The
 // pipeline's artifact cache mixes the version into every content key, so a
@@ -32,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -109,10 +113,9 @@ class Reader {
 };
 }  // namespace snapshot_codec
 
-/// Section ids used by the population shard files (cloudsim/population.h),
-/// which build their containers by hand. The values live in snapshot.cpp's
-/// Section enum; they are part of the on-disk format and must never be
-/// renumbered.
+/// Section ids of the population shard files (cloudsim/population.h).
+/// The trace and panel ids live in snapshot.cpp's Section enum; all of
+/// them are part of the on-disk format and must never be renumbered.
 namespace snapshot_sections {
 inline constexpr std::uint32_t kPopulationMeta = 11;
 inline constexpr std::uint32_t kPopulationSubscriptions = 12;
@@ -120,6 +123,39 @@ inline constexpr std::uint32_t kPopulationVms = 13;
 inline constexpr std::uint32_t kPopulationModels = 14;
 inline constexpr std::uint32_t kPopulationNodeIndex = 15;
 }  // namespace snapshot_sections
+
+// --- the container writer ------------------------------------------------
+
+/// Byte sink handed to a section's writer; counts what passes through.
+class SectionSink {
+ public:
+  explicit SectionSink(std::ostream& out) : out_(out) {}
+  void write(std::string_view bytes);
+  std::uint64_t written() const { return written_; }
+
+ private:
+  std::ostream& out_;
+  std::uint64_t written_ = 0;
+};
+
+/// One section of a container: its id, the payload size declared in the
+/// section table, and the function that writes exactly that many bytes.
+struct ContainerSection {
+  std::uint32_t id = 0;
+  std::uint64_t size = 0;
+  std::function<void(SectionSink&)> write;
+};
+
+/// A section whose payload is already staged in memory. `payload` is held
+/// by reference and must outlive the write_container call.
+ContainerSection staged_section(std::uint32_t id, const std::string& payload);
+
+/// The one CLSN writer: header, section table, then every payload in table
+/// order. Throws CheckError when a section writes a byte count other than
+/// its declared size, or when the stream has failed after the final flush
+/// — so a short write never leaves a container that looks complete.
+void write_container(std::ostream& out,
+                     const std::vector<ContainerSection>& sections);
 
 /// One utilization-model record: [u8 tag][u32 payload size][payload].
 /// This is the same encoding the MODELS section uses; it is exposed so the
@@ -136,25 +172,15 @@ void encode_model_record(const UtilizationModel& model,
 std::shared_ptr<const UtilizationModel> decode_model_record(
     snapshot_codec::Reader& r, const SnapshotModelCodec* codec);
 
-struct SnapshotWriteOptions {
-  /// Also write the PANEL section. Requires a built (or adopted) panel on
-  /// the trace.
-  bool include_panel = false;
-  /// Codec for non-native utilization models (nullptr = sampled fallback).
-  const SnapshotModelCodec* model_codec = nullptr;
-};
-
-/// Serialize topology + trace (+ optionally the telemetry panel).
+/// Serialize topology + trace. `codec` handles non-native utilization
+/// models (nullptr = sampled fallback).
 void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
                          std::ostream& out,
-                         const SnapshotWriteOptions& options = {});
+                         const SnapshotModelCodec* codec = nullptr);
 
 struct LoadedSnapshot {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;
-  /// True when the snapshot carried a PANEL section and the trace adopted
-  /// it (no build needed).
-  bool panel_loaded = false;
 };
 
 /// Rebuild a topology + trace from a snapshot stream. Pass the codec that
@@ -163,24 +189,24 @@ struct LoadedSnapshot {
 LoadedSnapshot load_trace_snapshot(std::istream& in,
                                    const SnapshotModelCodec* codec = nullptr);
 
-/// Panel-only snapshot (same container; GRID + PANEL sections). Used by
-/// the pipeline to cache the materialized matrices separately from the
-/// trace artifact.
+/// Panel snapshot: GRID + PANEL, the only container that carries PANEL.
+/// Used by the pipeline to cache the materialized matrices separately from
+/// the trace artifact.
 void save_panel_snapshot(const TelemetryPanel& panel, std::ostream& out);
 std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in);
 
-// --- mmap-backed read path ----------------------------------------------
+// --- the container reader ------------------------------------------------
 //
-// SnapshotMapping opens a snapshot file read-only and serves the container
-// bytes as a view. On POSIX hosts the file is mmap'd, so section payloads
-// page in on demand instead of being slurped — the enabler for out-of-core
-// population shards, where only the shards an analysis touches are read.
-// When mmap is unavailable or fails (or CLOUDLENS_NO_MMAP=1 is set) the
-// mapping degrades to the buffered reader: the whole file is read into an
-// owned buffer and the same view API works unchanged. Either way the
+// SnapshotMapping holds one container's bytes and its validated section
+// table. Built from a path, it mmaps the file read-only on POSIX hosts, so
+// section payloads page in on demand instead of being slurped — the
+// enabler for out-of-core population shards, where only the sections a
+// read touches enter RSS. Built from a stream, it reads the rest of the
+// stream into an owned buffer; the path constructor falls back to that
+// same buffered read when mmap is unavailable or fails. Either way the
 // section table is validated up front (magic, version, bounds), so a
-// malformed file fails with CheckError at open, never at first touch of a
-// payload.
+// malformed container fails with CheckError at construction, never at
+// first touch of a payload.
 //
 // Lifetime: every view returned by section() points into the mapping; the
 // mapping must outlive all such views.
@@ -189,36 +215,29 @@ class SnapshotMapping {
   /// Opens and validates `path`. Throws CheckError when the file cannot be
   /// read or is not a well-formed container.
   explicit SnapshotMapping(const std::string& path);
+  /// Reads `in` to its end and validates the bytes. Throws CheckError on a
+  /// short read or a malformed container.
+  explicit SnapshotMapping(std::istream& in);
   ~SnapshotMapping();
   SnapshotMapping(const SnapshotMapping&) = delete;
   SnapshotMapping& operator=(const SnapshotMapping&) = delete;
-  SnapshotMapping(SnapshotMapping&& other) noexcept;
-  SnapshotMapping& operator=(SnapshotMapping&& other) noexcept;
 
-  /// True when the bytes are served by mmap (false = buffered fallback).
+  /// True when the bytes are served by mmap (false = owned buffer).
   bool mapped() const { return map_base_ != nullptr; }
   /// Whole-container view (header + table + payloads).
   std::string_view bytes() const { return bytes_; }
   /// Payload view for `id`; throws CheckError when the section is absent.
   std::string_view section(std::uint32_t id) const;
-  bool has_section(std::uint32_t id) const;
 
  private:
-  void reset() noexcept;
+  void read_buffered(std::istream& in);
+  void unmap() noexcept;
 
   void* map_base_ = nullptr;
   std::size_t map_length_ = 0;
-  std::string buffer_;  // fallback storage when not mmap'd
+  std::string buffer_;  // owned bytes when not mmap'd
   std::string_view bytes_;
   std::vector<std::pair<std::uint32_t, std::string_view>> sections_;
 };
-
-/// Mapping-based loads: identical results to the stream overloads, byte
-/// for byte, but panel payloads are referenced in place before the copy
-/// into the panel's own storage.
-LoadedSnapshot load_trace_snapshot(const SnapshotMapping& mapping,
-                                   const SnapshotModelCodec* codec = nullptr);
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(
-    const SnapshotMapping& mapping);
 
 }  // namespace cloudlens

@@ -1,5 +1,6 @@
 #include "pipeline/run_plan.h"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -150,10 +151,8 @@ Stage make_trace_stage(const RunPlanOptions& options) {
   stage.save = [](const std::shared_ptr<void>& artifact,
                   const StageInputs&, std::ostream& out) {
     const auto& trace = *std::static_pointer_cast<TraceArtifact>(artifact);
-    SnapshotWriteOptions snapshot;
-    snapshot.include_panel = false;
-    snapshot.model_codec = &workloads::pattern_snapshot_codec();
-    save_trace_snapshot(*trace.topology, *trace.trace, out, snapshot);
+    save_trace_snapshot(*trace.topology, *trace.trace, out,
+                        &workloads::pattern_snapshot_codec());
   };
   stage.load = [](const StageInputs&, std::istream& in) {
     LoadedSnapshot loaded =
@@ -198,26 +197,29 @@ Stage make_panel_stage() {
 /// can change shard bytes (profiles, seed, scale, grid, CSV bytes) —
 /// including model internals the router digest deliberately leaves out —
 /// so warm reuse across runs is sound, and the files are kept. With
-/// caching off, a per-process temp directory is used and removed with the
-/// store.
+/// caching off, every spill gets its own temp directory (pid plus a
+/// process-wide sequence, so runs alive together in one process never
+/// share files), removed with the store.
 std::string shard_spill_dir(bool cache_enabled, const std::string& cache_dir,
                             const std::string& trace_key_hex) {
   if (cache_enabled && !trace_key_hex.empty()) {
     return (std::filesystem::path(cache_dir) / ("pop-shards-" + trace_key_hex))
         .string();
   }
+  static std::atomic<std::uint64_t> sequence{0};
   std::string pid = "0";
 #if defined(__unix__) || defined(__APPLE__)
   pid = std::to_string(static_cast<unsigned long>(::getpid()));
 #endif
   return (std::filesystem::temp_directory_path() /
-          ("cloudlens-pop-shards-" + pid))
+          ("cloudlens-pop-shards-" + pid + "-" +
+           std::to_string(sequence.fetch_add(1, std::memory_order_relaxed))))
       .string();
 }
 
 /// Streaming spill options for record-sharded runs with caching off: the
-/// records route straight to shard logs in a per-process temp dir during
-/// generation/import, and the files are removed with the store.
+/// records route straight to shard logs in a temp dir of their own during
+/// generation/import, and the files and the dir are removed with the store.
 PopulationShardingOptions streaming_population_options(
     std::uint32_t shards, std::size_t budget_mib) {
   PopulationShardingOptions po;

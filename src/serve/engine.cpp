@@ -27,6 +27,9 @@ namespace {
 constexpr SimTime kWatermarkUnset = std::numeric_limits<SimTime>::min();
 /// first_sample sentinel meaning "never streamed a sample".
 constexpr SimTime kNoSample = std::numeric_limits<SimTime>::max();
+/// Snapshot kb tag of a subscription touched at or past the cutoff.
+constexpr std::uint64_t kKbInFlight =
+    std::numeric_limits<std::uint64_t>::max();
 
 std::vector<std::string> split(std::string_view line) {
   std::vector<std::string> out;
@@ -197,7 +200,7 @@ void ServeEngine::ingest_line(std::string_view line) {
       vm.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
     (*vm.samples)[grid_.index_of(t)] = std::stod(f[3]);
     if (t < vm.first_sample) vm.first_sample = t;
-    touch_subscription(vm.rec.subscription.value());
+    touch_subscription(vm.rec.subscription.value(), t);
     metrics_->add(obs::Counter::kServeSamplesIngested);
   } else if (tag == "del") {
     CL_CHECK_MSG(f.size() == 3, "malformed del line: " << line);
@@ -209,7 +212,7 @@ void ServeEngine::ingest_line(std::string_view line) {
     CL_CHECK_MSG(t > it->second.rec.created,
                  "vm " << id << " deleted before creation");
     it->second.rec.deleted = t;
-    touch_subscription(it->second.rec.subscription.value());
+    touch_subscription(it->second.rec.subscription.value(), t);
     metrics_->add(obs::Counter::kServeVmsDeleted);
   } else {
     CL_CHECK_MSG(false, "unknown stream line: " << line);
@@ -262,7 +265,7 @@ void ServeEngine::apply_vm_line(const std::vector<std::string>& f, SimTime t) {
   rec.memory_gb = std::stod(f[11]);
   rec.created = t;
   rec.deleted = kNoEnd;
-  touch_subscription(rec.subscription.value());
+  touch_subscription(rec.subscription.value(), t);
   vms_.emplace(id, std::move(st));
 }
 
@@ -340,9 +343,13 @@ std::shared_ptr<const Topology> ServeEngine::parse_topology_locked() const {
   return std::shared_ptr<const Topology>(std::move(imported.topology));
 }
 
-void ServeEngine::touch_subscription(std::uint32_t sub) {
-  if (sub >= sub_generation_.size()) sub_generation_.resize(sub + 1, 0);
+void ServeEngine::touch_subscription(std::uint32_t sub, SimTime t) {
+  if (sub >= sub_generation_.size()) {
+    sub_generation_.resize(sub + 1, 0);
+    sub_touched_at_.resize(sub + 1, std::numeric_limits<SimTime>::min());
+  }
   ++sub_generation_[sub];
+  sub_touched_at_[sub] = t;
 }
 
 // --- progress -------------------------------------------------------------
@@ -437,6 +444,12 @@ std::shared_ptr<ServeEngine::Snapshot> ServeEngine::snapshot_locked() {
   snap->window = win;
   snap->topology = topo;
   snap->sub_generations = sub_generation_;
+  // A subscription touched at or past the cutoff has events this snapshot
+  // cannot see yet; once they become visible no further event need bump
+  // its generation, so its record must not be cached now.
+  for (std::size_t s = 0; s < sub_touched_at_.size(); ++s) {
+    if (sub_touched_at_[s] >= cut) snap->sub_generations[s] = kKbInFlight;
+  }
 
   // Included VMs are those created before the cutoff, in ascending
   // original-id order — exactly the importer's row order, so the snapshot
@@ -516,8 +529,9 @@ std::vector<kb::SubscriptionKnowledge> ServeEngine::knowledge_records(
   for (std::size_t s = 0; s < subs.size(); ++s) {
     const std::uint64_t gen =
         s < snap.sub_generations.size() ? snap.sub_generations[s] : 0;
+    const bool settled = gen != kKbInFlight;
     auto it = kb_cache_.find(static_cast<std::uint32_t>(s));
-    if (it != kb_cache_.end() && it->second.generation == gen) {
+    if (settled && it != kb_cache_.end() && it->second.generation == gen) {
       metrics_->add(obs::Counter::kServeKbReused);
       if (it->second.has_record) records.push_back(it->second.record);
       continue;
@@ -533,7 +547,7 @@ std::vector<kb::SubscriptionKnowledge> ServeEngine::knowledge_records(
       entry.record = *rec;
       records.push_back(*rec);
     }
-    kb_cache_[static_cast<std::uint32_t>(s)] = std::move(entry);
+    if (settled) kb_cache_[static_cast<std::uint32_t>(s)] = std::move(entry);
   }
   return records;
 }
@@ -695,6 +709,9 @@ std::string ServeEngine::write_checkpoint() {
   meta << "ids";
   for (const auto id : snap->original_ids) meta << ',' << id;
   meta << '\n';
+  meta.flush();
+  CL_CHECK_MSG(meta.good(),
+               "checkpoint meta write failed: " << path << ".meta");
   metrics_->add(obs::Counter::kServeCheckpoints);
   ++checkpoints_;
   return path;
@@ -764,7 +781,8 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
       st.first_sample = std::numeric_limits<SimTime>::min();
     }
     st.rec.utilization = nullptr;
-    touch_subscription(st.rec.subscription.value());
+    touch_subscription(st.rec.subscription.value(),
+                       std::numeric_limits<SimTime>::min());
     vms_.emplace(ids[i], std::move(st));
   }
   // Resume exactly at the checkpoint's cutoff: events with t >= cutoff

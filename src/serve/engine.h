@@ -45,7 +45,9 @@
 //
 // KB records are cached per subscription with a dirty generation bumped
 // by every event touching the subscription; a query re-extracts only
-// dirty subscriptions (serve.kb_records_{reused,recomputed} count the
+// dirty subscriptions, plus those touched at or past the snapshot's
+// cutoff, whose events the snapshot cannot see yet and which therefore
+// never enter the cache (serve.kb_records_{reused,recomputed} count the
 // split). Reuse is byte-safe because extraction is a pure function of the
 // subscription's VM rows and sample cells, and the snapshot grid is the
 // whole window at every epoch.
@@ -190,7 +192,7 @@ class ServeEngine {
   std::size_t epoch_locked() const;
   SimTime cutoff_locked() const;
   TimeGrid window_grid_locked() const;
-  void touch_subscription(std::uint32_t sub);
+  void touch_subscription(std::uint32_t sub, SimTime t);
   std::shared_ptr<Snapshot> snapshot_locked();
   std::shared_ptr<Snapshot> current_snapshot();
   std::vector<kb::SubscriptionKnowledge> knowledge_records(
@@ -211,8 +213,10 @@ class ServeEngine {
   /// Resident VMs keyed by original stream id (ascending iteration order
   /// gives the importer's row order).
   std::map<std::uint32_t, VmState> vms_;
-  /// Per-subscription dirty generation (grows with the id universe).
+  /// Per-subscription dirty generation and time of the newest touching
+  /// event (both grow with the id universe).
   std::vector<std::uint64_t> sub_generation_;
+  std::vector<SimTime> sub_touched_at_;
   kb::KnowledgeBase long_term_;
   std::shared_ptr<Snapshot> cached_snapshot_;
 

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/context.h"
 #include "analysis/figures.h"
 #include "analysis/report.h"
@@ -150,6 +152,55 @@ TEST_F(PipelineEquivalenceTest, WarmCacheSkipsGenerateAndPanelWork) {
   EXPECT_EQ(warm_global.counter("gen.runs"), 0u);
   EXPECT_EQ(warm_global.counter("panel.builds"), 0u);
   global.set_enabled(false);
+}
+
+/// The characterization report of a resolved run.
+std::string render_report(const ResolvedRun& run) {
+  const AnalysisContext ctx(*run.trace->trace, ParallelConfig{});
+  std::ostringstream report;
+  analysis::write_characterization_report(ctx, report);
+  return report.str();
+}
+
+/// This process's uncached record-shard spill directories in the temp dir.
+std::size_t own_spill_dirs() {
+  const std::string prefix =
+      "cloudlens-pop-shards-" + std::to_string(::getpid()) + "-";
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(fs::temp_directory_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
+
+TEST(RunPlanTest, RecordShardedRunsAliveTogetherKeepTheirOwnSpills) {
+  // Two uncached record-sharded runs held at once in one process: each
+  // must page from its own spill files, match the resident report, and
+  // take its spill directory with it when destroyed.
+  const auto options = [](std::uint64_t seed, std::uint32_t shards) {
+    RunPlanOptions o;
+    o.scenario.scale = 0.02;
+    o.scenario.seed = seed;
+    o.cache_enabled = false;
+    o.record_shards = shards;
+    o.shard_budget_mib = 0;
+    return o;
+  };
+  const std::string resident_a = render_report(run_trace_plan(options(11, 0)));
+  const std::string resident_b = render_report(run_trace_plan(options(12, 0)));
+  ASSERT_NE(resident_a, resident_b);
+  const std::size_t dirs_before = own_spill_dirs();
+  {
+    const ResolvedRun a = run_trace_plan(options(11, 4));
+    {
+      const ResolvedRun b = run_trace_plan(options(12, 4));
+      EXPECT_EQ(own_spill_dirs(), dirs_before + 2);
+      EXPECT_EQ(render_report(a), resident_a);
+      EXPECT_EQ(render_report(b), resident_b);
+    }
+    EXPECT_EQ(render_report(a), resident_a);
+  }
+  EXPECT_EQ(own_spill_dirs(), dirs_before);
 }
 
 // --- Kernel tier × mode equivalence --------------------------------------

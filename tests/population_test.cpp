@@ -409,6 +409,26 @@ TEST(PopulationFailure, ShortWriteOnSpillThrows) {
       },
       CheckError);
 }
+
+TEST(PopulationFailure, ShortWriteOnSealThrows) {
+  // Simulate ENOSPC at the seal: shard 0's temp file is /dev/full, so the
+  // container's final flush fails. The seal must throw CheckError and
+  // publish no shard file, not rename a torn container into place.
+  TempSpillDir dir("seal-enospc");
+  std::filesystem::create_directories(dir.path());
+  const std::string shard0 = dir.path() + "/pop-shard-0.clsn";
+  std::filesystem::create_symlink("/dev/full", shard0 + ".tmp");
+  PopulationShardStore store(week_telemetry_grid(),
+                             spill_options(dir.path(), 1));
+  VmRecord vm;
+  vm.subscription = SubscriptionId(0);
+  store.append_vm(vm);
+  std::vector<SubscriptionInfo> subs(1);
+  subs[0].id = SubscriptionId(0);
+  EXPECT_THROW(store.finalize_spill(subs), CheckError);
+  EXPECT_FALSE(
+      std::filesystem::exists(std::filesystem::symlink_status(shard0)));
+}
 #endif
 
 TEST(PopulationFailure, TruncatedShardFileThrows) {

@@ -4,6 +4,7 @@
 // serve_equivalence_test.cpp; these tests cover the pieces in isolation.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -205,6 +206,28 @@ TEST_F(ServeEngineTest, StatsCheckpointAndUnknownQueryEdges) {
   EXPECT_THROW(engine.checkpoint(), CheckError);
 }
 
+TEST_F(ServeEngineTest, CheckpointFailsWhenMetaCannotBeWritten) {
+  // The sidecar goes to /dev/full: checkpoint() must throw, not hand back
+  // a path whose .meta is empty.
+  fx_.add_vm(CloudType::kPrivate, fx_.private_sub,
+             test::first_node(topo_, CloudType::kPrivate), 4, 0, 10 * kHour,
+             std::make_shared<ConstantUtilization>(0.5));
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "cloudlens_serve_meta")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServeOptions options;
+  options.checkpoint_dir = dir;
+  ServeEngine engine(options);
+  for (const auto& line : stream_lines()) engine.ingest_line(line);
+  const std::string bin =
+      dir + "/serve-epoch-" + std::to_string(engine.epoch()) + ".bin";
+  std::filesystem::create_symlink("/dev/full", bin + ".meta");
+  EXPECT_THROW(engine.checkpoint(), CheckError);
+  std::filesystem::remove_all(dir);
+}
+
 // The snapshot clamp: a mid-stream snapshot must read 0.0 at the in-flight
 // tick E even though the live buffer already holds a sample there, through
 // both at() and sample(); the snapshot trace holds no panel.
@@ -241,6 +264,29 @@ TEST_F(ServeEngineTest, SnapshotModelReadsZeroAtTheInFlightTick) {
     for (std::size_t i = 0; i < g.count; ++i)
       ASSERT_EQ(batched[i], model.at(g.at(i))) << "tick " << i;
   }
+}
+
+// A kb record extracted while one of its subscription's events is still
+// past the cutoff must not be reused once that event becomes visible, even
+// when no later event touches the subscription.
+TEST_F(ServeEngineTest, KbRecordRefreshesWhenAnInFlightEventBecomesVisible) {
+  std::vector<std::string> lines = stream_lines();
+  lines.pop_back();  // the "end" trailer
+  lines.push_back("vm,0,0,,private,first-party,0,0,0,0,4,16,0");
+  lines.push_back("vm,1,1,,public,third-party,0,1,2,16,2,8,3600");
+  lines.push_back("del,0,3700");  // inside the in-flight tick [3600, 3900)
+  ServeEngine engine;
+  for (const auto& line : lines) engine.ingest_line(line);
+  const std::string in_flight = engine.query("kb");
+  // Completing the tick (an event of the other subscription) makes the
+  // deletion visible.
+  lines.push_back("vm,2,1,,public,third-party,0,1,2,16,2,8,7200");
+  engine.ingest_line(lines.back());
+  ServeEngine fresh;
+  for (const auto& line : lines) fresh.ingest_line(line);
+  const std::string want = fresh.query("kb");
+  EXPECT_NE(want, in_flight);
+  EXPECT_EQ(engine.query("kb"), want);
 }
 
 TEST_F(ServeEngineTest, QueriesAtUnchangedEpochReuseTheSnapshot) {

@@ -1,19 +1,22 @@
-// Binary snapshot round-trip tests: every section reconstructs exactly
-// (doubles as bit patterns), shared models stay shared, custom models
-// round-trip through the pattern codec, and malformed containers are
-// rejected rather than misread.
+// CLSN container tests: every section reconstructs exactly (doubles as
+// bit patterns), shared models stay shared, custom models round-trip
+// through the pattern codec, container bytes are pinned, the writer
+// refuses a section that misses its declared size, and both reader
+// constructors reject malformed containers rather than misread them.
 #include "cloudsim/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "cloudsim/population.h"
 #include "cloudsim/trace_io.h"
 #include "common/check.h"
 #include "testutil.h"
@@ -27,9 +30,9 @@ using test::TraceFixture;
 using test::tiny_topology;
 
 std::string save_to_string(const Topology& topo, const TraceStore& trace,
-                           const SnapshotWriteOptions& options = {}) {
+                           const SnapshotModelCodec* codec = nullptr) {
   std::ostringstream out(std::ios::binary);
-  save_trace_snapshot(topo, trace, out, options);
+  save_trace_snapshot(topo, trace, out, codec);
   return out.str();
 }
 
@@ -168,6 +171,50 @@ TEST_F(SnapshotHandBuiltTest, SaveIsDeterministic) {
   EXPECT_EQ(save_to_string(topo_, fx_.trace), save_to_string(topo_, fx_.trace));
 }
 
+/// FNV-1a over `bytes`: pins container bytes without checking them in.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// The container bytes are part of the format (kSnapshotFormatVersion 1):
+// a trace snapshot, a panel snapshot and the sealed shard files of this
+// fixed trace must keep these exact digests. A deliberate layout change
+// bumps the version and re-pins them.
+TEST_F(SnapshotHandBuiltTest, ContainerBytesArePinned) {
+  EXPECT_EQ(fnv1a(save_to_string(topo_, fx_.trace)), 0xe8a93675f5eccfd4ULL);
+
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           "cloudlens-snapshot-pin-shards")
+                              .string();
+  std::filesystem::remove_all(dir);
+  {
+    PopulationShardingOptions options;
+    options.shards = 2;
+    options.spill_dir = dir;
+    const auto store = PopulationShardStore::build(fx_.trace, options);
+    EXPECT_EQ(fnv1a(read_file(dir + "/pop-shard-0.clsn")),
+              0x6e0811da83eef870ULL);
+    EXPECT_EQ(fnv1a(read_file(dir + "/pop-shard-1.clsn")),
+              0x5cf2fe1ebeebd0c9ULL);
+  }
+  std::filesystem::remove_all(dir);
+
+  std::ostringstream panel(std::ios::binary);
+  save_panel_snapshot(*fx_.trace.build_telemetry_panel(), panel);
+  EXPECT_EQ(fnv1a(panel.str()), 0x92351a1f45f4ed1eULL);
+}
+
 TEST(SnapshotContainer, RejectsBadMagicVersionAndTruncation) {
   Topology topo = tiny_topology();
   TraceFixture fx(topo);
@@ -205,10 +252,9 @@ class SnapshotGeneratedTest : public ::testing::Test {
 workloads::Scenario* SnapshotGeneratedTest::scenario_ = nullptr;
 
 TEST_F(SnapshotGeneratedTest, PatternModelsRoundTripBitExactEverywhere) {
-  SnapshotWriteOptions options;
-  options.model_codec = &workloads::pattern_snapshot_codec();
-  const std::string bytes =
-      save_to_string(*scenario_->topology, *scenario_->trace, options);
+  const std::string bytes = save_to_string(
+      *scenario_->topology, *scenario_->trace,
+      &workloads::pattern_snapshot_codec());
   const auto loaded =
       load_from_string(bytes, &workloads::pattern_snapshot_codec());
 
@@ -254,33 +300,22 @@ TEST_F(SnapshotGeneratedTest, WithoutCodecDegradesToGridExactSamples) {
   }
 }
 
-TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
-  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-
-  SnapshotWriteOptions options;
-  options.include_panel = true;
-  options.model_codec = &workloads::pattern_snapshot_codec();
-  const std::string bytes =
-      save_to_string(*scenario_->topology, *scenario_->trace, options);
-  const auto loaded =
-      load_from_string(bytes, &workloads::pattern_snapshot_codec());
-  ASSERT_TRUE(loaded.panel_loaded);
-
-  const TelemetryPanel* panel2 = loaded.trace->telemetry_panel();
-  ASSERT_NE(panel2, nullptr);
-  ASSERT_EQ(panel2->vm_count(), panel->vm_count());
-  for (std::size_t v = 0; v < panel->vm_count(); v += 37) {
+/// Every sampled row and every hourly row of `b` is bit-identical to `a`.
+void expect_panels_bit_identical(const TelemetryPanel& a,
+                                 const TelemetryPanel& b) {
+  ASSERT_EQ(b.vm_count(), a.vm_count());
+  ASSERT_EQ(b.grid().count, a.grid().count);
+  for (std::size_t v = 0; v < a.vm_count(); v += 37) {
     const VmId id(static_cast<VmId::underlying>(v));
-    const auto a = panel->row(id);
-    const auto b = panel2->row(id);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); i += 53) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]));
+    const auto ra = a.row(id);
+    const auto rb = b.row(id);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); i += 53) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ra[i]),
+                std::bit_cast<std::uint64_t>(rb[i]));
     }
-    const auto ha = panel->hourly_row(id);
-    const auto hb = panel2->hourly_row(id);
+    const auto ha = a.hourly_row(id);
+    const auto hb = b.hourly_row(id);
     ASSERT_EQ(ha.size(), hb.size());
     for (std::size_t i = 0; i < ha.size(); ++i) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(ha[i]),
@@ -289,24 +324,34 @@ TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
   }
 }
 
+std::unique_ptr<TelemetryPanel> panel_round_trip(const TelemetryPanel& panel) {
+  std::ostringstream out(std::ios::binary);
+  save_panel_snapshot(panel, out);
+  std::istringstream in(out.str(), std::ios::binary);
+  return load_panel_snapshot(in);
+}
+
+TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
+  // The warm pipeline path: the trace snapshot carries no PANEL section,
+  // so the loaded trace gets its panel by adopting the panel snapshot's.
+  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
+  ASSERT_NE(panel, nullptr);
+  const auto loaded = load_from_string(
+      save_to_string(*scenario_->topology, *scenario_->trace,
+                     &workloads::pattern_snapshot_codec()),
+      &workloads::pattern_snapshot_codec());
+  EXPECT_EQ(loaded.trace->telemetry_panel(), nullptr);
+
+  ASSERT_TRUE(loaded.trace->adopt_telemetry_panel(panel_round_trip(*panel)));
+  const TelemetryPanel* adopted = loaded.trace->telemetry_panel();
+  ASSERT_NE(adopted, nullptr);
+  expect_panels_bit_identical(*panel, *adopted);
+}
+
 TEST_F(SnapshotGeneratedTest, PanelOnlySnapshotRoundTrips) {
   const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(*panel, out);
-  std::istringstream in(out.str(), std::ios::binary);
-  const auto panel2 = load_panel_snapshot(in);
-  ASSERT_EQ(panel2->vm_count(), panel->vm_count());
-  ASSERT_EQ(panel2->grid().count, panel->grid().count);
-  for (std::size_t v = 0; v < panel->vm_count(); v += 61) {
-    const VmId id(static_cast<VmId::underlying>(v));
-    const auto a = panel->row(id);
-    const auto b = panel2->row(id);
-    for (std::size_t i = 0; i < a.size(); i += 101) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]));
-    }
-  }
+  expect_panels_bit_identical(*panel, *panel_round_trip(*panel));
 }
 
 TEST_F(SnapshotGeneratedTest, AdoptRejectsMismatchedPanel) {
@@ -317,11 +362,8 @@ TEST_F(SnapshotGeneratedTest, AdoptRejectsMismatchedPanel) {
   auto other = workloads::make_scenario(options);
   const TelemetryPanel* panel = other.trace->build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(*panel, out);
-  std::istringstream in(out.str(), std::ios::binary);
   EXPECT_FALSE(
-      scenario_->trace->adopt_telemetry_panel(load_panel_snapshot(in)));
+      scenario_->trace->adopt_telemetry_panel(panel_round_trip(*panel)));
 }
 
 // ---- SnapshotMapping: mmap'd read path + error handling -----------------
@@ -349,13 +391,15 @@ class TempSnapshotFile {
   std::string path_;
 };
 
-/// Scoped CLOUDLENS_NO_MMAP=1: forces SnapshotMapping's buffered-read
-/// fallback for the duration of a test.
-class ScopedNoMmap {
- public:
-  ScopedNoMmap() { ::setenv("CLOUDLENS_NO_MMAP", "1", 1); }
-  ~ScopedNoMmap() { ::unsetenv("CLOUDLENS_NO_MMAP"); }
-};
+/// Both reader constructors must refuse `bytes`: from a file (mmap'd)
+/// and from a stream (the buffered read).
+void expect_both_constructors_reject(const std::string& bytes,
+                                     const std::string& tag) {
+  TempSnapshotFile file(bytes, tag);
+  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(SnapshotMapping{in}, CheckError);
+}
 
 TEST(SnapshotMappingTest, MappedReadIsByteIdenticalToBufferedRead) {
   Topology topo = tiny_topology();
@@ -368,52 +412,23 @@ TEST(SnapshotMappingTest, MappedReadIsByteIdenticalToBufferedRead) {
   ASSERT_EQ(mapped.bytes().size(), bytes.size());
   EXPECT_EQ(std::string(mapped.bytes()), bytes);
 
-  ScopedNoMmap no_mmap;
-  SnapshotMapping buffered(file.path());
+  std::ifstream in(file.path(), std::ios::binary);
+  SnapshotMapping buffered(in);
   EXPECT_FALSE(buffered.mapped());
   ASSERT_EQ(buffered.bytes().size(), bytes.size());
   EXPECT_EQ(std::string(buffered.bytes()), std::string(mapped.bytes()));
-}
-
-TEST(SnapshotMappingTest, LoadFromMappingMatchesStreamLoad) {
-  Topology topo = tiny_topology();
-  TraceFixture fx(topo);
-  const std::string bytes = save_to_string(topo, fx.trace);
-  TempSnapshotFile file(bytes, "load");
-
-  const LoadedSnapshot from_stream = load_from_string(bytes);
-  SnapshotMapping mapping(file.path());
-  const LoadedSnapshot from_map = load_trace_snapshot(mapping);
-
-  const auto& a = from_stream.trace->vms();
-  const auto& b = from_map.trace->vms();
-  ASSERT_EQ(a.size(), b.size());
-  const TimeGrid& grid = from_stream.trace->telemetry_grid();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].subscription, b[i].subscription);
-    EXPECT_EQ(a[i].created, b[i].created);
-    EXPECT_EQ(a[i].deleted, b[i].deleted);
-    if (a[i].utilization == nullptr) {
-      EXPECT_EQ(b[i].utilization, nullptr);
-      continue;
-    }
-    ASSERT_NE(b[i].utilization, nullptr);
-    for (std::size_t g = 0; g < grid.count; g += 97) {
-      EXPECT_EQ(
-          std::bit_cast<std::uint64_t>(a[i].utilization->at(grid.at(g))),
-          std::bit_cast<std::uint64_t>(b[i].utilization->at(grid.at(g))));
-    }
+  for (const std::uint32_t id : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    EXPECT_EQ(buffered.section(id), mapped.section(id)) << "section " << id;
   }
+  EXPECT_THROW(mapped.section(7), CheckError);
+  EXPECT_THROW(buffered.section(7), CheckError);
 }
 
 TEST(SnapshotMappingTest, RejectsTruncatedFile) {
   Topology topo = tiny_topology();
   TraceFixture fx(topo);
   const std::string bytes = save_to_string(topo, fx.trace);
-  TempSnapshotFile file(bytes.substr(0, bytes.size() / 2), "trunc");
-  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
-  ScopedNoMmap no_mmap;  // same verdict through the buffered fallback
-  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
+  expect_both_constructors_reject(bytes.substr(0, bytes.size() / 2), "trunc");
 }
 
 TEST(SnapshotMappingTest, RejectsBadMagic) {
@@ -421,8 +436,7 @@ TEST(SnapshotMappingTest, RejectsBadMagic) {
   TraceFixture fx(topo);
   std::string bytes = save_to_string(topo, fx.trace);
   bytes[0] = 'X';
-  TempSnapshotFile file(bytes, "magic");
-  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
+  expect_both_constructors_reject(bytes, "magic");
 }
 
 TEST(SnapshotMappingTest, RejectsSectionTablePastEof) {
@@ -434,40 +448,34 @@ TEST(SnapshotMappingTest, RejectsSectionTablePastEof) {
   // must reject it instead of handing out a wild span.
   ASSERT_GT(bytes.size(), 40u);
   for (std::size_t i = 32; i < 40; ++i) bytes[i] = static_cast<char>(0xFF);
-  TempSnapshotFile file(bytes, "pasteof");
-  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
+  expect_both_constructors_reject(bytes, "pasteof");
 }
 
 TEST(SnapshotMappingTest, RejectsEmptyAndMissingFile) {
-  TempSnapshotFile file(std::string(), "empty");
-  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
-  EXPECT_THROW(SnapshotMapping{file.path() + ".does-not-exist"}, CheckError);
-  ScopedNoMmap no_mmap;
-  EXPECT_THROW(SnapshotMapping{file.path()}, CheckError);
-  EXPECT_THROW(SnapshotMapping{file.path() + ".does-not-exist"}, CheckError);
+  expect_both_constructors_reject(std::string(), "empty");
+  EXPECT_THROW(SnapshotMapping{"/nonexistent/cloudlens-snapshot.clsn"},
+               CheckError);
 }
 
-TEST_F(SnapshotGeneratedTest, PanelSnapshotLoadsIdenticallyViaMapping) {
-  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(*panel, out);
-  TempSnapshotFile file(out.str(), "panelmap");
+// ---- write_container ----------------------------------------------------
 
-  SnapshotMapping mapping(file.path());
-  EXPECT_TRUE(mapping.has_section(7));  // kPanel
-  const auto panel2 = load_panel_snapshot(mapping);
-  ASSERT_EQ(panel2->vm_count(), panel->vm_count());
-  for (std::size_t v = 0; v < panel->vm_count(); v += 61) {
-    const VmId id(static_cast<VmId::underlying>(v));
-    const auto a = panel->row(id);
-    const auto b = panel2->row(id);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); i += 101) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]));
-    }
+TEST(SnapshotWriterTest, RejectsSectionThatMissesItsDeclaredSize) {
+  const std::string payload = "twelve bytes";
+  for (const std::uint64_t declared :
+       {payload.size() - 1, payload.size() + 1}) {
+    std::ostringstream out(std::ios::binary);
+    EXPECT_THROW(write_container(out, {{1, declared,
+                                        [&](SectionSink& sink) {
+                                          sink.write(payload);
+                                        }}}),
+                 CheckError)
+        << "declared " << declared;
   }
+  // The declared size matching the bytes written is a valid container.
+  std::ostringstream out(std::ios::binary);
+  write_container(out, {staged_section(1, payload)});
+  std::istringstream in(out.str(), std::ios::binary);
+  EXPECT_EQ(SnapshotMapping(in).section(1), payload);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #      telemetry panel. Run it whenever you touch them.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
 #      runs the kernel + stats suites, policing the SIMD kernel tier's
-#      integer/float conversions and intrinsic shims.
+#      integer/float conversions and intrinsic shims, and the snapshot,
+#      population and run-plan suites, policing the CLSN container
+#      writer/reader and the shard seal and decode paths.
 #
 # The Release and TSan flavours run the kernel differential/dispatch/
 # property suites twice — CLOUDLENS_KERNELS=scalar and =auto — so both
@@ -144,11 +146,6 @@ echo "== [tsan] ingest decode smoke =="
     --out="$BUILD_ROOT/BENCH_ingest_tsan_smoke.json"
 require_json "$BUILD_ROOT/BENCH_ingest_tsan_smoke.json"
 
-# UBSan flavour (address+undefined plus float-cast-overflow): polices the
-# kernel tier's u64→f64 conversions and intrinsic shims. Builds the full
-# tree but runs only the kernel + stats suites — the full ctest pass under
-# ASan is covered well enough by the two flavours above.
-ubsan_dir="$BUILD_ROOT/ubsan"
 echo "== [tsan] population shard smoke =="
 # Small record-sharded end-to-end pass under TSan: polices the population
 # store's concurrent acquire/publish path while the full analysis suite
@@ -159,14 +156,22 @@ echo "== [tsan] population shard smoke =="
     --out="$BUILD_ROOT/BENCH_population_tsan_smoke.json"
 require_json "$BUILD_ROOT/BENCH_population_tsan_smoke.json"
 
+# UBSan flavour (address+undefined plus float-cast-overflow): polices the
+# kernel tier's u64→f64 conversions and intrinsic shims, and every byte
+# the CLSN container writer and reader, the shard seal and the shard
+# decode touch. Builds the full tree but runs only the kernel, stats,
+# snapshot, population and run-plan suites — the rest of the ctest pass
+# under ASan is covered well enough by the two flavours above.
+ubsan_dir="$BUILD_ROOT/ubsan"
 echo "== [ubsan] configure =="
 cmake -S "$ROOT" -B "$ubsan_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCLOUDLENS_SANITIZE=address >/dev/null
 echo "== [ubsan] build (-j$JOBS) =="
 cmake --build "$ubsan_dir" -j "$JOBS"
-echo "== [ubsan] kernel + stats suites =="
-ctest --test-dir "$ubsan_dir" --output-on-failure \
-    -R 'Kernel|StatsProperty|QuantileProperty|Correlation|Fft|Periodicity'
+echo "== [ubsan] kernel, stats, snapshot, population + run-plan suites =="
+ubsan_suites='Kernel|StatsProperty|QuantileProperty|Correlation|Fft|Periodicity'
+ubsan_suites="$ubsan_suites|Snapshot|Population|RunPlan"
+ctest --test-dir "$ubsan_dir" --output-on-failure -R "$ubsan_suites"
 
 echo "== [release] telemetry perf smoke =="
 "$BUILD_ROOT/release/bench/bench_telemetry" \
