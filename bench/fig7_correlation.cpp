@@ -5,13 +5,6 @@
 //       (US regions, ~9 time zones);
 //   (c) the ServiceX case study: per-region daily utilization of a
 //       region-agnostic service peaks at the same instants everywhere.
-//
-// Kernel dispatch flags (default strict, bit-identical to scalar):
-//   --kernels=scalar|sse2|avx2|auto   SIMD tier for the Pearson kernels
-//   --kernel-mode=strict|fast         fast opts this figure's correlation
-//                                     sweeps into the SIMD Pearson
-//                                     reduction end-to-end (3.9x on the
-//                                     kernel; see BENCH_simd.json)
 #include "analysis/context.h"
 #include "analysis/spatial.h"
 #include "bench_common.h"
@@ -19,29 +12,11 @@
 #include "common/table.h"
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
-#include "stats/kernels/dispatch.h"
 
 using namespace cloudlens;
 
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--kernels=", 10) == 0) {
-      if (!stats::kernels::set_tier_from_string(argv[i] + 10)) {
-        std::printf("invalid --kernels (want scalar|sse2|avx2|auto)\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--kernel-mode=", 14) == 0) {
-      if (!stats::kernels::set_mode_from_string(argv[i] + 14)) {
-        std::printf("invalid --kernel-mode (want strict|fast)\n");
-        return 2;
-      }
-    }
-  }
-  const auto kernels = stats::kernels::active();
-  std::printf("kernel dispatch: tier=%s mode=%s\n",
-              std::string(stats::kernels::to_string(kernels.tier)).c_str(),
-              std::string(stats::kernels::to_string(kernels.mode)).c_str());
   const auto scenario = bench::make_bench_scenario(args);
   const TraceStore& trace = *scenario.trace;
 

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/phase_timer.h"
-#include "stats/kernels/dispatch.h"
 
 namespace cloudlens {
 namespace {
@@ -101,14 +100,6 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   metrics.set(obs::Gauge::kPanelBytes,
               static_cast<double>((data_.capacity() + hourly_.capacity()) *
                                   sizeof(double)));
-  // Stamp the kernel dispatch that produced this panel into the gauges
-  // (the fill above ran through the dispatched hash_normal kernel, and
-  // dispatch may have resolved before metrics were enabled).
-  const auto kernel_config = stats::kernels::active();
-  metrics.set(obs::Gauge::kKernelTier,
-              static_cast<double>(kernel_config.tier));
-  metrics.set(obs::Gauge::kKernelMode,
-              static_cast<double>(kernel_config.mode));
 }
 
 TelemetryPanel::TelemetryPanel(TimeGrid grid, std::size_t rows,

@@ -10,9 +10,9 @@
 //   flags.flag("--no-cache", &no_cache);          // presence flag
 //   flags.value("--scale", &scale);               // double
 //   flags.value("--out", &dir);                   // string
-//   flags.value("--kernels", [](const std::string& v) {
-//     return set_tier_from_string(v);             // false => rejected value
-//   });
+//   flags.value("--backend", [](const std::string& v) {
+//     return find_backend(v) != nullptr;          // false => rejected value
+//   }, "want cloudlens|azure|google");            // hint in the error
 //   if (!flags.parse(argc, argv, /*start=*/2)) {
 //     std::cerr << flags.error() << "\n"; ...
 //   }
@@ -47,7 +47,7 @@ class FlagSet {
 
   /// Custom value flag: apply() returns false to reject the value, which
   /// surfaces as `invalid value for --name: 'VALUE'` (append a hint with
-  /// the optional third argument, e.g. "want strict|fast").
+  /// the optional third argument, e.g. "want private|public").
   FlagSet& value(std::string name, std::function<bool(const std::string&)>,
                  std::string hint = {});
 

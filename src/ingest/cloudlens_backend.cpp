@@ -18,7 +18,6 @@
 #include "obs/phase_timer.h"
 
 namespace cloudlens::ingest {
-namespace {
 
 CloudType parse_cloud(const CsvRow& row, std::size_t col) {
   const std::string_view text = row.field(col);
@@ -33,6 +32,8 @@ PartyType parse_party(const CsvRow& row, std::size_t col) {
   if (text == "third-party") return PartyType::kThirdParty;
   row.fail(col, "first-party|third-party");
 }
+
+namespace {
 
 CsvDecodeOptions decode_options(const IngestOptions& options,
                                 std::string file) {

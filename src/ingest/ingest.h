@@ -6,11 +6,20 @@
 // want parallel decode go through import_cloudlens_streams or a backend).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 
 #include "ingest/backend.h"
 
 namespace cloudlens::ingest {
+
+class CsvRow;
+
+/// Strict cloudlens-schema enum fields ("private|public",
+/// "first-party|third-party"); any other text fails with the row's
+/// located CheckError. Shared by the CSV importer and the serve stream.
+CloudType parse_cloud(const CsvRow& row, std::size_t col);
+PartyType parse_party(const CsvRow& row, std::size_t col);
 
 /// Stream-level cloudlens-schema import: the cloudlens backend's core,
 /// exposed for callers that hold streams rather than a directory (the

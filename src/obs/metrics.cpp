@@ -89,8 +89,12 @@ MetricsRegistry::Shard& MetricsRegistry::shard() {
 
 void MetricsRegistry::set(Gauge g, double value) {
   if (!enabled()) return;
-  gauges_[static_cast<std::size_t>(g)].store(std::bit_cast<std::uint64_t>(value),
-                                             std::memory_order_relaxed);
+  auto& slot = gauges_[static_cast<std::size_t>(g)];
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  // An unchanged value skips the store, so a gauge re-stamped from many
+  // threads (kernels.tier) keeps its cache line shared.
+  if (slot.load(std::memory_order_relaxed) != bits)
+    slot.store(bits, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::observe_seconds(Histogram h, double seconds) {

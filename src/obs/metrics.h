@@ -100,12 +100,11 @@ namespace cloudlens::obs {
   X(kPipelineCacheStores, "pipeline.cache_stores")             \
   X(kPipelineCacheBytesWritten, "pipeline.cache_bytes_written") \
   X(kPipelineCacheBytesRead, "pipeline.cache_bytes_read")      \
-  /* stats/kernels: SIMD kernel tier */                        \
+  /* stats/kernels: hot kernel families */                     \
   X(kKernelPearsonCalls, "kernels.pearson_calls")              \
   X(kKernelBandCalls, "kernels.band_calls")                    \
   X(kKernelFftStages, "kernels.fft_stages")                    \
   X(kKernelNoiseFills, "kernels.noise_fills")                  \
-  X(kKernelTierFallbacks, "kernels.tier_fallbacks")            \
   /* cloudsim/trace_io: CSV bridge */                          \
   X(kTraceIoUtilizationVmsDropped, "trace_io.utilization_vms_dropped") \
   /* ingest: real-trace backends + chunked parallel CSV decode */ \
@@ -146,9 +145,8 @@ namespace cloudlens::obs {
   X(kPanelVms, "panel.vms")                                    \
   X(kPopulationShardCount, "population.shard_count")           \
   X(kPopulationShardResidentBytes, "population.shard_resident_bytes") \
-  /* resolved kernel dispatch: Tier / Mode enum values */      \
+  /* kernel path: 0 scalar, 2 AVX2 (stats::kernels::Tier) */   \
   X(kKernelTier, "kernels.tier")                               \
-  X(kKernelMode, "kernels.mode")                               \
   /* serve: instantaneous engine state */                      \
   X(kServeEpoch, "serve.epoch_ticks")                          \
   X(kServeIngestLagSeconds, "serve.ingest_lag_seconds")        \

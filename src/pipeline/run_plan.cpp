@@ -16,7 +16,6 @@
 #include "cloudsim/snapshot.h"
 #include "common/check.h"
 #include "ingest/backend.h"
-#include "stats/kernels/dispatch.h"
 #include "workloads/pattern_snapshot.h"
 #include "workloads/profiles.h"
 
@@ -292,16 +291,6 @@ Stage make_kb_stage(const RunPlanOptions& options) {
     h.u64(ex.spot_min_ended_vms);
     h.f64(ex.oversub_p95_max);
     h.f64(ex.deferral_peak_to_mean_min);
-    // Kernel dispatch: strict mode is bit-identical at every tier, so
-    // strict keys stay exactly as before (existing caches keep hitting).
-    // Fast mode reassociates the Pearson reduction, so its artifacts are
-    // (mode, tier)-specific and must not share cache entries with strict
-    // runs or with other tiers.
-    const auto kc = stats::kernels::active();
-    if (kc.mode == stats::kernels::Mode::kFast) {
-      h.str("kernels-fast");
-      h.u8(static_cast<std::uint8_t>(kc.tier));
-    }
   };
   stage.compute = [ex](const StageInputs& inputs) {
     const auto trace = inputs.get<TraceArtifact>("trace");

@@ -16,6 +16,7 @@
 #include "cloudsim/snapshot.h"
 #include "cloudsim/trace.h"
 #include "cloudsim/trace_io.h"
+#include "ingest/csv.h"
 #include "ingest/ingest.h"
 #include "common/check.h"
 #include "kb/refresh.h"
@@ -31,18 +32,27 @@ constexpr SimTime kNoSample = std::numeric_limits<SimTime>::max();
 constexpr std::uint64_t kKbInFlight =
     std::numeric_limits<std::uint64_t>::max();
 
-std::vector<std::string> split(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  for (;;) {
-    const auto comma = line.find(',', pos);
-    if (comma == std::string_view::npos) {
-      out.emplace_back(line.substr(pos));
-      return out;
-    }
-    out.emplace_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
+/// File name the located parse errors of ingest_line carry.
+const std::string kStreamFile = "serve stream";
+
+/// A strict unsigned id field. Values past the 32-bit id space, including
+/// the invalid-id sentinel, fail like any other malformed field.
+std::uint32_t id_field(const ingest::CsvRow& row, std::size_t col) {
+  const std::uint64_t value = row.u64(col);
+  if (value >= VmId::kInvalid) row.fail(col, "an id below 4294967295");
+  return static_cast<std::uint32_t>(value);
+}
+
+/// The three grid fields of a `grid,start,step,count` line.
+TimeGrid parse_grid(const ingest::CsvRow& row) {
+  row.expect_fields(4);
+  TimeGrid grid;
+  grid.start = row.i64(1);
+  grid.step = row.i64(2);
+  grid.count = row.u64(3);
+  CL_CHECK_MSG(grid.step > 0 && grid.count > 0,
+               row.file() << ":" << row.line() << ": empty grid");
+  return grid;
 }
 
 void append_double(std::string& out, double v) {
@@ -150,24 +160,23 @@ ServeEngine::~ServeEngine() = default;
 // --- ingest ---------------------------------------------------------------
 
 void ServeEngine::ingest_line(std::string_view line) {
-  if (line.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto f = split(line);
-  const std::string& tag = f.front();
+  ++lines_;
+  if (line.empty()) return;
+  // Every field of a line parses before the line changes any state.
+  ingest::split_fields(line, fields_);
+  const ingest::CsvRow row(fields_, &kStreamFile, lines_);
+  const std::string_view tag = row.field(0);
   if (tag == "cloudlens-stream") {
-    CL_CHECK_MSG(f.size() == 2 && f[1] == "v1",
+    CL_CHECK_MSG(row.size() == 2 && row.field(1) == "v1",
                  "unsupported stream header: " << line);
     header_seen_ = true;
     return;
   }
   if (tag == "grid") {
-    CL_CHECK_MSG(f.size() == 4, "malformed grid line: " << line);
     CL_CHECK_MSG(vms_.empty() && events_ == 0,
                  "grid must precede all events");
-    grid_.start = std::stoll(f[1]);
-    grid_.step = std::stoll(f[2]);
-    grid_.count = std::stoul(f[3]);
-    CL_CHECK(grid_.step > 0 && grid_.count > 0);
+    grid_ = parse_grid(row);
     window_start_tick_ = 0;
     return;
   }
@@ -181,15 +190,13 @@ void ServeEngine::ingest_line(std::string_view line) {
   // Lifecycle / telemetry events.
   finalize_topology();
   if (tag == "vm") {
-    CL_CHECK_MSG(f.size() == 13, "malformed vm line: " << line);
-    const SimTime t = std::stoll(f[12]);
-    advance_watermark(t);
-    apply_vm_line(f, t);
+    apply_vm_line(row);
     metrics_->add(obs::Counter::kServeVmsCreated);
   } else if (tag == "sample") {
-    CL_CHECK_MSG(f.size() == 4, "malformed sample line: " << line);
-    const auto id = static_cast<std::uint32_t>(std::stoul(f[1]));
-    const SimTime t = std::stoll(f[2]);
+    row.expect_fields(4);
+    const std::uint32_t id = id_field(row, 1);
+    const SimTime t = row.i64(2);
+    const double value = row.f64(3);
     advance_watermark(t);
     const auto it = vms_.find(id);
     CL_CHECK_MSG(it != vms_.end(), "sample for unknown vm " << id);
@@ -198,14 +205,14 @@ void ServeEngine::ingest_line(std::string_view line) {
     VmState& vm = it->second;
     if (vm.samples == nullptr)
       vm.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
-    (*vm.samples)[grid_.index_of(t)] = std::stod(f[3]);
+    (*vm.samples)[grid_.index_of(t)] = value;
     if (t < vm.first_sample) vm.first_sample = t;
     touch_subscription(vm.rec.subscription.value(), t);
     metrics_->add(obs::Counter::kServeSamplesIngested);
   } else if (tag == "del") {
-    CL_CHECK_MSG(f.size() == 3, "malformed del line: " << line);
-    const auto id = static_cast<std::uint32_t>(std::stoul(f[1]));
-    const SimTime t = std::stoll(f[2]);
+    row.expect_fields(3);
+    const std::uint32_t id = id_field(row, 1);
+    const SimTime t = row.i64(2);
     advance_watermark(t);
     const auto it = vms_.find(id);
     CL_CHECK_MSG(it != vms_.end(), "del for unknown vm " << id);
@@ -241,31 +248,27 @@ void ServeEngine::ingest(std::istream& in) {
                             elapsed_seconds(start));
 }
 
-void ServeEngine::apply_vm_line(const std::vector<std::string>& f, SimTime t) {
-  const auto id = static_cast<std::uint32_t>(std::stoul(f[1]));
-  CL_CHECK_MSG(vms_.find(id) == vms_.end(), "duplicate vm id " << id);
+void ServeEngine::apply_vm_line(const ingest::CsvRow& row) {
+  row.expect_fields(13);
+  const std::uint32_t id = id_field(row, 1);
   VmState st;
   VmRecord& rec = st.rec;
   rec.id = VmId(id);
-  rec.subscription = SubscriptionId(
-      static_cast<SubscriptionId::underlying>(std::stoul(f[2])));
-  if (!f[3].empty()) {
-    rec.service =
-        ServiceId(static_cast<ServiceId::underlying>(std::stoul(f[3])));
-  }
-  rec.cloud = f[4] == "private" ? CloudType::kPrivate : CloudType::kPublic;
-  rec.party = f[5] == "first-party" ? PartyType::kFirstParty
-                                    : PartyType::kThirdParty;
-  rec.region = RegionId(static_cast<RegionId::underlying>(std::stoul(f[6])));
-  rec.cluster =
-      ClusterId(static_cast<ClusterId::underlying>(std::stoul(f[7])));
-  rec.rack = RackId(static_cast<RackId::underlying>(std::stoul(f[8])));
-  rec.node = NodeId(static_cast<NodeId::underlying>(std::stoul(f[9])));
-  rec.cores = std::stod(f[10]);
-  rec.memory_gb = std::stod(f[11]);
-  rec.created = t;
+  rec.subscription = SubscriptionId(id_field(row, 2));
+  if (!row.field(3).empty()) rec.service = ServiceId(id_field(row, 3));
+  rec.cloud = ingest::parse_cloud(row, 4);
+  rec.party = ingest::parse_party(row, 5);
+  rec.region = RegionId(id_field(row, 6));
+  rec.cluster = ClusterId(id_field(row, 7));
+  rec.rack = RackId(id_field(row, 8));
+  rec.node = NodeId(id_field(row, 9));
+  rec.cores = row.f64(10);
+  rec.memory_gb = row.f64(11);
+  rec.created = row.i64(12);
   rec.deleted = kNoEnd;
-  touch_subscription(rec.subscription.value(), t);
+  advance_watermark(rec.created);
+  CL_CHECK_MSG(vms_.find(id) == vms_.end(), "duplicate vm id " << id);
+  touch_subscription(rec.subscription.value(), rec.created);
   vms_.emplace(id, std::move(st));
 }
 
@@ -722,33 +725,39 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
   CL_CHECK_MSG(events_ == 0 && vms_.empty(),
                "restore requires a fresh engine");
 
-  std::ifstream meta_in(path + ".meta");
+  const std::string meta_path = path + ".meta";
+  std::ifstream meta_in(meta_path);
   CL_CHECK_MSG(meta_in.good(), "cannot read checkpoint meta " << path);
   std::string line;
   CL_CHECK(std::getline(meta_in, line) && line == "serve-checkpoint,v1");
   std::size_t epoch = 0;
   std::vector<std::uint32_t> ids;
-  while (std::getline(meta_in, line)) {
+  std::vector<std::string_view> fields;
+  for (std::uint64_t number = 2; std::getline(meta_in, line); ++number) {
     if (line.empty()) continue;
-    const auto f = split(line);
-    if (f[0] == "grid") {
-      CL_CHECK(f.size() == 4);
-      grid_.start = std::stoll(f[1]);
-      grid_.step = std::stoll(f[2]);
-      grid_.count = std::stoul(f[3]);
-    } else if (f[0] == "window_start") {
-      window_start_tick_ = std::stoul(f[1]);
-    } else if (f[0] == "epoch") {
-      epoch = std::stoul(f[1]);
-    } else if (f[0] == "rolls") {
-      rolls_ = std::stoull(f[1]);
-    } else if (f[0] == "ids") {
-      for (std::size_t i = 1; i < f.size(); ++i) {
-        ids.push_back(static_cast<std::uint32_t>(std::stoul(f[i])));
-      }
+    ingest::split_fields(line, fields);
+    const ingest::CsvRow row(fields, &meta_path, number);
+    const std::string_view tag = row.field(0);
+    if (tag == "grid") {
+      grid_ = parse_grid(row);
+    } else if (tag == "window_start") {
+      row.expect_fields(2);
+      window_start_tick_ = row.u64(1);
+    } else if (tag == "epoch") {
+      row.expect_fields(2);
+      epoch = row.u64(1);
+    } else if (tag == "rolls") {
+      row.expect_fields(2);
+      rolls_ = row.u64(1);
+    } else if (tag == "ids") {
+      for (std::size_t i = 1; i < row.size(); ++i)
+        ids.push_back(id_field(row, i));
     }
   }
   CL_CHECK_MSG(grid_.count > 0, "checkpoint meta missing grid");
+  CL_CHECK_MSG(window_start_tick_ < grid_.count,
+               meta_path << ": window_start " << window_start_tick_
+                         << " is past the grid");
 
   std::ifstream in(path, std::ios::binary);
   CL_CHECK_MSG(in.good(), "cannot read checkpoint " << path);
@@ -772,6 +781,8 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
                    "checkpoint vm carries a non-sampled model");
       st.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
       const auto cells = sampled->samples();
+      CL_CHECK_MSG(cells.size() <= grid_.count - window_start_tick_,
+                   "checkpoint vm samples overrun the grid");
       for (std::size_t j = 0; j < cells.size(); ++j) {
         (*st.samples)[window_start_tick_ + j] = cells[j];
       }

@@ -81,6 +81,9 @@
 namespace cloudlens {
 class Topology;
 class TraceStore;
+namespace ingest {
+class CsvRow;
+}
 }  // namespace cloudlens
 
 namespace cloudlens::serve {
@@ -116,8 +119,10 @@ class ServeEngine {
   // --- ingest ------------------------------------------------------------
 
   /// Apply one stream line (header, grid, topo, vm, sample, del, end;
-  /// blank lines are ignored). Throws CheckError on malformed input or a
-  /// timestamp regression. Safe to call while queries run.
+  /// blank lines are ignored). Fields parse with the CSV importer's strict
+  /// parser. Throws CheckError on malformed input (naming the line's
+  /// position among the lines handed to this engine, and the column) or
+  /// a timestamp regression. Safe to call while queries run.
   void ingest_line(std::string_view line);
 
   /// Drain a whole stream; one serve.ingest_batch_seconds observation.
@@ -178,7 +183,9 @@ class ServeEngine {
   struct Snapshot;
 
   // All pre-locked helpers expect mu_ held.
-  void apply_vm_line(const std::vector<std::string>& f, SimTime t);
+  /// Parses a `vm` line completely, then advances the watermark to its
+  /// creation time and adds the VM.
+  void apply_vm_line(const ingest::CsvRow& row);
   void advance_watermark(SimTime t);
   void maybe_roll_window();
   void finalize_topology();
@@ -207,6 +214,10 @@ class ServeEngine {
   TimeGrid grid_{};                 // full stream grid (count 0 = unset)
   bool header_seen_ = false;
   SimTime watermark_;
+  std::uint64_t lines_ = 0;         // lines handed to ingest_line
+  /// ingest_line's field buffer, reused across lines; its views point
+  /// into the line being parsed and are read only during that call.
+  std::vector<std::string_view> fields_;
   std::uint64_t events_ = 0;
   std::uint64_t rolls_ = 0;
   std::size_t window_start_tick_ = 0;

@@ -64,9 +64,7 @@ double pearson_fused(std::span<const double> x, std::span<const double> y) {
   if (n < 2) return 0.0;
 
   // Single fused pass: five co-moment accumulators, one load of each
-  // operand per tick, no temporary series. The accumulation runs through
-  // the dispatched kernel tier (strict mode keeps the serial scalar
-  // order; fast mode may use SIMD lane accumulators).
+  // operand per tick, no temporary series, accumulated in serial order.
   const kernels::PearsonSums s = kernels::pearson_sums(x, y);
   const double dn = static_cast<double>(n);
   const double cxx = s.sxx - s.sx * s.sx / dn;

@@ -51,9 +51,9 @@ void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
       wi = wr * wi0 + wi * wr0;
       wr = next_wr;
     }
-    // Dispatched butterfly stage; every tier computes the exact scalar
-    // expressions per lane, so the transform is bit-identical across
-    // tiers and modes.
+    // Butterfly stage kernel; the AVX2 path computes the exact scalar
+    // expressions per lane, so the transform is bit-identical on both
+    // kernel paths.
     kernels::fft_stage(d, n, len, twiddle.data());
   }
   if (inverse) {

@@ -1,11 +1,11 @@
-// AVX2 kernel tier (four double / four 64-bit integer lanes).
+// AVX2 kernel variants (four double / four 64-bit integer lanes).
 //
 // This translation unit is compiled with -mavx2 when the compiler
 // supports it. To keep AVX2 code from leaking into other TUs through
 // COMDAT folding, nothing here touches shared inline/template code: the
 // bodies are raw pointers and intrinsics only (see kernels_impl.h for
-// the rationale). Runtime dispatch guarantees these functions only run
-// after __builtin_cpu_supports("avx2") returned true.
+// the rationale). kernels.cpp runs these functions only after
+// __builtin_cpu_supports("avx2") returned true.
 //
 // Bit-exactness notes:
 //  - fft_stage: _mm256_addsub_pd yields exactly the scalar expressions
@@ -13,9 +13,6 @@
 //  - hash_normal_fill: 64-bit lane multiplies are emulated exactly from
 //    32-bit partial products, and u64→f64 uses an exact split
 //    conversion, so the SplitMix64 stream is bit-identical per lane.
-//  - pearson fast: four lane accumulators; reduction order is
-//    (lane0+lane2) + (lane1+lane3), then the scalar tail serially.
-#include "stats/kernels/kernels.h"
 #include "stats/kernels/kernels_impl.h"
 
 #if defined(__AVX2__)
@@ -73,47 +70,7 @@ inline __m256d splitmix_uniform(__m256i& state) {
                        _mm256_set1_pd(0x1.0p-53));
 }
 
-/// (lane0 + lane2) + (lane1 + lane3).
-inline double hsum(__m256d v) {
-  const __m128d pair =
-      _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-}
-
 }  // namespace
-
-PearsonSums pearson_sums_avx2_fast(const double* x, const double* y,
-                                   std::size_t n) {
-  __m256d sx = _mm256_setzero_pd(), sy = _mm256_setzero_pd();
-  __m256d sxx = _mm256_setzero_pd(), syy = _mm256_setzero_pd();
-  __m256d sxy = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    sx = _mm256_add_pd(sx, vx);
-    sy = _mm256_add_pd(sy, vy);
-    sxx = _mm256_add_pd(sxx, _mm256_mul_pd(vx, vx));
-    syy = _mm256_add_pd(syy, _mm256_mul_pd(vy, vy));
-    sxy = _mm256_add_pd(sxy, _mm256_mul_pd(vx, vy));
-  }
-  PearsonSums s;
-  s.sx = hsum(sx);
-  s.sy = hsum(sy);
-  s.sxx = hsum(sxx);
-  s.syy = hsum(syy);
-  s.sxy = hsum(sxy);
-  for (; i < n; ++i) {
-    const double xi = x[i];
-    const double yi = y[i];
-    s.sx += xi;
-    s.sy += yi;
-    s.sxx += xi * xi;
-    s.syy += yi * yi;
-    s.sxy += xi * yi;
-  }
-  return s;
-}
 
 void fft_stage_avx2(double* data, std::size_t n, std::size_t len,
                     const double* twiddle) {
@@ -197,14 +154,9 @@ void hash_normal_fill_avx2(std::uint64_t seed, const std::int64_t* keys,
   if (i < n) hash_normal_fill_scalar(seed, keys + i, n - i, out + i);
 }
 
-#else  // compiler cannot target AVX2: forward to the oracle. Dispatch
-       // never selects the AVX2 tier in this build (tier_supported still
-       // reflects hardware, so set_active clamps; see dispatch.cpp).
+#else  // compiler cannot target AVX2: forward to the oracle, so the
+       // AVX2 path of this build runs the scalar bytes.
 
-PearsonSums pearson_sums_avx2_fast(const double* x, const double* y,
-                                   std::size_t n) {
-  return pearson_sums_scalar(x, y, n);
-}
 void fft_stage_avx2(double* data, std::size_t n, std::size_t len,
                     const double* twiddle) {
   fft_stage_scalar(data, n, len, twiddle);

@@ -1,9 +1,10 @@
-// Scalar reference tier: the byte-level oracle for every kernel family.
+// Scalar reference: the byte-level oracle for the vectorized kernel
+// families, and the only path off x86.
 //
 // These loops are verbatim the code the callers ran before the kernel
-// seam existed (correlation.cpp's fused pass, series.cpp's column
-// gather, fft.cpp's butterfly inner loop, patterns.cpp's hash_normal) —
-// strict mode pins every other tier to these bytes.
+// seam existed (series.cpp's column gather, fft.cpp's butterfly inner
+// loop, patterns.cpp's hash_normal); the AVX2 variants are pinned to
+// these bytes.
 #include <cmath>
 
 #include "common/rng.h"
@@ -23,21 +24,6 @@ double hash_normal_one(std::uint64_t seed, std::int64_t key) {
 }
 
 namespace detail {
-
-PearsonSums pearson_sums_scalar(const double* x, const double* y,
-                                std::size_t n) {
-  PearsonSums s;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = x[i];
-    const double yi = y[i];
-    s.sx += xi;
-    s.sy += yi;
-    s.sxx += xi * xi;
-    s.syy += yi * yi;
-    s.sxy += xi * yi;
-  }
-  return s;
-}
 
 void fft_stage_scalar(double* data, std::size_t n, std::size_t len,
                       const double* twiddle) {

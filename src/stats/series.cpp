@@ -93,10 +93,10 @@ PercentileBands percentile_bands(std::span<const TimeSeries> population) {
   out.p75.resize(t_count);
   out.p95.resize(t_count);
 
-  // The dispatched band kernel gathers timepoint columns in transposed
-  // blocks (SIMD tiers stream the row-major population cache-friendly),
-  // then sorts each column — bit-identical to the old per-timepoint
-  // gather/sort loop at every tier.
+  // The band kernel gathers timepoint columns in transposed blocks (the
+  // AVX2 path streams the row-major population cache-friendly), then
+  // selects each column's order statistics — bit-identical to the old
+  // per-timepoint gather/sort loop on both kernel paths.
   std::vector<const double*> rows(population.size());
   for (std::size_t i = 0; i < population.size(); ++i)
     rows[i] = population[i].values().data();

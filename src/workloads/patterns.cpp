@@ -144,7 +144,7 @@ double hash_uniform(std::uint64_t seed, std::int64_t key) {
 }
 
 double hash_normal(std::uint64_t seed, std::int64_t key) {
-  // Single source of truth lives in the kernel tier (the scalar oracle of
+  // Single source of truth lives in stats/kernels (the scalar oracle of
   // the batched hash_normal_fill family).
   return stats::kernels::hash_normal_one(seed, key);
 }

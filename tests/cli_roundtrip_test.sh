@@ -1,9 +1,10 @@
 #!/bin/sh
 # End-to-end CLI round trip: generate -> insights -> figures -> advise,
 # then the out-of-core mode: a record-sharded analyze must write the same
-# report bytes as the resident one, the retired telemetry-shard flag must
-# be rejected as a usage error rather than ignored, and a command that
-# needs resident records must refuse --record-shards before doing work.
+# report bytes as the resident one, the retired telemetry-shard and
+# kernel-selection flags must be rejected as usage errors rather than
+# ignored, and a command that needs resident records must refuse
+# --record-shards before doing work.
 set -e
 CLI="$1"
 DIR=$(mktemp -d)
@@ -25,6 +26,17 @@ if [ "$rc" -ne 2 ]; then
     echo "retired flag: insights exited $rc, want 2 (unknown flag)" >&2
     exit 1
 fi
+for retired in "--kernels avx2" "--kernel-mode fast"; do
+    rc=0
+    # shellcheck disable=SC2086  # split the flag from its value
+    "$CLI" analyze --in "$DIR" $retired >/dev/null 2>"$DIR/err" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "unknown flag: ${retired% *}" "$DIR/err"
+    then
+        echo "retired flag: analyze $retired exited $rc, want 2" \
+             "(unknown flag)" >&2
+        exit 1
+    fi
+done
 rc=0
 "$CLI" advise --in "$DIR" --record-shards 4 --no-cache >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then

@@ -1,15 +1,16 @@
-// Differential harness for the SIMD kernel tier: every variant (tier ×
-// mode) of every kernel family is checked against the scalar reference
-// oracle over random spans and adversarial edge shapes — empty, length
-// one, lengths straddling the 2- and 4-wide lane boundaries, NaN/Inf
-// payloads, and denormals.
+// Differential harness for the kernel families: each AVX2 variant is
+// called directly and checked against the scalar reference on the same
+// inputs — random spans and adversarial edge shapes: empty, length one,
+// lengths straddling the 2- and 4-wide lane boundaries, NaN/Inf
+// payloads, and denormals. No test here switches the kernel path or
+// reads the environment; on a CPU without AVX2 the AVX2 comparisons skip
+// with a message.
 //
-// The contract being enforced (see stats/kernels/dispatch.h):
-//   * fft_stage, band_percentiles, hash_normal_fill: bit-identical to
-//     the oracle at every tier in BOTH modes.
-//   * pearson_sums: bit-identical in strict mode (any tier); fast mode
-//     may reassociate, so sums are compared with a tight tolerance and
-//     the finished correlation must agree to |Δr| <= 1e-9.
+// The contract being enforced (see stats/kernels/kernels.h):
+//   * fft_stage, the band gather, hash_normal_fill: the AVX2 variant is
+//     bit-identical to the scalar reference.
+//   * band_percentiles: bit-identical to an independent gather + sort.
+//   * pearson_sums: bit-identical to the serial left-to-right loop.
 //
 // NaN payloads may legitimately differ between variants (x86 min/add
 // NaN selection depends on operand order, and lanes swap operands), so
@@ -35,21 +36,10 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
 
-/// Every (tier, mode) pair this machine can execute. Unsupported tiers
-/// are omitted here; kernel_dispatch_test covers skip messaging.
-std::vector<Config> runnable_configs() {
-  std::vector<Config> configs;
-  for (const Tier tier : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
-    if (!tier_supported(tier)) continue;
-    configs.push_back({tier, Mode::kStrict});
-    configs.push_back({tier, Mode::kFast});
-  }
-  return configs;
-}
+constexpr const char* kNoAvx2 =
+    "this CPU has no AVX2; only the scalar reference was checked";
 
-std::string label(Config c) {
-  return std::string(to_string(c.tier)) + "/" + std::string(to_string(c.mode));
-}
+bool have_avx2() { return cpu_tier() == Tier::kAvx2; }
 
 /// Bitwise equality, except any-NaN-vs-any-NaN counts as equal.
 ::testing::AssertionResult BitsEqual(double a, double b) {
@@ -61,19 +51,6 @@ std::string label(Config c) {
   return ::testing::AssertionFailure()
          << a << " (0x" << std::hex << ba << ") != " << b << " (0x" << bb
          << ")";
-}
-
-/// Value equality with a combined absolute + relative tolerance; exact
-/// for infinities of the same sign; both-NaN counts as equal. The
-/// absolute floor absorbs denormal-range reassociation differences.
-::testing::AssertionResult CloseEnough(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return ::testing::AssertionSuccess();
-  if (a == b) return ::testing::AssertionSuccess();  // covers same-sign inf
-  const double tol =
-      1e-300 + 1e-12 * std::max(std::fabs(a), std::fabs(b));
-  if (std::fabs(a - b) <= tol) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " vs " << b << " (|delta| = " << std::fabs(a - b) << ")";
 }
 
 /// Deterministic pseudo-random series in [0, 1), like telemetry rows.
@@ -92,45 +69,30 @@ const std::size_t kEdgeLengths[] = {0,  1,  2,  3,  4,  5,   7,   8,
 
 // --- Family 1: pearson_sums ---------------------------------------------
 
-void check_pearson(Config config, std::span<const double> x,
-                   std::span<const double> y, bool finite_data) {
-  const PearsonSums oracle = detail::pearson_sums_scalar(x.data(), y.data(),
-                                                         x.size());
-  const PearsonSums got = pearson_sums_with(config, x, y);
-  if (config.mode == Mode::kStrict) {
-    EXPECT_TRUE(BitsEqual(got.sx, oracle.sx)) << label(config);
-    EXPECT_TRUE(BitsEqual(got.sy, oracle.sy)) << label(config);
-    EXPECT_TRUE(BitsEqual(got.sxx, oracle.sxx)) << label(config);
-    EXPECT_TRUE(BitsEqual(got.syy, oracle.syy)) << label(config);
-    EXPECT_TRUE(BitsEqual(got.sxy, oracle.sxy)) << label(config);
-    return;
+void check_pearson(std::span<const double> x, std::span<const double> y) {
+  // The byte contract is the serial left-to-right accumulation order.
+  PearsonSums serial;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    serial.sx += x[i];
+    serial.sy += y[i];
+    serial.sxx += x[i] * x[i];
+    serial.syy += y[i] * y[i];
+    serial.sxy += x[i] * y[i];
   }
-  EXPECT_TRUE(CloseEnough(got.sx, oracle.sx)) << label(config);
-  EXPECT_TRUE(CloseEnough(got.sy, oracle.sy)) << label(config);
-  EXPECT_TRUE(CloseEnough(got.sxx, oracle.sxx)) << label(config);
-  EXPECT_TRUE(CloseEnough(got.syy, oracle.syy)) << label(config);
-  EXPECT_TRUE(CloseEnough(got.sxy, oracle.sxy)) << label(config);
-  if (!finite_data || x.size() < 2) return;
-  // The documented fast-mode tolerance on the finished correlation.
-  const auto finish = [n = x.size()](const PearsonSums& s) {
-    const double dn = static_cast<double>(n);
-    const double cxx = s.sxx - s.sx * s.sx / dn;
-    const double cyy = s.syy - s.sy * s.sy / dn;
-    const double cxy = s.sxy - s.sx * s.sy / dn;
-    if (cxx <= 0.0 || cyy <= 0.0) return 0.0;
-    return cxy / std::sqrt(cxx * cyy);
-  };
-  EXPECT_NEAR(finish(got), finish(oracle), 1e-9) << label(config);
+  const PearsonSums got = pearson_sums(x, y);
+  EXPECT_TRUE(BitsEqual(got.sx, serial.sx));
+  EXPECT_TRUE(BitsEqual(got.sy, serial.sy));
+  EXPECT_TRUE(BitsEqual(got.sxx, serial.sxx));
+  EXPECT_TRUE(BitsEqual(got.syy, serial.syy));
+  EXPECT_TRUE(BitsEqual(got.sxy, serial.sxy));
 }
 
 TEST(KernelDifferential, PearsonRandomSpans) {
   for (const std::size_t n : kEdgeLengths) {
     const auto x = random_series(0x9E3779B9 + n, n);
     const auto y = random_series(0xC0FFEE00 + n, n);
-    for (const Config config : runnable_configs()) {
-      SCOPED_TRACE("n=" + std::to_string(n));
-      check_pearson(config, x, y, /*finite_data=*/true);
-    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    check_pearson(x, y);
   }
 }
 
@@ -139,11 +101,9 @@ TEST(KernelDifferential, PearsonCorrelatedAndConstant) {
   const auto x = random_series(1, n);
   std::vector<double> y(n), constant(n, 0.25);
   for (std::size_t i = 0; i < n; ++i) y[i] = 0.75 * x[i] + 0.1;
-  for (const Config config : runnable_configs()) {
-    check_pearson(config, x, y, true);
-    check_pearson(config, x, constant, true);
-    check_pearson(config, constant, constant, true);
-  }
+  check_pearson(x, y);
+  check_pearson(x, constant);
+  check_pearson(constant, constant);
 }
 
 TEST(KernelDifferential, PearsonSpecialValues) {
@@ -153,10 +113,8 @@ TEST(KernelDifferential, PearsonSpecialValues) {
     x[0] = kNaN;
     y[n / 2] = kInf;
     if (n > 4) x[n - 1] = -kInf;
-    for (const Config config : runnable_configs()) {
-      SCOPED_TRACE("n=" + std::to_string(n));
-      check_pearson(config, x, y, /*finite_data=*/false);
-    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    check_pearson(x, y);
   }
 }
 
@@ -165,61 +123,61 @@ TEST(KernelDifferential, PearsonDenormals) {
     std::vector<double> x(n, kDenormal), y(n);
     for (std::size_t i = 0; i < n; ++i)
       y[i] = (i % 2 != 0 ? -1.0 : 1.0) * kDenormal * double(i + 1);
-    for (const Config config : runnable_configs())
-      check_pearson(config, x, y, true);
+    check_pearson(x, y);
   }
 }
 
 // --- Family 3: fft_stage -------------------------------------------------
 
 /// Runs the full stage sweep (len = 2, 4, ..., n) the way fft_inplace
-/// does, comparing the buffer against the oracle's after every stage.
-void check_fft_sweep(std::vector<double> data) {
+/// does on the AVX2 variant and on the oracle, comparing the buffers
+/// after every stage.
+void check_fft_sweep(const std::vector<double>& data) {
   const std::size_t n = data.size() / 2;
   ASSERT_TRUE(n > 0 && (n & (n - 1)) == 0);
-  for (const Config config : runnable_configs()) {
-    std::vector<double> mine = data;
-    std::vector<double> reference = data;
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      // The same twiddle recurrence fft_inplace uses.
-      const std::size_t half = len / 2;
-      std::vector<double> twiddle(2 * half);
-      const double angle = -2.0 * 3.141592653589793238462643 /
-                           static_cast<double>(len);
-      double wr = 1.0, wi = 0.0;
-      const double wr0 = std::cos(angle), wi0 = std::sin(angle);
-      for (std::size_t k = 0; k < half; ++k) {
-        twiddle[2 * k] = wr;
-        twiddle[2 * k + 1] = wi;
-        const double next_wr = wr * wr0 - wi * wi0;
-        wi = wr * wi0 + wi * wr0;
-        wr = next_wr;
-      }
-      fft_stage_with(config, mine.data(), n, len, twiddle.data());
-      detail::fft_stage_scalar(reference.data(), n, len, twiddle.data());
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        ASSERT_TRUE(BitsEqual(mine[i], reference[i]))
-            << label(config) << " len=" << len << " i=" << i;
-      }
+  std::vector<double> mine = data;
+  std::vector<double> reference = data;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    // The same twiddle recurrence fft_inplace uses.
+    const std::size_t half = len / 2;
+    std::vector<double> twiddle(2 * half);
+    const double angle =
+        -2.0 * 3.141592653589793238462643 / static_cast<double>(len);
+    double wr = 1.0, wi = 0.0;
+    const double wr0 = std::cos(angle), wi0 = std::sin(angle);
+    for (std::size_t k = 0; k < half; ++k) {
+      twiddle[2 * k] = wr;
+      twiddle[2 * k + 1] = wi;
+      const double next_wr = wr * wr0 - wi * wi0;
+      wi = wr * wi0 + wi * wr0;
+      wr = next_wr;
+    }
+    detail::fft_stage_avx2(mine.data(), n, len, twiddle.data());
+    detail::fft_stage_scalar(reference.data(), n, len, twiddle.data());
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      ASSERT_TRUE(BitsEqual(mine[i], reference[i]))
+          << "len=" << len << " i=" << i;
     }
   }
 }
 
 TEST(KernelDifferential, FftStageBitExactRandom) {
+  if (!have_avx2()) GTEST_SKIP() << kNoAvx2;
   for (const std::size_t n : {1ul, 2ul, 4ul, 8ul, 16ul, 64ul, 256ul, 4096ul}) {
     auto data = random_series(0xFF7 + n, 2 * n);
     for (auto& v : data) v = 2.0 * v - 1.0;
-    check_fft_sweep(std::move(data));
+    check_fft_sweep(data);
   }
 }
 
 TEST(KernelDifferential, FftStageSpecialValues) {
+  if (!have_avx2()) GTEST_SKIP() << kNoAvx2;
   auto data = random_series(0xF00, 2 * 64);
   data[3] = kNaN;
   data[17] = kInf;
   data[40] = -kInf;
   data[77] = kDenormal;
-  check_fft_sweep(std::move(data));
+  check_fft_sweep(data);
 }
 
 // --- Family 2: band_percentiles -----------------------------------------
@@ -246,16 +204,30 @@ void check_bands(std::uint64_t seed, std::size_t nrows, std::size_t cols) {
     e95[c] = quantile_sorted(column, 0.95);
   }
 
-  for (const Config config : runnable_configs()) {
-    std::vector<double> p25(cols), p50(cols), p75(cols), p95(cols);
-    band_percentiles_with(config, rows, cols,
-                          BandOutputs{p25, p50, p75, p95});
-    for (std::size_t c = 0; c < cols; ++c) {
-      ASSERT_TRUE(BitsEqual(p25[c], e25[c]))
-          << label(config) << " nrows=" << nrows << " c=" << c;
-      ASSERT_TRUE(BitsEqual(p50[c], e50[c])) << label(config) << " c=" << c;
-      ASSERT_TRUE(BitsEqual(p75[c], e75[c])) << label(config) << " c=" << c;
-      ASSERT_TRUE(BitsEqual(p95[c], e95[c])) << label(config) << " c=" << c;
+  std::vector<double> p25(cols), p50(cols), p75(cols), p95(cols);
+  band_percentiles(rows, cols, BandOutputs{p25, p50, p75, p95});
+  for (std::size_t c = 0; c < cols; ++c) {
+    ASSERT_TRUE(BitsEqual(p25[c], e25[c])) << "nrows=" << nrows << " c=" << c;
+    ASSERT_TRUE(BitsEqual(p50[c], e50[c])) << "c=" << c;
+    ASSERT_TRUE(BitsEqual(p75[c], e75[c])) << "c=" << c;
+    ASSERT_TRUE(BitsEqual(p95[c], e95[c])) << "c=" << c;
+  }
+  if (!have_avx2()) return;
+
+  // The only path-dependent step is the column gather: the AVX2 block
+  // transpose must copy exactly the scalar gather's bytes, block by block.
+  std::vector<double> mine(detail::kBandBlockCols * nrows);
+  std::vector<double> reference(mine.size());
+  for (std::size_t c0 = 0; c0 < cols; c0 += detail::kBandBlockCols) {
+    const std::size_t bw = std::min(detail::kBandBlockCols, cols - c0);
+    std::fill(mine.begin(), mine.end(), kNaN);
+    std::fill(reference.begin(), reference.end(), kNaN);
+    detail::gather_columns_avx2(rows.data(), nrows, c0, bw, mine.data());
+    detail::gather_columns_scalar(rows.data(), nrows, c0, bw,
+                                  reference.data());
+    for (std::size_t i = 0; i < bw * nrows; ++i) {
+      ASSERT_TRUE(BitsEqual(mine[i], reference[i]))
+          << "nrows=" << nrows << " c0=" << c0 << " i=" << i;
     }
   }
 }
@@ -267,14 +239,13 @@ TEST(KernelDifferential, BandPercentilesBitExact) {
     }
   }
   check_bands(42, 100, 2016);  // a realistic population × week
+  if (!have_avx2()) GTEST_SKIP() << kNoAvx2;
 }
 
 TEST(KernelDifferential, BandPercentilesZeroColumns) {
   std::vector<double> row{0.5};
   std::vector<const double*> rows{row.data()};
-  for (const Config config : runnable_configs()) {
-    band_percentiles_with(config, rows, 0, BandOutputs{{}, {}, {}, {}});
-  }
+  band_percentiles(rows, 0, BandOutputs{{}, {}, {}, {}});
 }
 
 // --- Family 4: hash_normal_fill -----------------------------------------
@@ -292,16 +263,16 @@ TEST(KernelDifferential, HashNormalFillBitExact) {
       // The scalar fill must itself agree with the per-element oracle.
       for (std::size_t i = 0; i < n; ++i)
         ASSERT_TRUE(BitsEqual(expected[i], hash_normal_one(seed, keys[i])));
-      for (const Config config : runnable_configs()) {
-        std::fill(got.begin(), got.end(), kNaN);
-        hash_normal_fill_with(config, seed, keys, got);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_TRUE(BitsEqual(got[i], expected[i]))
-              << label(config) << " n=" << n << " i=" << i;
-        }
+      if (!have_avx2()) continue;
+      std::fill(got.begin(), got.end(), kNaN);
+      detail::hash_normal_fill_avx2(seed, keys.data(), n, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(BitsEqual(got[i], expected[i]))
+            << "n=" << n << " i=" << i;
       }
     }
   }
+  if (!have_avx2()) GTEST_SKIP() << kNoAvx2;
 }
 
 TEST(KernelDifferential, HashNormalFillExtremeKeys) {
@@ -313,11 +284,12 @@ TEST(KernelDifferential, HashNormalFillExtremeKeys) {
   std::vector<double> expected(keys.size()), got(keys.size());
   detail::hash_normal_fill_scalar(99, keys.data(), keys.size(),
                                   expected.data());
-  for (const Config config : runnable_configs()) {
-    hash_normal_fill_with(config, 99, keys, got);
-    for (std::size_t i = 0; i < keys.size(); ++i)
-      ASSERT_TRUE(BitsEqual(got[i], expected[i])) << label(config) << i;
-  }
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    ASSERT_TRUE(BitsEqual(expected[i], hash_normal_one(99, keys[i]))) << i;
+  if (!have_avx2()) GTEST_SKIP() << kNoAvx2;
+  detail::hash_normal_fill_avx2(99, keys.data(), keys.size(), got.data());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    ASSERT_TRUE(BitsEqual(got[i], expected[i])) << i;
 }
 
 }  // namespace

@@ -1,174 +1,65 @@
-// Runtime-dispatch behaviour of the kernel tier: environment-variable
-// forcing (CLOUDLENS_KERNELS / CLOUDLENS_KERNEL_MODE), programmatic
-// overrides, clamping of tiers the hardware cannot run, and the
-// tier-reporting contract.
-//
-// Tests that force a specific ISA tier skip with a message — not fail —
-// on hardware that lacks it, so the suite is portable to pre-AVX2
-// machines (and, with the scalar fallback, non-x86 ones).
-#include <cstdlib>
-#include <string>
-
+// Kernel path selection: the default is a pure function of the CPU, the
+// one test seam (ScopedTier) restores it, and the kernels.tier gauge
+// records the path that runs.
 #include <gtest/gtest.h>
 
-#include "stats/kernels/dispatch.h"
+#include "common/check.h"
+#include "obs/metrics.h"
 #include "stats/kernels/kernels.h"
 
 namespace cloudlens::stats::kernels {
 namespace {
 
-/// RAII guard: saves/restores both kernel env vars and re-resolves the
-/// dispatch config on the way out, so tests cannot leak state.
-class EnvGuard {
- public:
-  EnvGuard() {
-    save("CLOUDLENS_KERNELS", kernels_);
-    save("CLOUDLENS_KERNEL_MODE", mode_);
-  }
-  ~EnvGuard() {
-    restore("CLOUDLENS_KERNELS", kernels_);
-    restore("CLOUDLENS_KERNEL_MODE", mode_);
-    reset_from_env();
-  }
+bool cpu_has_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
 
- private:
-  static void save(const char* name, std::pair<bool, std::string>& slot) {
-    const char* v = std::getenv(name);
-    slot = {v != nullptr, v != nullptr ? std::string(v) : std::string()};
+/// The kernels.tier gauge of the global registry (-1 when absent).
+double tier_gauge() {
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::global().snapshot().gauges) {
+    if (name == "kernels.tier") return value;
   }
-  static void restore(const char* name,
-                      const std::pair<bool, std::string>& slot) {
-    if (slot.first) {
-      ::setenv(name, slot.second.c_str(), 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  std::pair<bool, std::string> kernels_;
-  std::pair<bool, std::string> mode_;
-};
-
-void force_env(const char* tier, const char* mode) {
-  if (tier != nullptr) {
-    ::setenv("CLOUDLENS_KERNELS", tier, 1);
-  } else {
-    ::unsetenv("CLOUDLENS_KERNELS");
-  }
-  if (mode != nullptr) {
-    ::setenv("CLOUDLENS_KERNEL_MODE", mode, 1);
-  } else {
-    ::unsetenv("CLOUDLENS_KERNEL_MODE");
-  }
-  reset_from_env();
+  return -1.0;
 }
 
 TEST(KernelDispatch, DefaultIsBestSupportedStrict) {
-  EnvGuard guard;
-  force_env(nullptr, nullptr);
-  const Config config = active();
-  EXPECT_EQ(config.tier, best_supported_tier());
-  EXPECT_EQ(config.mode, Mode::kStrict);
+  // AVX2 exactly when the CPU has it, scalar otherwise (and off x86).
+  // Either path is byte-identical to the scalar reference.
+  const Tier want = cpu_has_avx2() ? Tier::kAvx2 : Tier::kScalar;
+  EXPECT_EQ(cpu_tier(), want);
+  EXPECT_EQ(active(), want);
+  // The gauge records the path even when metrics are switched on (and
+  // reset) after it resolved.
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  metrics.reset();
+  EXPECT_EQ(active(), want);
+  EXPECT_EQ(tier_gauge(), static_cast<double>(want));
+  metrics.set_enabled(false);
 }
 
-TEST(KernelDispatch, AutoSelectsBestSupported) {
-  EnvGuard guard;
-  force_env("auto", nullptr);
-  EXPECT_EQ(active().tier, best_supported_tier());
-}
-
-TEST(KernelDispatch, EnvForcesScalar) {
-  EnvGuard guard;
-  force_env("scalar", nullptr);
-  EXPECT_EQ(active().tier, Tier::kScalar);
-  // A dispatched call must run (and agree with the oracle) on any CPU.
-  const double x[] = {0.25, 0.5, 0.75};
-  const PearsonSums s = pearson_sums(std::span<const double>(x),
-                                     std::span<const double>(x));
-  EXPECT_DOUBLE_EQ(s.sx, 1.5);
-}
-
-TEST(KernelDispatch, EnvForcesSse2) {
-  if (!tier_supported(Tier::kSse2))
-    GTEST_SKIP() << "sse2 tier not supported on this hardware; "
-                    "dispatch clamps it (covered by UnsupportedTierClamps)";
-  EnvGuard guard;
-  force_env("sse2", "strict");
-  EXPECT_EQ(active().tier, Tier::kSse2);
-  EXPECT_EQ(active().mode, Mode::kStrict);
-}
-
-TEST(KernelDispatch, EnvForcesAvx2) {
-  if (!tier_supported(Tier::kAvx2))
-    GTEST_SKIP() << "avx2 tier not supported on this hardware; "
-                    "dispatch clamps it (covered by UnsupportedTierClamps)";
-  EnvGuard guard;
-  force_env("avx2", "fast");
-  EXPECT_EQ(active().tier, Tier::kAvx2);
-  EXPECT_EQ(active().mode, Mode::kFast);
-}
-
-TEST(KernelDispatch, UnsupportedTierClamps) {
-  EnvGuard guard;
-  // Find a tier the hardware lacks; if every tier is supported there is
-  // nothing to clamp, so exercise set_active's pass-through instead.
-  Tier missing = Tier::kScalar;
-  bool found = false;
-  for (const Tier t : {Tier::kAvx2, Tier::kSse2}) {
-    if (!tier_supported(t)) {
-      missing = t;
-      found = true;
-      break;
+TEST(KernelDispatch, ScopedTierRestoresTheDefault) {
+  const Tier before = active();
+  {
+    const ScopedTier scalar(Tier::kScalar);
+    EXPECT_EQ(active(), Tier::kScalar);
+    if (cpu_tier() == Tier::kAvx2) {
+      const ScopedTier avx2(Tier::kAvx2);
+      EXPECT_EQ(active(), Tier::kAvx2);
     }
+    EXPECT_EQ(active(), Tier::kScalar);
   }
-  if (!found)
-    GTEST_SKIP() << "every tier is supported on this hardware; nothing to "
-                    "clamp";
-  set_active({missing, Mode::kStrict});
-  EXPECT_EQ(active().tier, best_supported_tier());
-}
-
-TEST(KernelDispatch, UnrecognizedEnvFallsBackToAuto) {
-  EnvGuard guard;
-  force_env("pentium-mmx", "blazing");
-  EXPECT_EQ(active().tier, best_supported_tier());
-  EXPECT_EQ(active().mode, Mode::kStrict);
-}
-
-TEST(KernelDispatch, ModeEnvIsIndependentOfTierEnv) {
-  EnvGuard guard;
-  force_env("scalar", "fast");
-  EXPECT_EQ(active().tier, Tier::kScalar);
-  EXPECT_EQ(active().mode, Mode::kFast);
-}
-
-TEST(KernelDispatch, SetFromStringsRoundTrips) {
-  EnvGuard guard;
-  force_env(nullptr, nullptr);
-  EXPECT_TRUE(set_tier_from_string("scalar"));
-  EXPECT_TRUE(set_mode_from_string("fast"));
-  EXPECT_EQ(active().tier, Tier::kScalar);
-  EXPECT_EQ(active().mode, Mode::kFast);
-  EXPECT_TRUE(set_tier_from_string("auto"));
-  EXPECT_EQ(active().tier, best_supported_tier());
-  EXPECT_FALSE(set_tier_from_string("avx512vnni"));
-  EXPECT_FALSE(set_mode_from_string("sloppy"));
-  // Failed parses must not disturb the active config.
-  EXPECT_EQ(active().tier, best_supported_tier());
-  EXPECT_EQ(active().mode, Mode::kFast);
-}
-
-TEST(KernelDispatch, TierNamesRoundTrip) {
-  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2})
-    EXPECT_EQ(parse_tier(to_string(t)), t);
-  for (const Mode m : {Mode::kStrict, Mode::kFast})
-    EXPECT_EQ(parse_mode(to_string(m)), m);
-  EXPECT_EQ(parse_tier("auto"), std::nullopt);  // "auto" is not a tier
-}
-
-TEST(KernelDispatch, ScalarTierAlwaysSupported) {
-  EXPECT_TRUE(tier_supported(Tier::kScalar));
-  // best_supported_tier must itself be runnable.
-  EXPECT_TRUE(tier_supported(best_supported_tier()));
+  EXPECT_EQ(active(), before);
+  if (cpu_tier() != Tier::kAvx2) {
+    // A CPU without AVX2 cannot be switched onto it.
+    EXPECT_THROW(ScopedTier{Tier::kAvx2}, CheckError);
+    EXPECT_EQ(active(), before);
+  }
 }
 
 }  // namespace

@@ -5,9 +5,6 @@
 // the pipeline.* counters, not timing).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -21,7 +18,7 @@
 #include "analysis/report.h"
 #include "obs/metrics.h"
 #include "pipeline/run_plan.h"
-#include "stats/kernels/dispatch.h"
+#include "stats/kernels/kernels.h"
 
 namespace cloudlens::pipeline {
 namespace {
@@ -203,30 +200,28 @@ TEST(RunPlanTest, RecordShardedRunsAliveTogetherKeepTheirOwnSpills) {
   EXPECT_EQ(own_spill_dirs(), dirs_before);
 }
 
-// --- Kernel tier × mode equivalence --------------------------------------
+// --- Kernel path equivalence ---------------------------------------------
 
 namespace kernels = stats::kernels;
 
-/// Restores the kernel dispatch config when a test block exits.
-class DispatchRestore {
- public:
-  ~DispatchRestore() { kernels::reset_from_env(); }
-};
-
 TEST_F(PipelineEquivalenceTest, StrictModeBitIdenticalAcrossKernelTiers) {
-  // Strict mode's whole contract: the report and every figure CSV are
-  // byte-identical whether kernels run scalar or SIMD, fresh or loaded
-  // from a snapshot, at 1 or 8 threads.
-  DispatchRestore restore;
-  kernels::set_active({kernels::Tier::kScalar, kernels::Mode::kStrict});
-  const RunOutput reference = run_and_render(plan_options("", false, 1));
+  // The byte-identity contract across kernel paths: the report and every
+  // figure CSV are identical whether the kernels run scalar or AVX2,
+  // fresh or loaded from a snapshot, at 1 or 8 threads.
+  const RunOutput reference = [] {
+    const kernels::ScopedTier scalar(kernels::Tier::kScalar);
+    return run_and_render(plan_options("", false, 1));
+  }();
   ASSERT_FALSE(reference.report.empty());
 
-  for (const auto tier :
-       {kernels::Tier::kScalar, kernels::Tier::kSse2, kernels::Tier::kAvx2}) {
-    if (!kernels::tier_supported(tier)) continue;
-    SCOPED_TRACE(std::string("tier=") + std::string(kernels::to_string(tier)));
-    kernels::set_active({tier, kernels::Mode::kStrict});
+  std::vector<kernels::Tier> tiers{kernels::Tier::kScalar};
+  if (kernels::cpu_tier() == kernels::Tier::kAvx2)
+    tiers.push_back(kernels::Tier::kAvx2);
+  for (const auto tier : tiers) {
+    const std::string name =
+        tier == kernels::Tier::kAvx2 ? "avx2" : "scalar";
+    SCOPED_TRACE("tier=" + name);
+    const kernels::ScopedTier scoped(tier);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
       // Fresh (uncached) run.
       const RunOutput fresh =
@@ -234,11 +229,10 @@ TEST_F(PipelineEquivalenceTest, StrictModeBitIdenticalAcrossKernelTiers) {
       EXPECT_EQ(fresh.report, reference.report) << threads << " threads";
       EXPECT_EQ(fresh.figures, reference.figures) << threads << " threads";
     }
-    // Snapshot round trip under this tier: cold stores, warm loads; both
-    // must reproduce the reference bytes. Per-tier cache dir keeps the
+    // Snapshot round trip on this path: cold stores, warm loads; both
+    // must reproduce the reference bytes. A per-path cache dir keeps the
     // cold/warm sequence self-contained.
-    const std::string tier_dir =
-        dir_ + "_" + std::string(kernels::to_string(tier));
+    const std::string tier_dir = dir_ + "_" + name;
     fs::remove_all(tier_dir);
     const RunOutput cold = run_and_render(plan_options(tier_dir, true, 8));
     EXPECT_EQ(source_of(cold, "trace"),
@@ -251,90 +245,20 @@ TEST_F(PipelineEquivalenceTest, StrictModeBitIdenticalAcrossKernelTiers) {
     EXPECT_EQ(warm.figures, reference.figures);
     fs::remove_all(tier_dir);
   }
-}
 
-/// Pull every "name,value" numeric cell out of a figure CSV body.
-std::vector<double> numeric_cells(const std::string& csv) {
-  std::vector<double> out;
-  std::istringstream lines(csv);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream cells(line);
-    std::string cell;
-    while (std::getline(cells, cell, ',')) {
-      char* end = nullptr;
-      const double v = std::strtod(cell.c_str(), &end);
-      if (end != cell.c_str() && end != nullptr && *end == '\0')
-        out.push_back(v);
-    }
-  }
-  return out;
-}
-
-TEST_F(PipelineEquivalenceTest, FastModeMatchesStrictWithinTolerance) {
-  // Fast mode may reassociate the Pearson reduction, so outputs are not
-  // pinned to bytes — but every numeric cell of every figure must agree
-  // with strict mode within a loose tolerance (the correlation deltas
-  // are ~1e-12; thresholded counts can only move if a value sits exactly
-  // on a classifier edge, which the generated scenario does not).
-  DispatchRestore restore;
-  kernels::set_active({kernels::Tier::kScalar, kernels::Mode::kStrict});
-  const RunOutput strict = run_and_render(plan_options("", false, 1));
-
-  kernels::set_active({kernels::best_supported_tier(), kernels::Mode::kFast});
-  const RunOutput fast = run_and_render(plan_options("", false, 1));
-
-  ASSERT_EQ(fast.figures.size(), strict.figures.size());
-  for (const auto& [name, strict_csv] : strict.figures) {
-    ASSERT_TRUE(fast.figures.count(name) == 1) << name;
-    const auto a = numeric_cells(strict_csv);
-    const auto b = numeric_cells(fast.figures.at(name));
-    ASSERT_EQ(a.size(), b.size()) << name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-6 + 1e-6 * std::fabs(a[i]))
-          << name << " cell " << i;
-    }
-  }
-  // On hardware where the best tier IS scalar, fast == strict exactly;
-  // either way the report must keep its shape (same line count).
-  EXPECT_EQ(std::count(strict.report.begin(), strict.report.end(), '\n'),
-            std::count(fast.report.begin(), fast.report.end(), '\n'));
-}
-
-TEST_F(PipelineEquivalenceTest, FastModeKbArtifactsDoNotPoisonStrictCache) {
-  // kb artifacts computed in fast mode are keyed per (mode, tier); a
-  // strict run after a fast run on the same cache must MISS the kb entry
-  // (recompute) rather than load tier-tainted bytes.
-  DispatchRestore restore;
+  // Stage keys carry no kernel path: a cache the scalar path filled is a
+  // warm hit on this CPU's path for the trace, panel and kb stages.
   RunPlanOptions options = plan_options(dir_, true, 1);
   options.want_kb = true;
-
-  kernels::set_active({kernels::best_supported_tier(), kernels::Mode::kFast});
-  const ResolvedRun fast_run = run_trace_plan(options);
-  ASSERT_TRUE(fast_run.knowledge != nullptr);
-
-  kernels::set_active({kernels::Tier::kScalar, kernels::Mode::kStrict});
-  const ResolvedRun strict_run = run_trace_plan(options);
-  ASSERT_TRUE(strict_run.knowledge != nullptr);
-  bool kb_seen = false;
-  for (const auto& report : strict_run.reports) {
-    if (report.name != "kb") continue;
-    kb_seen = true;
-    // Trace (and its bytes) are mode-independent, so it may hit; kb must
-    // not have been satisfied by the fast-mode entry.
-    EXPECT_NE(report.source, StageReport::Source::kCacheHit);
+  {
+    const kernels::ScopedTier scalar(kernels::Tier::kScalar);
+    const RunOutput cold = run_and_render(options);
+    EXPECT_EQ(source_of(cold, "kb"), StageReport::Source::kComputedAndStored);
   }
-  EXPECT_TRUE(kb_seen);
-
-  // Strict kb entries ARE shared across tiers: a second strict run at a
-  // different supported tier hits the cache.
-  kernels::set_active({kernels::best_supported_tier(), kernels::Mode::kStrict});
-  const ResolvedRun strict_again = run_trace_plan(options);
-  for (const auto& report : strict_again.reports) {
-    if (report.name == "kb") {
-      EXPECT_EQ(report.source, StageReport::Source::kCacheHit);
-    }
-  }
+  const RunOutput warm = run_and_render(options);
+  for (const char* stage : {"trace", "panel", "kb"})
+    EXPECT_EQ(source_of(warm, stage), StageReport::Source::kCacheHit) << stage;
+  EXPECT_EQ(warm.report, reference.report);
 }
 
 }  // namespace

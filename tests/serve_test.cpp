@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,6 +190,123 @@ TEST_F(ServeEngineTest, MalformedAndOutOfOrderInputThrows) {
       CheckError);
   // Samples must land on the declared grid.
   EXPECT_THROW(strict.ingest_line("sample,0,601,0.5"), CheckError);
+}
+
+/// The CheckError message `fn` throws ("" when it throws none).
+std::string check_error(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(ServeEngineTest, MalformedFieldsFailWithLocatedCheckError) {
+  // Stream fields parse with the CSV importer's strict parser: trailing
+  // garbage, negative or out-of-range ids and non-numeric grid fields
+  // fail with a CheckError naming the line and column, and a rejected
+  // line moves no engine state.
+  ServeEngine engine;
+  std::size_t fed = 0;
+  const auto feed = [&](const std::string& line) {
+    ++fed;
+    engine.ingest_line(line);
+  };
+  feed("cloudlens-stream,v1");
+  const std::string bad_grid =
+      check_error([&] { feed("grid,x,300,2016"); });
+  EXPECT_NE(bad_grid.find("serve stream:2: column 2"), std::string::npos)
+      << bad_grid;
+  feed("grid,0,300,2016");
+  for (const auto& line : stream_lines()) {
+    if (line.rfind("topo,", 0) == 0) feed(line);
+  }
+  feed("vm,0,0,,private,first-party,0,0,0,0,4,16,0");
+
+  const std::string bad_sample =
+      check_error([&] { feed("sample,0,600,0.5x"); });
+  EXPECT_NE(bad_sample.find("serve stream:" + std::to_string(fed) +
+                            ": column 4"),
+            std::string::npos)
+      << bad_sample;
+  EXPECT_EQ(engine.watermark(), 0);
+
+  const std::string negative_id = check_error(
+      [&] { feed("vm,-1,0,,private,first-party,0,0,0,0,4,16,600"); });
+  EXPECT_NE(negative_id.find("column 2"), std::string::npos) << negative_id;
+  EXPECT_THROW(
+      feed("vm,4294967296,0,,private,first-party,0,0,0,0,4,16,600"),
+      CheckError);
+  EXPECT_THROW(feed("vm,1,0,,privat,first-party,0,0,0,0,4,16,600"),
+               CheckError);
+  EXPECT_EQ(engine.resident_vms(), 1u);
+  EXPECT_EQ(engine.watermark(), 0);
+
+  // Well-formed lines still land after the rejected ones.
+  feed("sample,0,600,0.5");
+  EXPECT_EQ(engine.watermark(), 600);
+}
+
+TEST_F(ServeEngineTest, RestoreRejectsMalformedMetaLines) {
+  fx_.add_vm(CloudType::kPrivate, fx_.private_sub,
+             test::first_node(topo_, CloudType::kPrivate), 4, 0, kNoEnd,
+             std::make_shared<ConstantUtilization>(0.5));
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "cloudlens_serve_restore")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServeOptions options;
+  options.checkpoint_dir = dir;
+  ServeEngine engine(options);
+  for (const auto& line : stream_lines()) engine.ingest_line(line);
+  const std::string path = engine.checkpoint();
+  const std::string meta = path + ".meta";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(meta);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+
+  // Each sidecar line loses its value (the error names its line), or the
+  // window starts past the grid (the error names the sidecar).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"window_start", "window_start"},
+      {"epoch", "epoch"},
+      {"rolls", "rolls"},
+      {"window_start", "window_start,4294967296"}};
+  for (const auto& [key, replacement] : cases) {
+    SCOPED_TRACE(replacement);
+    std::size_t number = 0;
+    {
+      std::ofstream out(meta, std::ios::trunc);
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const bool target = lines[i].rfind(key + ",", 0) == 0;
+        if (target) number = i + 1;
+        out << (target ? replacement : lines[i]) << '\n';
+      }
+    }
+    ASSERT_GT(number, 0u);
+    const std::string where = replacement == key
+                                  ? meta + ":" + std::to_string(number) + ":"
+                                  : meta + ": window_start";
+    ServeEngine fresh;
+    const std::string error =
+        check_error([&] { fresh.restore_checkpoint(path); });
+    EXPECT_NE(error.find(where), std::string::npos) << error;
+  }
+
+  // The untouched sidecar still restores.
+  {
+    std::ofstream out(meta, std::ios::trunc);
+    for (const auto& line : lines) out << line << '\n';
+  }
+  ServeEngine fresh;
+  fresh.restore_checkpoint(path);
+  EXPECT_EQ(fresh.resident_vms(), engine.resident_vms());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ServeEngineTest, StatsCheckpointAndUnknownQueryEdges) {

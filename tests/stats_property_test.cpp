@@ -11,7 +11,7 @@
 #include "stats/ecdf.h"
 #include "stats/fft.h"
 #include "stats/histogram.h"
-#include "stats/kernels/dispatch.h"
+#include "stats/kernels/kernels.h"
 #include "stats/periodicity.h"
 #include "stats/series.h"
 
@@ -111,35 +111,12 @@ TEST(SummaryConsistency, SummaryAgreesWithDirectQuantiles) {
   EXPECT_LE(s.p99, s.max);
 }
 
-// --- Kernel-tier invariants ----------------------------------------------
+// --- Kernel-path invariants ----------------------------------------------
 //
-// pearson_fused and periodicity_score_acf now run through the dispatched
-// kernel seam, so their mathematical invariants are asserted under EVERY
-// (tier, mode) this machine can execute — a property regression in one
-// SIMD variant fails here by name.
-
-/// Restores the dispatch config (and re-resolves from the environment)
-/// when a per-tier test block finishes.
-class DispatchRestore {
- public:
-  ~DispatchRestore() { kernels::reset_from_env(); }
-};
-
-std::vector<kernels::Config> runnable_kernel_configs() {
-  std::vector<kernels::Config> configs;
-  for (const auto tier :
-       {kernels::Tier::kScalar, kernels::Tier::kSse2, kernels::Tier::kAvx2}) {
-    if (!kernels::tier_supported(tier)) continue;
-    configs.push_back({tier, kernels::Mode::kStrict});
-    configs.push_back({tier, kernels::Mode::kFast});
-  }
-  return configs;
-}
-
-std::string config_label(kernels::Config c) {
-  return std::string(kernels::to_string(c.tier)) + "/" +
-         std::string(kernels::to_string(c.mode));
-}
+// pearson_fused runs one serial loop on both kernel paths. The FFT behind
+// periodicity_score_acf has an AVX2 variant, so its invariants are
+// asserted on the scalar path and, on an AVX2 CPU, on the AVX2 path too —
+// a property regression in one variant fails here by name.
 
 class PearsonKernelProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -154,49 +131,21 @@ TEST_P(PearsonKernelProperty, SymmetricScaleInvariantAndBounded) {
     x2[i] = 2.0 * x[i];        // exact power-of-two scaling
     x_shift[i] = x[i] + 0.5;   // translation
   }
-  DispatchRestore restore;
-  for (const auto config : runnable_kernel_configs()) {
-    SCOPED_TRACE(config_label(config));
-    kernels::set_active(config);
-    const double r = pearson_fused(x, y);
-    EXPECT_LE(std::fabs(r), 1.0);
-    // Argument symmetry is exact in both modes: swapping x and y swaps
-    // sx/sy and sxx/syy, and every product is commutative bit-for-bit.
-    EXPECT_EQ(r, pearson_fused(y, x));
-    // Scaling by a power of two rescales every co-moment exactly, so the
-    // correlation is bit-identical, not merely close.
-    EXPECT_EQ(r, pearson_fused(x2, y));
-    // Translation invariance is only approximate in the one-pass
-    // formulation (cancellation in sxx - sx^2/n grows with the offset).
-    EXPECT_NEAR(r, pearson_fused(x_shift, y), 1e-9);
-    // Perfect self-correlation, degenerate-variance guard.
-    EXPECT_EQ(pearson_fused(x, x), 1.0);
-    const std::vector<double> constant(n, 0.25);
-    EXPECT_EQ(pearson_fused(x, constant), 0.0);
-  }
-}
-
-TEST_P(PearsonKernelProperty, FastModeStaysWithinDocumentedTolerance) {
-  Rng rng(GetParam() + 99);
-  const std::size_t n = 2016;
-  std::vector<double> x(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = rng.uniform();
-    y[i] = rng.uniform();
-  }
-  DispatchRestore restore;
-  kernels::set_active({kernels::Tier::kScalar, kernels::Mode::kStrict});
-  const double reference = pearson_fused(x, y);
-  for (const auto config : runnable_kernel_configs()) {
-    kernels::set_active(config);
-    if (config.mode == kernels::Mode::kStrict) {
-      // Strict mode pins every tier to the scalar bytes.
-      EXPECT_EQ(pearson_fused(x, y), reference) << config_label(config);
-    } else {
-      EXPECT_NEAR(pearson_fused(x, y), reference, 1e-9)
-          << config_label(config);
-    }
-  }
+  const double r = pearson_fused(x, y);
+  EXPECT_LE(std::fabs(r), 1.0);
+  // Argument symmetry is exact: swapping x and y swaps sx/sy and
+  // sxx/syy, and every product is commutative bit-for-bit.
+  EXPECT_EQ(r, pearson_fused(y, x));
+  // Scaling by a power of two rescales every co-moment exactly, so the
+  // correlation is bit-identical, not merely close.
+  EXPECT_EQ(r, pearson_fused(x2, y));
+  // Translation invariance is only approximate in the one-pass
+  // formulation (cancellation in sxx - sx^2/n grows with the offset).
+  EXPECT_NEAR(r, pearson_fused(x_shift, y), 1e-9);
+  // Perfect self-correlation, degenerate-variance guard.
+  EXPECT_EQ(pearson_fused(x, x), 1.0);
+  const std::vector<double> constant(n, 0.25);
+  EXPECT_EQ(pearson_fused(x, constant), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PearsonKernelProperty,
@@ -213,24 +162,28 @@ TEST(PeriodicityKernelProperty, AcfInvariantsHoldAtEveryTier) {
     xs[i] = 0.5 + 0.3 * std::sin(2.0 * std::numbers::pi * t / double(kDay)) +
             0.02 * rng.normal(0, 1);
   }
-  DispatchRestore restore;
-  kernels::set_active({kernels::Tier::kScalar, kernels::Mode::kStrict});
-  const std::vector<double> acf_reference = autocorrelation(xs);
+  const std::vector<double> acf_reference = [&] {
+    const kernels::ScopedTier scalar(kernels::Tier::kScalar);
+    return autocorrelation(xs);
+  }();
   const double score_reference =
       periodicity_score_acf(acf_reference, kTelemetryInterval, kDay);
   EXPECT_GT(score_reference, 0.5);  // the planted period is detected
 
-  for (const auto config : runnable_kernel_configs()) {
-    SCOPED_TRACE(config_label(config));
-    kernels::set_active(config);
+  std::vector<kernels::Tier> tiers{kernels::Tier::kScalar};
+  if (kernels::cpu_tier() == kernels::Tier::kAvx2)
+    tiers.push_back(kernels::Tier::kAvx2);
+  for (const auto tier : tiers) {
+    SCOPED_TRACE(tier == kernels::Tier::kAvx2 ? "avx2" : "scalar");
+    const kernels::ScopedTier scoped(tier);
     const std::vector<double> acf = autocorrelation(xs);
     ASSERT_EQ(acf.size(), n);
     // ACF(0) is exactly 1 by construction (buf[0] / buf[0]).
     EXPECT_EQ(acf[0], 1.0);
     // Normalized ACF is bounded for a real series.
     for (const double a : acf) EXPECT_LE(std::fabs(a), 1.0 + 1e-9);
-    // The butterfly kernel is bit-exact at every tier in both modes, so
-    // the whole ACF — and therefore the score — must match scalar bytes.
+    // The butterfly kernel is bit-exact on both paths, so the whole
+    // ACF — and therefore the score — must match scalar bytes.
     for (std::size_t lag = 0; lag < n; ++lag)
       ASSERT_EQ(acf[lag], acf_reference[lag]) << "lag " << lag;
     EXPECT_EQ(periodicity_score_acf(acf, kTelemetryInterval, kDay),

@@ -7,14 +7,13 @@
 #      every parallel call site, and concurrent readers of a built
 #      telemetry panel. Run it whenever you touch them.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
-#      runs the kernel + stats suites, policing the SIMD kernel tier's
+#      runs the kernel + stats suites, policing the AVX2 kernels'
 #      integer/float conversions and intrinsic shims, and the snapshot,
 #      population and run-plan suites, policing the CLSN container
 #      writer/reader and the shard seal and decode paths.
 #
-# The Release and TSan flavours run the kernel differential/dispatch/
-# property suites twice — CLOUDLENS_KERNELS=scalar and =auto — so both
-# sides of the dispatch seam stay covered whatever the host CPU is.
+# The kernel suites call the scalar and (on an AVX2 CPU) the AVX2 kernel
+# paths directly, so the one ctest pass per flavour covers both.
 #
 # Both flavours re-run the telemetry-panel suites explicitly (panel
 # lifecycle, sample()==at() contract, built-vs-unbuilt bit identity) and
@@ -30,12 +29,10 @@
 # The Release flavour finishes with perf smokes: a small-trace
 # bench_telemetry run that checks panel/legacy checksum identity, a
 # bench_obs run that fails if enabling metrics+tracing costs more than 3%
-# on the panel-mode analysis suite, a bench_simd checksum smoke (strict
-# kernel outputs and the rendered report must match the scalar oracle
-# bit-for-bit), a bench_pipeline run that fails unless a warm artifact
-# cache reproduces the cold run byte-for-byte and is faster, a
-# bench_ingest decode smoke (parallel CSV decode bit-identical to serial),
-# an end-to-end azure import smoke over the checked-in fixture
+# on the panel-mode analysis suite, a bench_pipeline run that fails unless
+# a warm artifact cache reproduces the cold run byte-for-byte and is
+# faster, a bench_ingest decode smoke (parallel CSV decode bit-identical
+# to serial), an end-to-end azure import smoke over the checked-in fixture
 # (1-vs-8-thread report identity + warm cache hit), the bench_e2e smoke
 # (the repo benchmark built standalone from bench_e2e/, checking its
 # pinned report, figure, KB and advisor digests and the serve oracle on
@@ -50,8 +47,8 @@
 # decode chunk fan-out.
 # (The full-size numbers recorded in EXPERIMENTS.md come from
 # `bench_telemetry --scale=0.1`, `bench_obs --scale=0.1`,
-# `bench_simd --min-speedup=1.5`, `bench_pipeline --scale=0.35`, and
-# `bench_population` at its scale-1.0 defaults.)
+# `bench_pipeline --scale=0.35`, and `bench_population` at its scale-1.0
+# defaults.)
 #
 # Usage: tools/ci.sh [build-root]       (default: ./ci-build)
 # Environment: CTEST_PARALLEL_LEVEL (default 2), CLOUDLENS_CI_JOBS
@@ -103,16 +100,6 @@ run_flavour() {
     # bit-identity (the TSan pass polices the chunk fan-out), and the
     # exact fixture pins for the azure/google backends.
     ctest --test-dir "$dir" --output-on-failure -R 'Ingest'
-    # Kernel-tier suites (differential vs scalar oracle, dispatch, property
-    # invariants) run twice: once with the dispatch forced to the scalar
-    # reference and once letting it pick the best SIMD tier, so an
-    # environment override can never hide a broken variant.
-    echo "== [$name] kernel suites (CLOUDLENS_KERNELS=scalar) =="
-    CLOUDLENS_KERNELS=scalar ctest --test-dir "$dir" --output-on-failure \
-        -R 'Kernel'
-    echo "== [$name] kernel suites (CLOUDLENS_KERNELS=auto) =="
-    CLOUDLENS_KERNELS=auto ctest --test-dir "$dir" --output-on-failure \
-        -R 'Kernel'
 }
 
 # A bench smoke that exits 0 but writes no JSON is a silent no-op;
@@ -157,7 +144,7 @@ echo "== [tsan] population shard smoke =="
 require_json "$BUILD_ROOT/BENCH_population_tsan_smoke.json"
 
 # UBSan flavour (address+undefined plus float-cast-overflow): polices the
-# kernel tier's u64→f64 conversions and intrinsic shims, and every byte
+# AVX2 kernels' u64→f64 conversions and intrinsic shims, and every byte
 # the CLSN container writer and reader, the shard seal and the shard
 # decode touch. Builds the full tree but runs only the kernel, stats,
 # snapshot, population and run-plan suites — the rest of the ctest pass
@@ -184,16 +171,6 @@ echo "== [release] observability overhead smoke =="
     --scale=0.02 --passes=1 --reps=3 --max-overhead-pct=3.0 \
     --out="$BUILD_ROOT/BENCH_obs_smoke.json"
 require_json "$BUILD_ROOT/BENCH_obs_smoke.json"
-
-echo "== [release] kernel checksum smoke =="
-# Quick bench_simd pass: strict-mode checksums (all four kernel families
-# plus the rendered report) must be bit-identical to the scalar oracle;
-# fast-mode Pearson must stay within the documented tolerance. No perf
-# gate here — CI machines are too noisy; the recorded numbers come from
-# `bench/bench_simd --min-speedup=1.5` (see EXPERIMENTS.md).
-"$BUILD_ROOT/release/bench/bench_simd" --quick \
-    --json="$BUILD_ROOT/BENCH_simd_smoke.json"
-require_json "$BUILD_ROOT/BENCH_simd_smoke.json"
 
 echo "== [release] pipeline cache smoke =="
 # Cold + warm run of the full stage graph against one cache: fails unless

@@ -58,7 +58,6 @@
 #include "policies/advisor.h"
 #include "serve/engine.h"
 #include "serve/stream.h"
-#include "stats/kernels/dispatch.h"
 #include "workloads/fit.h"
 #include "workloads/generator.h"
 
@@ -120,12 +119,6 @@ constexpr const char* kCommonFlagHelp =
     "                      an end-of-run summary table\n"
     "  --trace-out FILE    write Chrome Trace Event spans (load in\n"
     "                      chrome://tracing or ui.perfetto.dev)\n"
-    "  --kernels T         SIMD kernel tier: scalar|sse2|avx2|auto\n"
-    "                      (default auto = best supported; also via\n"
-    "                      CLOUDLENS_KERNELS)\n"
-    "  --kernel-mode M     strict (bit-identical to scalar, default) or\n"
-    "                      fast (SIMD reductions, tiny |Δr| tolerance;\n"
-    "                      also via CLOUDLENS_KERNEL_MODE)\n"
     "  --record-shards N   out-of-core mode: spill the VM and\n"
     "                      subscription records as N CLSN shards keyed by\n"
     "                      subscription hash, and compute telemetry rows\n"
@@ -299,10 +292,6 @@ bool parse(int argc, char** argv, CliArgs& args) {
       .value("--listen", &args.listen_path)
       .value("--window-weeks", &args.window_weeks)
       .value("--checkpoint-dir", &args.checkpoint_dir)
-      .value("--kernels", stats::kernels::set_tier_from_string,
-             "want scalar|sse2|avx2|auto")
-      .value("--kernel-mode", stats::kernels::set_mode_from_string,
-             "want strict|fast")
       .value(
           "--cloud",
           [&args](const std::string& v) {
