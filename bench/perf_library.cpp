@@ -184,7 +184,7 @@ BENCHMARK(BM_AllocateRelease);
 // One shared scenario for all parallel benchmarks (built once).
 
 /// The shared scale-0.1 scenario, with its telemetry panel built the way
-/// the CLI's panel stage builds it: every bench below reads panel rows.
+/// the CLI's run plan builds it: every bench below reads panel rows.
 const workloads::Scenario& shared_scenario() {
   static const workloads::Scenario scenario = [] {
     workloads::ScenarioOptions options;

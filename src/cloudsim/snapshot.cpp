@@ -102,10 +102,10 @@ using snapshot_codec::append_u8;
 using snapshot_codec::Reader;
 
 // Section ids. Values are part of the on-disk format; never renumber.
-// Ids 8-10 are retired (they held the removed telemetry panel shards) and
-// must not be reused. Ids 11-15 belong to the population shard files and
-// are defined publicly in snapshot.h (snapshot_sections) for
-// cloudsim/population.cpp.
+// Id 7 is retired (it held the removed cached telemetry panel) and ids
+// 8-10 too (the removed telemetry panel shards); none may be reused.
+// Ids 11-16 belong to the population shard files and the kb artifact and
+// are defined publicly in snapshot.h (snapshot_sections).
 enum Section : std::uint32_t {
   kGrid = 1,
   kTopology = 2,
@@ -113,9 +113,9 @@ enum Section : std::uint32_t {
   kSubscriptions = 4,
   kModels = 5,
   kVms = 6,
-  kPanel = 7,
-  // 8-10: retired.
+  // 7-10: retired.
   // 11-15: population meta / subscriptions / vms / models / node index.
+  // 16: kb records.
 };
 
 // Native model tags (< kFirstCustomModelTag).
@@ -313,46 +313,6 @@ std::shared_ptr<const UtilizationModel> decode_model_record(
 
 namespace {
 
-std::string encode_panel(const TelemetryPanel& panel) {
-  std::string out;
-  append_grid(out, panel.grid());
-  append_u64(out, panel.vm_count());
-  out.reserve(out.size() + panel.memory_bytes() + 16);
-  for (std::size_t v = 0; v < panel.vm_count(); ++v) {
-    const auto row = panel.row(VmId(static_cast<VmId::underlying>(v)));
-    out.append(reinterpret_cast<const char*>(row.data()), row.size_bytes());
-  }
-  for (std::size_t v = 0; v < panel.vm_count(); ++v) {
-    const auto row = panel.hourly_row(VmId(static_cast<VmId::underlying>(v)));
-    out.append(reinterpret_cast<const char*>(row.data()), row.size_bytes());
-  }
-  return out;
-}
-
-std::unique_ptr<TelemetryPanel> decode_panel(Reader& r) {
-  const TimeGrid grid = read_grid(r);
-  const std::size_t rows = static_cast<std::size_t>(r.u64());
-  // The hourly grid is a pure function of the base grid; recompute its
-  // size the way TelemetryPanel does instead of trusting the payload.
-  std::size_t hourly_count = 0;
-  if (grid.step > 0 && kHour % grid.step == 0 &&
-      grid.count >= static_cast<std::size_t>(kHour / grid.step)) {
-    hourly_count = grid.count / static_cast<std::size_t>(kHour / grid.step);
-  }
-  std::vector<double> data(rows * grid.count);
-  {
-    const std::string_view raw = r.raw(data.size() * sizeof(double));
-    std::memcpy(data.data(), raw.data(), raw.size());
-  }
-  std::vector<double> hourly(rows * hourly_count);
-  {
-    const std::string_view raw = r.raw(hourly.size() * sizeof(double));
-    std::memcpy(hourly.data(), raw.data(), raw.size());
-  }
-  return std::make_unique<TelemetryPanel>(grid, rows, std::move(data),
-                                          std::move(hourly));
-}
-
 /// Validates the container header and section table over `bytes` and
 /// returns id -> payload views into it.
 std::vector<std::pair<std::uint32_t, std::string_view>> parse_sections(
@@ -531,20 +491,6 @@ LoadedSnapshot load_trace_snapshot(std::istream& in,
   return result;
 }
 
-void save_panel_snapshot(const TelemetryPanel& panel, std::ostream& out) {
-  std::string grid;
-  append_grid(grid, panel.grid());
-  const std::string payload = encode_panel(panel);
-  write_container(out, {staged_section(kGrid, grid),
-                        staged_section(kPanel, payload)});
-}
-
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in) {
-  const SnapshotMapping c(in);
-  Reader panel_r(c.section(kPanel));
-  return decode_panel(panel_r);
-}
-
 // --- the container reader ------------------------------------------------
 
 SnapshotMapping::SnapshotMapping(const std::string& path) {
@@ -589,8 +535,8 @@ SnapshotMapping::~SnapshotMapping() { unmap(); }
 
 void SnapshotMapping::read_buffered(std::istream& in) {
   // Bulk-read the stream when it is seekable: istreambuf iterators walk
-  // one char at a time, which on a GB-sized panel section is the
-  // difference between tens of seconds and disk speed.
+  // one char at a time, which on a GB-sized trace is the difference
+  // between tens of seconds and disk speed.
   const std::streampos start = in.tellg();
   if (start != std::streampos(-1) && in.seekg(0, std::ios::end)) {
     const std::streampos end = in.tellg();

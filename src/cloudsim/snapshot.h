@@ -1,4 +1,4 @@
-// CLSN: the one binary container format. Trace snapshots and panel
+// CLSN: the one binary container format. Trace snapshots and kb
 // snapshots (the artifact cache's storage) and population shard files
 // (cloudsim/population.h) are all CLSN containers, and this file plus
 // snapshot.cpp are the only code that knows the layout: write_container
@@ -23,10 +23,10 @@
 // Sections (ids in snapshot.cpp's Section enum): a trace snapshot carries
 // GRID (the trace's telemetry grid), TOPOLOGY, SERVICES, SUBSCRIPTIONS,
 // MODELS (deduplicated utilization model table) and VMS (records
-// referencing the model table by index); a panel snapshot carries GRID and
-// PANEL (row-major VM x tick matrix plus the hourly companion), and PANEL
-// appears in no other container. Shard files use the snapshot_sections
-// ids below. Readers reject bad magic, unknown versions, missing sections,
+// referencing the model table by index). Shard files and the kb snapshot
+// (kb/store.h) use the snapshot_sections ids below. No container holds a
+// telemetry panel: it is a pure function of the trace and is rebuilt, not
+// stored. Readers reject bad magic, unknown versions, missing sections,
 // and any out-of-bounds section or truncated payload with CheckError.
 //
 // Versioning: bump kSnapshotFormatVersion on *any* layout change. The
@@ -43,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloudsim/telemetry_panel.h"
 #include "cloudsim/trace.h"
 
 namespace cloudlens {
@@ -113,15 +112,17 @@ class Reader {
 };
 }  // namespace snapshot_codec
 
-/// Section ids of the population shard files (cloudsim/population.h).
-/// The trace and panel ids live in snapshot.cpp's Section enum; all of
-/// them are part of the on-disk format and must never be renumbered.
+/// Section ids of the containers written outside this file: the
+/// population shard files (cloudsim/population.h) and the kb artifact
+/// (kb/store.h). The trace ids live in snapshot.cpp's Section enum; all
+/// of them are part of the on-disk format and must never be renumbered.
 namespace snapshot_sections {
 inline constexpr std::uint32_t kPopulationMeta = 11;
 inline constexpr std::uint32_t kPopulationSubscriptions = 12;
 inline constexpr std::uint32_t kPopulationVms = 13;
 inline constexpr std::uint32_t kPopulationModels = 14;
 inline constexpr std::uint32_t kPopulationNodeIndex = 15;
+inline constexpr std::uint32_t kKnowledgeBase = 16;
 }  // namespace snapshot_sections
 
 // --- the container writer ------------------------------------------------
@@ -188,12 +189,6 @@ struct LoadedSnapshot {
 /// a format-version mismatch.
 LoadedSnapshot load_trace_snapshot(std::istream& in,
                                    const SnapshotModelCodec* codec = nullptr);
-
-/// Panel snapshot: GRID + PANEL, the only container that carries PANEL.
-/// Used by the pipeline to cache the materialized matrices separately from
-/// the trace artifact.
-void save_panel_snapshot(const TelemetryPanel& panel, std::ostream& out);
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in);
 
 // --- the container reader ------------------------------------------------
 //

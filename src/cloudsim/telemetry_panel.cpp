@@ -102,27 +102,6 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
                                   sizeof(double)));
 }
 
-TelemetryPanel::TelemetryPanel(TimeGrid grid, std::size_t rows,
-                               std::vector<double> data,
-                               std::vector<double> hourly)
-    : grid_(grid),
-      rows_(rows),
-      data_(std::move(data)),
-      hourly_(std::move(hourly)) {
-  CL_CHECK(grid_.count > 0);
-  const bool hourly_ok =
-      grid_.step > 0 && kHour % grid_.step == 0 &&
-      grid_.count >= static_cast<std::size_t>(kHour / grid_.step);
-  if (hourly_ok) {
-    const std::size_t factor = static_cast<std::size_t>(kHour / grid_.step);
-    hourly_grid_ = TimeGrid{grid_.start, kHour, grid_.count / factor};
-  }
-  CL_CHECK_MSG(data_.size() == rows_ * grid_.count,
-               "panel matrix size does not match rows x ticks");
-  CL_CHECK_MSG(hourly_.size() == rows_ * hourly_grid_.count,
-               "panel hourly matrix size does not match rows x hours");
-}
-
 std::span<const double> vm_telemetry_row(const TraceStore& trace,
                                          const TelemetryPanel* panel, VmId id,
                                          const TimeGrid& grid,

@@ -15,10 +15,12 @@
 // one-week 5-minute grid (2016 ticks), plus 1.3 KB for the hourly
 // companion view (168 samples). A 100k-VM trace costs ~1.7 GB, so the
 // panel exists only on request: TraceStore::build_telemetry_panel()
-// materializes it (the pipeline's panel stage calls it, or adopts a cached
-// copy), and a trace nobody asked for a panel holds none. Every consumer
-// then falls back to on-demand row evaluation through the *same* fill
-// kernel, so results are identical either way, bit for bit.
+// materializes it (the run plan calls it once the trace resolves, when
+// the command asked for a panel), and a trace nobody asked for a panel
+// holds none. The panel is never persisted: rebuilding it from the
+// trace is cheaper than writing and reading it back. Every consumer
+// falls back to on-demand row evaluation through the *same* fill kernel,
+// so results are identical either way, bit for bit.
 //
 // Consumers ask the trace for the panel once, up front, then pull
 // contiguous std::span<const double> rows:
@@ -52,13 +54,6 @@ class TelemetryPanel {
   /// partial-lifetime VMs are zero outside [created, deleted).
   TelemetryPanel(const TraceStore& trace, TimeGrid grid,
                  const ParallelConfig& parallel = {});
-
-  /// Deserialization constructor (snapshot load): adopt prebuilt matrices
-  /// instead of filling them. The hourly grid is derived from `grid`
-  /// exactly as the building constructor does; `data.size()` must equal
-  /// rows × grid.count and `hourly.size()` rows × hourly_grid().count.
-  TelemetryPanel(TimeGrid grid, std::size_t rows, std::vector<double> data,
-                 std::vector<double> hourly);
 
   const TimeGrid& grid() const { return grid_; }
   /// Grid of the hourly companion view; count == 0 when the base grid

@@ -116,13 +116,6 @@ const TelemetryPanel* TraceStore::build_telemetry_panel(
   return panel_.get();
 }
 
-bool TraceStore::adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel) {
-  if (pop_shards_ != nullptr || panel == nullptr) return false;
-  if (panel->grid() != grid_ || panel->vm_count() != vms_.size()) return false;
-  panel_ = std::move(panel);
-  return true;
-}
-
 std::span<const SubscriptionInfo> TraceStore::subscriptions() const {
   // Subscriptions stay resident *during* a streaming spill (finish moves
   // them out-of-core), so only the sealed population mode rejects this.

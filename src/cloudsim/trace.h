@@ -8,7 +8,7 @@
 // A TraceStore holds its records in one of two storage modes:
 //  * resident — services, subscriptions and VMs in vectors, with an
 //    optional TelemetryPanel (the VM × tick matrix) that exists only once
-//    build_telemetry_panel() or adopt_telemetry_panel() installed it;
+//    build_telemetry_panel() built it (it is never loaded from disk);
 //  * population-sharded — subscription-hashed record shards spilled to
 //    disk and paged in on demand (cloudsim/population.h); no panel.
 // Every consumer reads rows through the same fill kernel in both modes,
@@ -190,9 +190,9 @@ class TraceStore {
 
   /// The columnar telemetry cache (row-major VM × tick utilization matrix
   /// plus an hourly-mean companion view over `telemetry_grid()`), or
-  /// nullptr when none was built or adopted since the last record
-  /// mutation. Consumers fall back to on-demand row evaluation with
-  /// identical bits (see telemetry_panel.h).
+  /// nullptr when none was built since the last record mutation.
+  /// Consumers fall back to on-demand row evaluation with identical bits
+  /// (see telemetry_panel.h).
   const TelemetryPanel* telemetry_panel() const { return panel_.get(); }
 
   /// Materialize the panel over `telemetry_grid()` (a no-op when one is
@@ -201,11 +201,6 @@ class TraceStore {
   /// population-sharded or spilling trace, which holds no resident matrix.
   const TelemetryPanel* build_telemetry_panel(
       const ParallelConfig& parallel = {});
-
-  /// Install a prebuilt panel (snapshot load) instead of building one. The
-  /// panel must cover every VM over `telemetry_grid()`; a mismatched panel
-  /// is rejected (returns false, store unchanged).
-  bool adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel);
 
   // --- population sharding (out-of-core VM/subscription records) --------
   //
@@ -256,7 +251,7 @@ class TraceStore {
   mutable std::atomic<bool> sub_index_valid_{false};
   mutable std::unordered_map<SubscriptionId, std::vector<VmId>> sub_index_;
 
-  // Columnar telemetry cache: set only by build/adopt, dropped by every
+  // Columnar telemetry cache: set only by build, dropped by every
   // record mutation. Plain state like the records themselves: mutators
   // are serialized against readers by contract.
   std::unique_ptr<TelemetryPanel> panel_;

@@ -33,6 +33,12 @@ PartyType parse_party(const CsvRow& row, std::size_t col) {
   row.fail(col, "first-party|third-party");
 }
 
+std::uint32_t parse_id(const CsvRow& row, std::size_t col) {
+  const std::uint64_t value = row.u64(col);
+  if (value >= VmId::kInvalid) row.fail(col, "an id below 4294967295");
+  return static_cast<std::uint32_t>(value);
+}
+
 namespace {
 
 CsvDecodeOptions decode_options(const IngestOptions& options,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 
 #include "ingest/backend.h"
@@ -17,9 +18,13 @@ class CsvRow;
 
 /// Strict cloudlens-schema enum fields ("private|public",
 /// "first-party|third-party"); any other text fails with the row's
-/// located CheckError. Shared by the CSV importer and the serve stream.
+/// located CheckError. Shared by the CSV importer, the serve stream and
+/// the kb CSV.
 CloudType parse_cloud(const CsvRow& row, std::size_t col);
 PartyType parse_party(const CsvRow& row, std::size_t col);
+/// A strict unsigned 32-bit id field. Values past the id space, including
+/// the invalid-id sentinel, fail like any other malformed field.
+std::uint32_t parse_id(const CsvRow& row, std::size_t col);
 
 /// Stream-level cloudlens-schema import: the cloudlens backend's core,
 /// exposed for callers that hold streams rather than a directory (the

@@ -1,11 +1,16 @@
 // The centralized workload knowledge base (Sec. V).
 //
-// Holds extracted SubscriptionKnowledge records, answers the queries the
-// optimization policies need, and round-trips to CSV so knowledge can be
-// persisted between analysis runs.
+// Holds extracted SubscriptionKnowledge records and answers the queries the
+// optimization policies need. Two persistent forms:
+//  * CSV (to_csv/from_csv) — the user-facing kb.csv: readable, diffable,
+//    doubles rounded for display, parsed strictly (located errors);
+//  * a CLSN container (save_kb_snapshot/load_kb_snapshot) — the artifact
+//    cache's exact form: doubles as bit patterns, so a cached kb is
+//    bit-identical to the extraction that produced it.
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -55,12 +60,22 @@ class KnowledgeBase {
 
   // --- Persistence --------------------------------------------------------
   std::string to_csv() const;
-  /// Parse a CSV produced by to_csv(); throws CheckError on malformed input.
+  /// Parse a CSV produced by to_csv(). Every field is parsed strictly (no
+  /// trailing garbage, no negative counts, only the exact enum and flag
+  /// spellings); malformed input throws a CheckError naming the line and
+  /// column.
   static KnowledgeBase from_csv(const std::string& csv);
 
  private:
   std::vector<SubscriptionKnowledge> records_;
   std::unordered_map<SubscriptionId, std::size_t> index_;
 };
+
+/// Exact binary form: one CLSN container (cloudsim/snapshot.h) with a
+/// single snapshot_sections::kKnowledgeBase section. Doubles travel as bit
+/// patterns; the load rejects unknown enum or flag bytes, truncation and
+/// trailing bytes with CheckError.
+void save_kb_snapshot(const KnowledgeBase& kb, std::ostream& out);
+KnowledgeBase load_kb_snapshot(std::istream& in);
 
 }  // namespace cloudlens::kb

@@ -93,7 +93,7 @@ namespace cloudlens::obs {
   /* kb extraction */                                          \
   X(kKbExtractions, "kb.extractions")                          \
   X(kKbRecords, "kb.records_extracted")                        \
-  /* pipeline: stage-graph runs + artifact cache */            \
+  /* pipeline: run-plan steps + artifact cache */              \
   X(kPipelineStageRuns, "pipeline.stage_runs")                 \
   X(kPipelineCacheHits, "pipeline.cache_hits")                 \
   X(kPipelineCacheMisses, "pipeline.cache_misses")             \

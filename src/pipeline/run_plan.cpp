@@ -1,9 +1,9 @@
 #include "pipeline/run_plan.h"
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -15,24 +15,100 @@
 #include "cloudsim/population.h"
 #include "cloudsim/snapshot.h"
 #include "common/check.h"
+#include "common/table.h"
 #include "ingest/backend.h"
+#include "obs/phase_timer.h"
+#include "pipeline/artifact_cache.h"
+#include "pipeline/content_hash.h"
 #include "workloads/pattern_snapshot.h"
 #include "workloads/profiles.h"
 
 namespace cloudlens::pipeline {
 namespace {
 
-/// The panel stage's artifact: a view into the trace stage's TraceStore
-/// (the panel lives inside it, built or adopted by this stage).
-struct PanelArtifact {
-  const TelemetryPanel* panel = nullptr;
+/// Where one run caches, counts and reports its steps.
+struct Line {
+  ArtifactCache cache;
+  obs::MetricsRegistry* metrics;
+  obs::TraceSink* sink;
+  std::vector<StageReport>* reports;
 };
 
-/// The pop-shards stage's artifact: a view into the TraceStore's
-/// population shard store.
-struct PopulationArtifact {
-  const PopulationShardStore* shards = nullptr;
-};
+/// Times one step under its "pipeline.<name>" phase and appends its
+/// report; `body` fills the report's source and bytes.
+template <typename Body>
+void timed_step(const Line& line, const std::string& name,
+                const std::string& key_hex, Body&& body) {
+  StageReport report;
+  report.name = name;
+  report.key_hex = key_hex;
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    obs::PhaseTimer phase("pipeline." + name,
+                          obs::Histogram::kPipelineStageSeconds,
+                          obs::Counter::kPipelineStageRuns, line.metrics,
+                          line.sink);
+    body(report);
+  }
+  report.millis = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  line.reports->push_back(std::move(report));
+}
+
+/// The one cache path: loads the artifact stored under (name, key_hex)
+/// when there is one, else computes it and, when `key_hex` is non-empty,
+/// stores it. An empty key (caching off) just computes. Appends the
+/// step's report either way.
+template <typename T, typename Compute, typename Save, typename Load>
+std::shared_ptr<T> cached_step(const Line& line, const std::string& name,
+                               const std::string& key_hex, Compute&& compute,
+                               Save&& save, Load&& load) {
+  std::shared_ptr<T> artifact;
+  timed_step(line, name, key_hex, [&](StageReport& report) {
+    if (key_hex.empty()) {
+      artifact = compute();
+      return;
+    }
+    const std::uint64_t size = line.cache.lookup_size(name, key_hex);
+    if (size > 0) {
+      obs::PhaseTimer io("pipeline." + name + ".load",
+                         obs::Histogram::kPipelineSnapshotIoSeconds,
+                         obs::Counter::kPipelineCacheHits, line.metrics,
+                         line.sink);
+      std::ifstream in(line.cache.path_for(name, key_hex), std::ios::binary);
+      CL_CHECK_MSG(in.good(), "cannot open cached artifact");
+      artifact = load(in);
+      report.source = StageReport::Source::kCacheHit;
+      report.artifact_bytes = size;
+      line.metrics->add(obs::Counter::kPipelineCacheBytesRead, size);
+      return;
+    }
+    line.metrics->add(obs::Counter::kPipelineCacheMisses);
+    artifact = compute();
+    obs::PhaseTimer io("pipeline." + name + ".store",
+                       obs::Histogram::kPipelineSnapshotIoSeconds,
+                       obs::Counter::kPipelineCacheStores, line.metrics,
+                       line.sink);
+    const std::uint64_t bytes = line.cache.store(
+        name, key_hex, [&](std::ostream& out) { save(*artifact, out); });
+    if (bytes > 0) {
+      report.source = StageReport::Source::kComputedAndStored;
+      report.artifact_bytes = bytes;
+      line.metrics->add(obs::Counter::kPipelineCacheBytesWritten, bytes);
+    }
+  });
+  return artifact;
+}
+
+/// The key prefix every stage shares: versions, then the stage name.
+ContentHash stage_hash(const char* name) {
+  ContentHash h;
+  h.u32(kPipelineKeyVersion);
+  h.u32(kSnapshotFormatVersion);
+  h.str(name);
+  return h;
+}
 
 /// Stream a file's bytes into the hash (length first, so consecutive
 /// files cannot collide by shifting bytes across the boundary). Absent
@@ -55,140 +131,67 @@ void hash_file(ContentHash& h, const std::string& path) {
   h.u64(total);
 }
 
-PopulationShardingOptions streaming_population_options(std::uint32_t shards,
-                                                       std::size_t budget_mib);
-
-Stage make_trace_stage(const RunPlanOptions& options) {
-  Stage stage;
-  stage.name = "trace";
-  // Record-sharded runs without a cache stream the records straight into
-  // the shards as they are generated/imported — the resident vector never
-  // materializes. With a cache the trace stage must stay a saveable
-  // resident snapshot, so the pop-shards stage converts it instead
-  // (warm-reusing spill files via the router digest).
-  const bool cache_effective =
-      options.cache_enabled && !options.cache_dir.empty();
-  const bool stream_records = options.record_shards > 0 && !cache_effective;
-  const std::uint32_t record_shards = options.record_shards;
-  const std::size_t budget_mib = options.shard_budget_mib;
-
-  if (options.trace_dir.empty()) {
-    workloads::ScenarioOptions scenario = options.scenario;
-    scenario.parallel = options.parallel;
-    stage.key_extra = [scenario](ContentHash& h) {
-      h.str("generated");
-      h.u8(1);  // key layout version for this stage
-      std::string config;
-      scenario.private_profile.append_config_bytes(config);
-      scenario.public_profile.append_config_bytes(config);
-      h.str(config);
-      h.u64(scenario.seed);
-      h.f64(scenario.scale);
-      h.i64(scenario.horizon);
-    };
-    stage.compute = [scenario, stream_records, record_shards,
-                     budget_mib](const StageInputs&) {
-      workloads::ScenarioOptions run = scenario;
-      PopulationShardingOptions po;
-      if (stream_records) {
-        po = streaming_population_options(record_shards, budget_mib);
-        run.population_sharding = &po;
-      }
-      auto result = workloads::make_scenario(run);
-      auto artifact = std::make_shared<TraceArtifact>();
-      artifact->topology = std::move(result.topology);
-      artifact->trace = std::move(result.trace);
-      return artifact;
-    };
-  } else {
-    const std::string dir = options.trace_dir;
-    const TimeGrid grid = options.csv_grid;
-    const ingest::IngestBackend* backend =
-        ingest::find_backend(options.trace_backend);
-    CL_CHECK_MSG(backend != nullptr,
-                 "unknown ingest backend: " << options.trace_backend);
-    const bool default_backend = backend == &ingest::cloudlens_backend();
-    stage.key_extra = [dir, grid, backend, default_backend](ContentHash& h) {
-      h.str("csv");
-      h.u8(1);
-      // The default (cloudlens) backend keeps the pre-backend key layout
-      // byte-for-byte, so caches populated before backends existed still
-      // hit. Other backends mix in their name first — a different decoder
-      // over the same bytes is a different artifact.
-      if (!default_backend) {
-        h.str("backend");
-        h.str(backend->name());
-      }
-      for (const std::string& name : backend->input_files()) {
-        h.str(name);
-        hash_file(h, dir + "/" + name);
-      }
-      h.grid(grid);
-    };
-    stage.compute = [dir, grid, backend, stream_records, record_shards,
-                     budget_mib](const StageInputs& inputs) {
-      ingest::IngestOptions ingest_options;
-      ingest_options.grid = grid;
-      ingest_options.parallel = inputs.parallel();
-      ingest_options.metrics = &inputs.metrics();
-      ingest_options.sink = &inputs.trace_sink();
-      PopulationShardingOptions po;
-      if (stream_records) {
-        po = streaming_population_options(record_shards, budget_mib);
-        ingest_options.population_sharding = &po;
-      }
-      ingest::IngestResult imported =
-          backend->import_dir(dir, ingest_options);
-      auto artifact = std::make_shared<TraceArtifact>();
-      artifact->topology = std::move(imported.topology);
-      artifact->trace = std::move(imported.trace);
-      artifact->ingest = std::move(imported.report);
-      return artifact;
-    };
-  }
-
-  stage.save = [](const std::shared_ptr<void>& artifact,
-                  const StageInputs&, std::ostream& out) {
-    const auto& trace = *std::static_pointer_cast<TraceArtifact>(artifact);
-    save_trace_snapshot(*trace.topology, *trace.trace, out,
-                        &workloads::pattern_snapshot_codec());
-  };
-  stage.load = [](const StageInputs&, std::istream& in) {
-    LoadedSnapshot loaded =
-        load_trace_snapshot(in, &workloads::pattern_snapshot_codec());
-    auto artifact = std::make_shared<TraceArtifact>();
-    artifact->topology = std::move(loaded.topology);
-    artifact->trace = std::move(loaded.trace);
-    return artifact;
-  };
-  return stage;
+const ingest::IngestBackend& csv_backend(const RunPlanOptions& options) {
+  const ingest::IngestBackend* backend =
+      ingest::find_backend(options.trace_backend);
+  CL_CHECK_MSG(backend != nullptr,
+               "unknown ingest backend: " << options.trace_backend);
+  return *backend;
 }
 
-Stage make_panel_stage() {
-  Stage stage;
-  stage.name = "panel";
-  stage.inputs = {"trace"};
-  // No key_extra: the panel is a pure function of the trace and its grid,
-  // both already covered by the trace stage's key.
-  stage.compute = [](const StageInputs& inputs) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    return std::make_shared<PanelArtifact>(
-        PanelArtifact{trace->trace->build_telemetry_panel(inputs.parallel())});
-  };
-  stage.save = [](const std::shared_ptr<void>& artifact, const StageInputs&,
-                  std::ostream& out) {
-    save_panel_snapshot(
-        *std::static_pointer_cast<PanelArtifact>(artifact)->panel, out);
-  };
-  stage.load = [](const StageInputs& inputs, std::istream& in) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    std::unique_ptr<TelemetryPanel> panel = load_panel_snapshot(in);
-    CL_CHECK_MSG(trace->trace->adopt_telemetry_panel(std::move(panel)),
-                 "cached panel does not match the trace");
-    return std::make_shared<PanelArtifact>(
-        PanelArtifact{trace->trace->telemetry_panel()});
-  };
-  return stage;
+std::string trace_key(const RunPlanOptions& options) {
+  ContentHash h = stage_hash("trace");
+  if (options.trace_dir.empty()) {
+    const workloads::ScenarioOptions& scenario = options.scenario;
+    h.str("generated");
+    h.u8(1);  // key layout version for this stage
+    std::string config;
+    scenario.private_profile.append_config_bytes(config);
+    scenario.public_profile.append_config_bytes(config);
+    h.str(config);
+    h.u64(scenario.seed);
+    h.f64(scenario.scale);
+    h.i64(scenario.horizon);
+    return h.hex();
+  }
+  const ingest::IngestBackend& backend = csv_backend(options);
+  h.str("csv");
+  h.u8(1);
+  // The default (cloudlens) backend keeps the pre-backend key layout
+  // byte-for-byte, so caches populated before backends existed still hit.
+  // Other backends mix in their name first — a different decoder over the
+  // same bytes is a different artifact.
+  if (&backend != &ingest::cloudlens_backend()) {
+    h.str("backend");
+    h.str(backend.name());
+  }
+  for (const std::string& name : backend.input_files()) {
+    h.str(name);
+    hash_file(h, options.trace_dir + "/" + name);
+  }
+  h.grid(options.csv_grid);
+  return h.hex();
+}
+
+std::string kb_key(const std::string& trace_key_hex,
+                   const kb::ExtractorOptions& ex) {
+  ContentHash h = stage_hash("kb");
+  h.str(trace_key_hex);
+  // Key layout version for this stage. 2: the artifact is the exact CLSN
+  // container; layout 1 entries held the 4-decimal CSV and are never read.
+  h.u8(2);
+  h.u64(ex.max_classified_vms);
+  h.u64(ex.max_vms_per_region);
+  h.i64(ex.short_lifetime_edge);
+  h.f64(ex.region_agnostic_correlation);
+  h.f64(ex.classifier.stable_stddev_max);
+  h.f64(ex.classifier.hourly_score_min);
+  h.f64(ex.classifier.diurnal_score_min);
+  h.f64(ex.spot_short_share_min);
+  h.u64(ex.spot_min_ended_vms);
+  h.f64(ex.oversub_p95_max);
+  h.f64(ex.deferral_peak_to_mean_min);
+  return h.hex();
 }
 
 /// Spill directory for the shard files. With caching on, the directory is
@@ -199,9 +202,9 @@ Stage make_panel_stage() {
 /// caching off, every spill gets its own temp directory (pid plus a
 /// process-wide sequence, so runs alive together in one process never
 /// share files), removed with the store.
-std::string shard_spill_dir(bool cache_enabled, const std::string& cache_dir,
+std::string shard_spill_dir(const std::string& cache_dir,
                             const std::string& trace_key_hex) {
-  if (cache_enabled && !trace_key_hex.empty()) {
+  if (!trace_key_hex.empty()) {
     return (std::filesystem::path(cache_dir) / ("pop-shards-" + trace_key_hex))
         .string();
   }
@@ -216,129 +219,152 @@ std::string shard_spill_dir(bool cache_enabled, const std::string& cache_dir,
       .string();
 }
 
-/// Streaming spill options for record-sharded runs with caching off: the
-/// records route straight to shard logs in a temp dir of their own during
-/// generation/import, and the files and the dir are removed with the store.
-PopulationShardingOptions streaming_population_options(
-    std::uint32_t shards, std::size_t budget_mib) {
+/// Record-shard options: the spill dir of `trace_key_hex` (kept files) or,
+/// with caching off, a temp dir of its own (removed with the store).
+PopulationShardingOptions population_options(const RunPlanOptions& options,
+                                             const std::string& trace_key_hex) {
   PopulationShardingOptions po;
-  po.shards = shards;
-  po.budget_bytes = budget_mib << 20;
-  po.spill_dir = shard_spill_dir(false, "", "");
-  po.keep_files = false;
+  po.shards = options.record_shards;
+  po.budget_bytes = options.shard_budget_mib << 20;
+  po.spill_dir = shard_spill_dir(options.cache_dir, trace_key_hex);
+  po.keep_files = !trace_key_hex.empty();
   po.model_codec = &workloads::pattern_snapshot_codec();
   return po;
 }
 
-/// The out-of-core population stage: only K reaches the key; the budget
-/// is execution environment. Uncacheable as a pipeline artifact on purpose — the spill files are
-/// the persistent form, revalidated against the population router digest
-/// in their headers on warm adoption. When the trace stage already
-/// streamed the records into shards (cache off), this stage is just the
-/// published view.
-Stage make_population_stage(const RunPlanOptions& options,
-                            PipelineRunner* runner) {
-  Stage stage;
-  stage.name = "pop-shards";
-  stage.inputs = {"trace"};
-  const std::uint32_t shards = options.record_shards;
-  stage.key_extra = [shards](ContentHash& h) {
-    h.u8(1);  // key layout version for this stage
-    h.u64(shards);
-    // The residency budget never reaches the key: like thread counts, it
-    // changes how the run executes, not what the artifacts contain.
-  };
-  const bool cache_enabled =
-      options.cache_enabled && !options.cache_dir.empty();
-  const std::string cache_dir = options.cache_dir;
-  const std::size_t budget_mib = options.shard_budget_mib;
-  stage.compute = [shards, cache_enabled, cache_dir, budget_mib,
-                   runner](const StageInputs& inputs) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    if (!trace->trace->population_sharded()) {
-      PopulationShardingOptions po;
-      po.shards = shards;
-      po.budget_bytes = budget_mib << 20;
-      po.spill_dir = shard_spill_dir(cache_enabled, cache_dir,
-                                     runner->key_hex("trace"));
-      po.keep_files = cache_enabled;
-      po.model_codec = &workloads::pattern_snapshot_codec();
-      trace->trace->set_population_sharding(po);
-    }
-    const PopulationShardStore* store = trace->trace->population_shards();
-    CL_CHECK_MSG(store != nullptr,
-                 "pop-shards stage failed to build the store");
-    return std::make_shared<PopulationArtifact>(PopulationArtifact{store});
-  };
-  return stage;
-}
-
-Stage make_kb_stage(const RunPlanOptions& options) {
-  Stage stage;
-  stage.name = "kb";
-  stage.inputs = {"trace"};
-  const kb::ExtractorOptions ex = options.kb_options;
-  stage.key_extra = [ex](ContentHash& h) {
-    h.u8(1);  // key layout version for this stage
-    h.u64(ex.max_classified_vms);
-    h.u64(ex.max_vms_per_region);
-    h.i64(ex.short_lifetime_edge);
-    h.f64(ex.region_agnostic_correlation);
-    h.f64(ex.classifier.stable_stddev_max);
-    h.f64(ex.classifier.hourly_score_min);
-    h.f64(ex.classifier.diurnal_score_min);
-    h.f64(ex.spot_short_share_min);
-    h.u64(ex.spot_min_ended_vms);
-    h.f64(ex.oversub_p95_max);
-    h.f64(ex.deferral_peak_to_mean_min);
-  };
-  stage.compute = [ex](const StageInputs& inputs) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    const AnalysisContext ctx(*trace->trace, inputs.parallel(),
-                              &inputs.metrics(), &inputs.trace_sink());
-    return std::make_shared<kb::KnowledgeBase>(kb::extract_all(ctx, ex));
-  };
-  stage.save = [](const std::shared_ptr<void>& artifact, const StageInputs&,
-                  std::ostream& out) {
-    out << std::static_pointer_cast<kb::KnowledgeBase>(artifact)->to_csv();
-  };
-  stage.load = [](const StageInputs&, std::istream& in) {
-    const std::string csv{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
-    return std::make_shared<kb::KnowledgeBase>(
-        kb::KnowledgeBase::from_csv(csv));
-  };
-  return stage;
+/// Generate or import the trace. A record-sharded run without a cache
+/// streams the records straight into the shards as they are produced —
+/// the resident vector never materializes. With a cache the trace must
+/// stay a saveable resident snapshot, so the pop-shards step converts it
+/// instead.
+std::shared_ptr<TraceArtifact> compute_trace(const RunPlanOptions& options,
+                                             const Line& line,
+                                             bool stream_records) {
+  PopulationShardingOptions po;
+  if (stream_records) po = population_options(options, "");
+  auto artifact = std::make_shared<TraceArtifact>();
+  if (options.trace_dir.empty()) {
+    workloads::ScenarioOptions run = options.scenario;
+    run.parallel = options.parallel;
+    if (stream_records) run.population_sharding = &po;
+    auto result = workloads::make_scenario(run);
+    artifact->topology = std::move(result.topology);
+    artifact->trace = std::move(result.trace);
+    return artifact;
+  }
+  ingest::IngestOptions ingest_options;
+  ingest_options.grid = options.csv_grid;
+  ingest_options.parallel = options.parallel;
+  ingest_options.metrics = line.metrics;
+  ingest_options.sink = line.sink;
+  if (stream_records) ingest_options.population_sharding = &po;
+  ingest::IngestResult imported =
+      csv_backend(options).import_dir(options.trace_dir, ingest_options);
+  artifact->topology = std::move(imported.topology);
+  artifact->trace = std::move(imported.trace);
+  artifact->ingest = std::move(imported.report);
+  return artifact;
 }
 
 }  // namespace
 
-ResolvedRun run_trace_plan(const RunPlanOptions& options) {
-  PipelineRunner runner(
-      ArtifactCache(options.cache_dir, options.cache_enabled),
-      options.parallel, options.metrics, options.sink);
-  const bool record_sharded = options.record_shards > 0;
-  runner.add(make_trace_stage(options));
-  if (record_sharded) {
-    runner.add(make_population_stage(options, &runner));
-  } else if (options.want_panel) {
-    runner.add(make_panel_stage());
+const char* to_string(StageReport::Source source) {
+  switch (source) {
+    case StageReport::Source::kComputed:
+      return "computed";
+    case StageReport::Source::kCacheHit:
+      return "hit";
+    case StageReport::Source::kComputedAndStored:
+      return "miss+stored";
   }
-  if (options.want_kb) runner.add(make_kb_stage(options));
+  return "?";
+}
 
+std::string render_stage_table(const std::vector<StageReport>& reports) {
+  TextTable table({"stage", "source", "ms", "key", "bytes"});
+  for (const StageReport& r : reports) {
+    table.row()
+        .add(r.name)
+        .add(to_string(r.source))
+        .add(r.millis, 1)
+        .add(r.key_hex.empty() ? std::string("-")
+                               : r.key_hex.substr(0, 12) + "..")
+        .add(r.artifact_bytes);
+  }
+  std::ostringstream out;
+  out << table;
+  return out.str();
+}
+
+ResolvedRun run_trace_plan(const RunPlanOptions& options) {
   ResolvedRun run;
-  run.trace = runner.resolve_as<TraceArtifact>("trace");
-  // Out-of-core mode replaces the resident panel: its stage must resolve
-  // before kb so extraction streams over the spill files.
-  if (record_sharded) {
-    runner.resolve("pop-shards");
+  const Line line{
+      ArtifactCache(options.cache_dir, options.cache_enabled),
+      options.metrics != nullptr ? options.metrics
+                                 : &obs::MetricsRegistry::global(),
+      options.sink != nullptr ? options.sink : &obs::TraceSink::global(),
+      &run.reports};
+  const bool cached = line.cache.enabled();
+  const std::string trace_key_hex = cached ? trace_key(options) : "";
+
+  // 1. The trace (cached).
+  run.trace = cached_step<TraceArtifact>(
+      line, "trace", trace_key_hex,
+      [&] {
+        return compute_trace(options, line,
+                             options.record_shards > 0 && !cached);
+      },
+      [](const TraceArtifact& trace, std::ostream& out) {
+        save_trace_snapshot(*trace.topology, *trace.trace, out,
+                            &workloads::pattern_snapshot_codec());
+      },
+      [](std::istream& in) {
+        LoadedSnapshot loaded =
+            load_trace_snapshot(in, &workloads::pattern_snapshot_codec());
+        auto artifact = std::make_shared<TraceArtifact>();
+        artifact->topology = std::move(loaded.topology);
+        artifact->trace = std::move(loaded.trace);
+        return artifact;
+      });
+  TraceStore& trace = *run.trace->trace;
+
+  // 2. The record shards or the panel (never cached). Shards must exist
+  // before kb so extraction streams over the spill files. Only the shard
+  // count reaches the spill dir's identity; the budget is execution
+  // environment. A trace that streamed its records is already sharded.
+  if (options.record_shards > 0) {
+    timed_step(line, "pop-shards", "", [&](StageReport&) {
+      if (!trace.population_sharded())
+        trace.set_population_sharding(
+            population_options(options, trace_key_hex));
+      CL_CHECK_MSG(trace.population_shards() != nullptr,
+                   "pop-shards step failed to build the store");
+    });
   } else if (options.want_panel) {
-    runner.resolve("panel");
+    const obs::PhaseTimer phase("pipeline.panel",
+                                obs::Histogram::kPipelineStageSeconds,
+                                obs::Counter::kPipelineStageRuns, line.metrics,
+                                line.sink);
+    trace.build_telemetry_panel(options.parallel);
   }
+
+  // 3. The kb (cached).
   if (options.want_kb) {
-    run.knowledge = runner.resolve_as<kb::KnowledgeBase>("kb");
+    run.knowledge = cached_step<kb::KnowledgeBase>(
+        line, "kb", cached ? kb_key(trace_key_hex, options.kb_options) : "",
+        [&] {
+          const AnalysisContext ctx(trace, options.parallel, line.metrics,
+                                    line.sink);
+          return std::make_shared<kb::KnowledgeBase>(
+              kb::extract_all(ctx, options.kb_options));
+        },
+        [](const kb::KnowledgeBase& knowledge, std::ostream& out) {
+          kb::save_kb_snapshot(knowledge, out);
+        },
+        [](std::istream& in) {
+          return std::make_shared<kb::KnowledgeBase>(kb::load_kb_snapshot(in));
+        });
   }
-  run.reports = runner.reports();
   return run;
 }
 

@@ -1,8 +1,8 @@
-// The CLI's shared run plan: trace -> panel -> kb as pipeline stages.
+// The CLI's shared run plan: one straight line with two cached artifacts.
 //
-// Every cloudlens command needs some prefix of the same three artifacts:
+// Every cloudlens command needs some prefix of the same line:
 //
-//   trace   Topology + TraceStore. Two source modes:
+//   trace   Topology + TraceStore (cached). Two source modes:
 //             generated — make_scenario(seed, scale, horizon, profiles);
 //               keyed by the profiles' canonical config bytes
 //               (CloudProfile::append_config_bytes) + seed + scale +
@@ -13,19 +13,42 @@
 //               backend's input files from `trace_dir`; keyed by the
 //               backend name + the raw bytes of those files (editing any
 //               row is a new key) + the telemetry grid.
-//   panel   The materialized TelemetryPanel for the trace (input: trace),
-//           built by TraceStore::build_telemetry_panel — the only place a
-//           run builds one. Cached as a GRID+PANEL snapshot and adopted
-//           back into the TraceStore on a hit, so warm analysis commands
-//           skip the panel build entirely.
-//   kb      SubscriptionKnowledge records (input: trace), keyed by every
-//           ExtractorOptions field; cached as the kb CSV.
+//   then one of (never cached):
+//     pop-shards  the record shards of an out-of-core run (record_shards
+//                 > 0); the spill files are their own persistent form;
+//     panel       the in-memory TelemetryPanel of a resident run that
+//                 asked for one (want_panel), built by
+//                 TraceStore::build_telemetry_panel once the trace
+//                 resolves. It is a pure function of the trace, so it is
+//                 rebuilt rather than stored.
+//   kb      SubscriptionKnowledge records (cached), keyed by the trace key
+//           and every ExtractorOptions field; stored exactly as a CLSN
+//           container (kb/store.h).
 //
-// Thread counts, metrics, and cache location are execution environment,
-// not identity: none of them reach any key (results are bit-identical at
-// any thread count, so a warm cache must hit across --threads values).
+// Cache keys:
+//
+//   key(stage) = H(key-derivation version, snapshot format version, stage
+//                  name, the trace key (kb only), the stage's own bytes)
+//
+//   * Everything that can change the artifact's *content* must reach the
+//     key (profile bytes, seed, scale, horizon, grid, options).
+//   * Nothing that cannot change content may reach it: thread counts,
+//     shard budgets, observability switches, output paths. A warm cache
+//     must hit across `--threads 1` and `--threads 8` precisely because
+//     results are bit-identical at any thread count.
+//   * Format evolution is handled by versioning, not invalidation: a new
+//     kSnapshotFormatVersion, kPipelineKeyVersion or per-stage layout byte
+//     shifts the keys, so old entries become unreachable rather than
+//     misread.
+//
+// Observability: each step records `pipeline.stage_runs` +
+// `pipeline.stage_seconds` (span "pipeline.<stage>"), and the cache path
+// records hit/miss/store counters plus `pipeline.snapshot_io_seconds`
+// (spans "pipeline.<stage>.load" / ".store") around artifact IO. Metrics
+// are write-only; caching decisions never read them.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,10 +62,13 @@
 #include "kb/store.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
-#include "pipeline/pipeline.h"
 #include "workloads/generator.h"
 
 namespace cloudlens::pipeline {
+
+/// Bump when the key-derivation scheme itself changes (what gets hashed,
+/// or in what order) so stale cache entries become unreachable.
+inline constexpr std::uint32_t kPipelineKeyVersion = 1;
 
 struct RunPlanOptions {
   /// CSV mode when non-empty: import from this directory. Otherwise
@@ -61,19 +87,19 @@ struct RunPlanOptions {
   /// scenario horizon).
   TimeGrid csv_grid = week_telemetry_grid();
 
-  /// Resolve the panel stage (materialized telemetry matrices). Without
-  /// it the trace holds no panel and analyses compute rows on demand
-  /// (identical bits).
+  /// Build the telemetry panel (the VM × tick matrix) in memory once the
+  /// trace resolves; resident runs only. Without it analyses compute rows
+  /// on demand (identical bits). Commands that read few rows turn it off.
   bool want_panel = true;
   /// The one out-of-core mode: when > 0 the trace runs population-sharded
   /// (cloudsim/population.h) with this many record shards. With caching
-  /// enabled the trace stage stays a cached resident snapshot and a
-  /// "pop-shards" stage converts it (warm-reusing spill files via the
+  /// enabled the trace stays a cached resident snapshot and the
+  /// "pop-shards" step converts it (warm-reusing spill files via the
   /// router digest); with caching disabled the records stream straight
   /// into the shards during generation/import and the resident record
-  /// vector never materializes. A record-sharded run has no panel stage:
+  /// vector never materializes. A record-sharded run builds no panel:
   /// telemetry rows are computed from the models on demand. Outputs are
-  /// byte-identical either way; only K reaches the stage key.
+  /// byte-identical either way.
   std::uint32_t record_shards = 0;
   /// Residency budget for the decoded population shards, in MiB. Like
   /// thread counts it is execution environment, never part of a cache key.
@@ -92,8 +118,8 @@ struct RunPlanOptions {
   obs::TraceSink* sink = nullptr;           ///< null = process-global
 };
 
-/// The trace stage's artifact. Mutable TraceStore so the panel stage can
-/// build the panel into it or adopt cached matrices.
+/// The trace stage's artifact. Mutable TraceStore so the run can build the
+/// panel into it or convert it to record shards.
 struct TraceArtifact {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;
@@ -102,15 +128,41 @@ struct TraceArtifact {
   ingest::IngestReport ingest;
 };
 
+/// What one run did for one reported step (trace, pop-shards, kb), for
+/// the CLI's per-stage table and the pipeline tests. The in-memory panel
+/// is never cached and has no report.
+struct StageReport {
+  enum class Source {
+    kComputed,           ///< computed; not stored (uncached/disabled)
+    kCacheHit,           ///< loaded the cached artifact
+    kComputedAndStored,  ///< computed and published to the cache
+  };
+  std::string name;
+  Source source = Source::kComputed;
+  /// Wall time of the step (load or compute+store).
+  double millis = 0.0;
+  /// Content key; empty when the step is uncached or caching is off.
+  std::string key_hex;
+  /// Serialized artifact size (0 when not cached).
+  std::uint64_t artifact_bytes = 0;
+};
+
+const char* to_string(StageReport::Source source);
+
+/// Render the per-stage hit/miss + timing table the CLI prints after a
+/// run.
+std::string render_stage_table(const std::vector<StageReport>& reports);
+
 struct ResolvedRun {
   std::shared_ptr<TraceArtifact> trace;
   /// Non-null iff want_kb.
   std::shared_ptr<const kb::KnowledgeBase> knowledge;
+  /// One entry per reported step, in run order.
   std::vector<StageReport> reports;
 };
 
-/// Build the stage graph for `options`, resolve the requested artifacts,
-/// and return them with the per-stage reports.
+/// Run the line for `options`: resolve the trace, then the record shards
+/// or the panel, then the kb, and return them with the step reports.
 ResolvedRun run_trace_plan(const RunPlanOptions& options);
 
 }  // namespace cloudlens::pipeline

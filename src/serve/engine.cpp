@@ -35,14 +35,6 @@ constexpr std::uint64_t kKbInFlight =
 /// File name the located parse errors of ingest_line carry.
 const std::string kStreamFile = "serve stream";
 
-/// A strict unsigned id field. Values past the 32-bit id space, including
-/// the invalid-id sentinel, fail like any other malformed field.
-std::uint32_t id_field(const ingest::CsvRow& row, std::size_t col) {
-  const std::uint64_t value = row.u64(col);
-  if (value >= VmId::kInvalid) row.fail(col, "an id below 4294967295");
-  return static_cast<std::uint32_t>(value);
-}
-
 /// The three grid fields of a `grid,start,step,count` line.
 TimeGrid parse_grid(const ingest::CsvRow& row) {
   row.expect_fields(4);
@@ -194,7 +186,7 @@ void ServeEngine::ingest_line(std::string_view line) {
     metrics_->add(obs::Counter::kServeVmsCreated);
   } else if (tag == "sample") {
     row.expect_fields(4);
-    const std::uint32_t id = id_field(row, 1);
+    const std::uint32_t id = ingest::parse_id(row, 1);
     const SimTime t = row.i64(2);
     const double value = row.f64(3);
     advance_watermark(t);
@@ -211,7 +203,7 @@ void ServeEngine::ingest_line(std::string_view line) {
     metrics_->add(obs::Counter::kServeSamplesIngested);
   } else if (tag == "del") {
     row.expect_fields(3);
-    const std::uint32_t id = id_field(row, 1);
+    const std::uint32_t id = ingest::parse_id(row, 1);
     const SimTime t = row.i64(2);
     advance_watermark(t);
     const auto it = vms_.find(id);
@@ -250,18 +242,19 @@ void ServeEngine::ingest(std::istream& in) {
 
 void ServeEngine::apply_vm_line(const ingest::CsvRow& row) {
   row.expect_fields(13);
-  const std::uint32_t id = id_field(row, 1);
+  const std::uint32_t id = ingest::parse_id(row, 1);
   VmState st;
   VmRecord& rec = st.rec;
   rec.id = VmId(id);
-  rec.subscription = SubscriptionId(id_field(row, 2));
-  if (!row.field(3).empty()) rec.service = ServiceId(id_field(row, 3));
+  rec.subscription = SubscriptionId(ingest::parse_id(row, 2));
+  if (!row.field(3).empty())
+    rec.service = ServiceId(ingest::parse_id(row, 3));
   rec.cloud = ingest::parse_cloud(row, 4);
   rec.party = ingest::parse_party(row, 5);
-  rec.region = RegionId(id_field(row, 6));
-  rec.cluster = ClusterId(id_field(row, 7));
-  rec.rack = RackId(id_field(row, 8));
-  rec.node = NodeId(id_field(row, 9));
+  rec.region = RegionId(ingest::parse_id(row, 6));
+  rec.cluster = ClusterId(ingest::parse_id(row, 7));
+  rec.rack = RackId(ingest::parse_id(row, 8));
+  rec.node = NodeId(ingest::parse_id(row, 9));
   rec.cores = row.f64(10);
   rec.memory_gb = row.f64(11);
   rec.created = row.i64(12);
@@ -751,7 +744,7 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
       rolls_ = row.u64(1);
     } else if (tag == "ids") {
       for (std::size_t i = 1; i < row.size(); ++i)
-        ids.push_back(id_field(row, i));
+        ids.push_back(ingest::parse_id(row, i));
     }
   }
   CL_CHECK_MSG(grid_.count > 0, "checkpoint meta missing grid");

@@ -4,19 +4,45 @@
 # report bytes as the resident one, the retired telemetry-shard and
 # kernel-selection flags must be rejected as usage errors rather than
 # ignored, and a command that needs resident records must refuse
-# --record-shards before doing work.
+# --record-shards before doing work. Along the way --metrics-out shows
+# that only commands that read many rows build a telemetry panel, and the
+# cache holds exactly one trace and one kb artifact (never a panel).
 set -e
 CLI="$1"
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
-"$CLI" generate --out "$DIR" --scale 0.12 --seed 9 --util-vms 2500
+
+# expect_builds FILE N: the metrics snapshot FILE counts N panel builds.
+expect_builds() {
+    if ! grep -Eq "\"panel\.builds\": $2([^0-9]|\$)" "$1"; then
+        echo "$1: want panel.builds $2, got:" \
+             "$(grep -o '"panel.builds": [0-9]*' "$1")" >&2
+        exit 1
+    fi
+}
+
+"$CLI" generate --out "$DIR" --scale 0.12 --seed 9 --util-vms 2500 \
+    --cache-dir "$DIR/cache" --metrics-out "$DIR/generate.json"
+expect_builds "$DIR/generate.json" 0
+traces=$(find "$DIR/cache" -type f -name 'trace-*.bin' | wc -l)
+kbs=$(find "$DIR/cache" -type f -name 'kb-*.bin' | wc -l)
+files=$(find "$DIR/cache" -type f | wc -l)
+if [ "$traces" -ne 1 ] || [ "$kbs" -ne 1 ] || [ "$files" -ne 2 ]; then
+    echo "generate --cache-dir: want one trace and one kb artifact, got:" >&2
+    ls -l "$DIR/cache" >&2
+    exit 1
+fi
 "$CLI" insights --in "$DIR"
 "$CLI" figures --in "$DIR"
 test -s "$DIR/fig1a_vms_per_subscription.csv"
 test -s "$DIR/fig5d_pattern_shares.csv"
 test -s "$DIR/fig6_weekly_private.csv"
-"$CLI" advise --in "$DIR" --cloud public | grep -q "adopt-spot"
-"$CLI" analyze --in "$DIR" --report "$DIR/a.md"
+"$CLI" advise --in "$DIR" --cloud public --metrics-out "$DIR/advise.json" \
+    | grep -q "adopt-spot"
+expect_builds "$DIR/advise.json" 0
+"$CLI" analyze --in "$DIR" --report "$DIR/a.md" \
+    --metrics-out "$DIR/analyze.json"
+expect_builds "$DIR/analyze.json" 1
 "$CLI" analyze --in "$DIR" --record-shards 4 --shard-budget-mib 0 --no-cache \
     --report "$DIR/b.md"
 cmp "$DIR/a.md" "$DIR/b.md"

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+
 #include "analysis/context.h"
+#include "cloudsim/snapshot.h"
 #include "common/check.h"
 #include "kb/extractor.h"
 #include "kb/store.h"
@@ -243,6 +248,132 @@ TEST(KnowledgeBaseTest, FromCsvRejectsGarbage) {
   EXPECT_THROW(KnowledgeBase::from_csv("not,a,header\n"), CheckError);
   EXPECT_THROW(KnowledgeBase::from_csv(csv_header() + "\n1,2,3\n"),
                CheckError);
+}
+
+/// from_csv over one to_csv() row of sample_record(1) whose field `col`
+/// (0-based) reads `text` instead: it must fail with an error that names
+/// line 2 and the 1-based column.
+void expect_field_rejected(std::size_t col, const std::string& text) {
+  std::vector<std::string> fields;
+  std::istringstream row(to_csv_row(sample_record(1, CloudType::kPublic)));
+  for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+  ASSERT_EQ(fields.size(), 19u);
+  fields[col] = text;
+  std::string line;
+  for (const std::string& f : fields) line += (line.empty() ? "" : ",") + f;
+  try {
+    KnowledgeBase::from_csv(csv_header() + "\n" + line + "\n");
+    ADD_FAILURE() << "accepted '" << text << "' in column " << col + 1;
+  } catch (const CheckError& e) {
+    const std::string where = "kb.csv:2: column " + std::to_string(col + 1);
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(KnowledgeBaseTest, FromCsvRejectsTrailingGarbageInADouble) {
+  expect_field_rejected(7, "0.5x");  // short_lifetime_share
+}
+
+TEST(KnowledgeBaseTest, FromCsvRejectsANegativeCount) {
+  expect_field_rejected(4, "-1");  // vm_count
+}
+
+TEST(KnowledgeBaseTest, FromCsvRejectsAnUnknownCloud) {
+  expect_field_rejected(1, "privat");
+}
+
+TEST(KnowledgeBaseTest, FromCsvRejectsAnUnknownParty) {
+  expect_field_rejected(2, "first_party");
+}
+
+TEST(KnowledgeBaseTest, FromCsvRejectsAFlagOtherThanZeroOrOne) {
+  expect_field_rejected(14, "yes");  // region_agnostic
+}
+
+std::string kb_snapshot_bytes(const KnowledgeBase& kb) {
+  std::ostringstream out(std::ios::binary);
+  save_kb_snapshot(kb, out);
+  return out.str();
+}
+
+KnowledgeBase kb_from_snapshot(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return load_kb_snapshot(in);
+}
+
+TEST(KnowledgeBaseTest, SnapshotRoundTripIsBitExact) {
+  // Doubles the CSV would round (or cannot print) and every enum value
+  // and flag must come back bit for bit.
+  const double awkward[] = {1.0 / 3.0,
+                            -0.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::denorm_min(),
+                            0.99996};
+  const UtilizationClass patterns[] = {
+      UtilizationClass::kDiurnal, UtilizationClass::kStable,
+      UtilizationClass::kIrregular, UtilizationClass::kHourlyPeak};
+  KnowledgeBase kb;
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    auto r = sample_record(100 + i, i % 2 ? CloudType::kPrivate
+                                          : CloudType::kPublic);
+    r.party = i % 3 ? PartyType::kThirdParty : PartyType::kFirstParty;
+    r.service = i % 3 ? ServiceId() : ServiceId(i);
+    r.vm_count = std::size_t{1} << (i % 40);
+    r.total_cores = awkward[i % 5];
+    r.short_lifetime_share = awkward[(i + 1) % 5];
+    r.pattern_confidence = awkward[(i + 2) % 5];
+    r.mean_utilization = awkward[(i + 3) % 5];
+    r.p95_utilization = awkward[(i + 4) % 5];
+    r.cross_region_correlation = -awkward[i % 5];
+    r.dominant_pattern = patterns[i % 4];
+    r.region_agnostic = (i & 1) != 0;
+    r.spot_candidate = (i & 2) != 0;
+    r.oversubscription_candidate = (i & 4) != 0;
+    r.deferral_target = (i & 8) != 0;
+    r.preprovision_target = (i & 16) != 0;
+    kb.upsert(r);
+  }
+  const std::string bytes = kb_snapshot_bytes(kb);
+  const KnowledgeBase loaded = kb_from_snapshot(bytes);
+  test::expect_same_knowledge(kb, loaded);
+  EXPECT_EQ(kb_snapshot_bytes(loaded), bytes);
+  EXPECT_EQ(kb_from_snapshot(kb_snapshot_bytes(KnowledgeBase())).size(), 0u);
+}
+
+TEST(KnowledgeBaseTest, SnapshotRejectsCorruptBytes) {
+  KnowledgeBase kb;
+  kb.upsert(sample_record(1, CloudType::kPublic));
+  const std::string bytes = kb_snapshot_bytes(kb);
+  // One-section container: 16-byte header + one 24-byte table entry, then
+  // the payload: u64 record count, then the record. Byte offsets of the
+  // record's enum bytes: cloud +4, pattern +50, flags +83.
+  const std::size_t record = 16 + 24 + 8;
+  const auto corrupt = [&](std::size_t at, char value) {
+    std::string b = bytes;
+    b.at(at) = value;
+    return b;
+  };
+  EXPECT_EQ(kb_from_snapshot(corrupt(record + 4, 1)).records()[0].cloud,
+            CloudType::kPublic);  // the offsets are right
+  EXPECT_THROW(kb_from_snapshot(corrupt(record + 4, 2)), CheckError);
+  EXPECT_THROW(kb_from_snapshot(corrupt(record + 50, 4)), CheckError);
+  EXPECT_THROW(kb_from_snapshot(corrupt(record + 83, 32)), CheckError);
+  EXPECT_THROW(kb_from_snapshot(bytes.substr(0, bytes.size() - 1)),
+               CheckError);
+
+  // A record count past the payload, trailing bytes after the records,
+  // and a container without the kb section all fail too.
+  EXPECT_THROW(kb_from_snapshot(corrupt(16 + 24, 2)), CheckError);
+  const std::string payload = bytes.substr(16 + 24) + "x";
+  std::ostringstream trailing(std::ios::binary);
+  write_container(trailing, {staged_section(
+                                snapshot_sections::kKnowledgeBase, payload)});
+  EXPECT_THROW(kb_from_snapshot(trailing.str()), CheckError);
+  std::ostringstream other(std::ios::binary);
+  write_container(other, {staged_section(snapshot_sections::kPopulationMeta,
+                                         payload)});
+  EXPECT_THROW(kb_from_snapshot(other.str()), CheckError);
 }
 
 TEST(KnowledgeBaseTest, ConstructFromVector) {

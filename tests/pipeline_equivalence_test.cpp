@@ -1,10 +1,13 @@
-// End-to-end equivalence pins for the cached pipeline: a snapshot-loaded
+// End-to-end equivalence pins for the cached run plan: a snapshot-loaded
 // trace must reproduce fresh generation *byte-for-byte* — same
-// characterization report, same figure CSVs — at any thread count, and a
-// warm cache must actually skip the generate + panel work (observed via
-// the pipeline.* counters, not timing).
+// characterization report, same figure CSVs — at any thread count; a warm
+// run must reproduce the cold run's records, panel and kb bit for bit
+// from cache hits only; and a warm cache must actually skip the generate
+// and kb work (observed via the pipeline.* counters, not timing).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -16,9 +19,11 @@
 #include "analysis/context.h"
 #include "analysis/figures.h"
 #include "analysis/report.h"
+#include "cloudsim/telemetry_panel.h"
 #include "obs/metrics.h"
 #include "pipeline/run_plan.h"
 #include "stats/kernels/kernels.h"
+#include "testutil.h"
 
 namespace cloudlens::pipeline {
 namespace {
@@ -29,6 +34,7 @@ struct RunOutput {
   std::string report;
   std::map<std::string, std::string> figures;
   std::vector<StageReport> stages;
+  bool panel = false;  ///< the resolved trace held a telemetry panel
 };
 
 RunPlanOptions plan_options(const std::string& cache_dir, bool cache_enabled,
@@ -50,6 +56,7 @@ RunOutput run_and_render(const RunPlanOptions& options) {
   RunOutput out;
   const ResolvedRun run = run_trace_plan(options);
   out.stages = run.reports;
+  out.panel = run.trace->trace->telemetry_panel() != nullptr;
 
   const AnalysisContext ctx(*run.trace->trace, options.parallel);
   std::ostringstream report;
@@ -97,20 +104,77 @@ TEST_F(PipelineEquivalenceTest, ReportAndFiguresBitIdenticalColdWarmThreads) {
   // Cold cached run at 8 threads: computes + stores, same bytes.
   const RunOutput cold = run_and_render(plan_options(dir_, true, 8));
   EXPECT_EQ(source_of(cold, "trace"), StageReport::Source::kComputedAndStored);
-  EXPECT_EQ(source_of(cold, "panel"), StageReport::Source::kComputedAndStored);
   EXPECT_EQ(cold.report, fresh.report);
   EXPECT_EQ(cold.figures, fresh.figures);
 
-  // Warm run back at 1 thread: trace and panel come off disk, and the
-  // snapshot round trip must not move a single byte of any output.
+  // Warm run back at 1 thread: the trace comes off disk and the panel is
+  // rebuilt over it; the round trip must not move a single output byte.
   const RunOutput warm = run_and_render(plan_options(dir_, true, 1));
   EXPECT_EQ(source_of(warm, "trace"), StageReport::Source::kCacheHit);
-  EXPECT_EQ(source_of(warm, "panel"), StageReport::Source::kCacheHit);
   EXPECT_EQ(warm.report, fresh.report);
   EXPECT_EQ(warm.figures, fresh.figures);
+  for (const RunOutput* run : {&fresh, &cold, &warm}) {
+    EXPECT_TRUE(run->panel);
+    EXPECT_EQ(run->stages.size(), 1u);  // the panel is never a cached step
+  }
 }
 
-TEST_F(PipelineEquivalenceTest, WarmCacheSkipsGenerateAndPanelWork) {
+/// Every VM record field, and every telemetry panel row bit, of `b`
+/// equals `a`'s.
+void expect_same_records_and_panel(const TraceStore& a, const TraceStore& b) {
+  ASSERT_EQ(b.vms().size(), a.vms().size());
+  for (std::size_t i = 0; i < a.vms().size(); ++i) {
+    const VmRecord& x = a.vms()[i];
+    const VmRecord& y = b.vms()[i];
+    ASSERT_TRUE(x.id == y.id && x.subscription == y.subscription &&
+                x.service == y.service && x.cloud == y.cloud &&
+                x.party == y.party && x.region == y.region &&
+                x.cluster == y.cluster && x.rack == y.rack &&
+                x.node == y.node && x.created == y.created &&
+                x.deleted == y.deleted &&
+                std::bit_cast<std::uint64_t>(x.cores) ==
+                    std::bit_cast<std::uint64_t>(y.cores) &&
+                std::bit_cast<std::uint64_t>(x.memory_gb) ==
+                    std::bit_cast<std::uint64_t>(y.memory_gb))
+        << "vm " << i;
+  }
+  const TelemetryPanel* pa = a.telemetry_panel();
+  const TelemetryPanel* pb = b.telemetry_panel();
+  ASSERT_NE(pa, nullptr);
+  ASSERT_NE(pb, nullptr);
+  ASSERT_EQ(pb->vm_count(), pa->vm_count());
+  for (std::size_t v = 0; v < pa->vm_count(); ++v) {
+    const VmId id(static_cast<VmId::underlying>(v));
+    ASSERT_EQ(pb->row(id).size(), pa->row(id).size());
+    ASSERT_EQ(std::memcmp(pb->row(id).data(), pa->row(id).data(),
+                          pa->row(id).size_bytes()),
+              0)
+        << "panel row " << v;
+  }
+}
+
+TEST_F(PipelineEquivalenceTest, WarmRunReproducesColdArtifactsFromHitsOnly) {
+  // A warm run must be served by cache hits alone, and what it serves —
+  // the VM records, the panel rebuilt over them, and the kb records —
+  // must equal the cold run's bit for bit (the kb's doubles included).
+  RunPlanOptions options = plan_options(dir_, true, 4);
+  options.want_kb = true;
+  options.kb_options.max_classified_vms = 4;
+  const ResolvedRun cold = run_trace_plan(options);
+  for (const StageReport& r : cold.reports)
+    EXPECT_EQ(r.source, StageReport::Source::kComputedAndStored) << r.name;
+
+  options.parallel = ParallelConfig::with_threads(1);
+  const ResolvedRun warm = run_trace_plan(options);
+  for (const StageReport& r : warm.reports)
+    EXPECT_EQ(r.source, StageReport::Source::kCacheHit) << r.name;
+
+  expect_same_records_and_panel(*cold.trace->trace, *warm.trace->trace);
+  test::expect_same_knowledge(*cold.knowledge, *warm.knowledge);
+  EXPECT_EQ(warm.knowledge->to_csv(), cold.knowledge->to_csv());
+}
+
+TEST_F(PipelineEquivalenceTest, WarmCacheSkipsGenerateAndKbWork) {
   // pipeline.* counters go to the registry the plan was handed; the
   // generator and the panel build record against the process-global
   // registry (they have no context parameter), so watch both.
@@ -122,32 +186,42 @@ TEST_F(PipelineEquivalenceTest, WarmCacheSkipsGenerateAndPanelWork) {
 
   RunPlanOptions options = plan_options(dir_, true, 2, &metrics);
   options.scenario.scale = 0.02;
-  run_trace_plan(options);
+  options.want_kb = true;
+  options.kb_options.max_classified_vms = 4;
+  const ResolvedRun cold_run = run_trace_plan(options);
   auto cold = metrics.snapshot();
-  EXPECT_EQ(cold.counter("pipeline.stage_runs"), 2u);
+  // trace, panel and kb steps; only trace and kb touch the cache, and the
+  // bytes written are exactly theirs (the panel is never stored).
+  EXPECT_EQ(cold.counter("pipeline.stage_runs"), 3u);
   EXPECT_EQ(cold.counter("pipeline.cache_misses"), 2u);
   EXPECT_EQ(cold.counter("pipeline.cache_stores"), 2u);
   EXPECT_EQ(cold.counter("pipeline.cache_hits"), 0u);
-  EXPECT_GT(cold.counter("pipeline.cache_bytes_written"), 0u);
-  // The cold run actually generated (one run per cloud) and built the
-  // panel.
+  EXPECT_EQ(cold.counter("pipeline.cache_bytes_written"),
+            cold_run.reports.at(0).artifact_bytes +
+                cold_run.reports.at(1).artifact_bytes);
+  // The cold run actually generated (one run per cloud), built the panel
+  // and extracted the kb.
   auto cold_global = global.snapshot();
   EXPECT_EQ(cold_global.counter("gen.runs"), 2u);
   EXPECT_EQ(cold_global.counter("panel.builds"), 1u);
+  EXPECT_EQ(cold.counter("kb.extractions"), 1u);
 
   metrics.reset();
   global.reset();
   run_trace_plan(options);
   auto warm = metrics.snapshot();
-  EXPECT_EQ(warm.counter("pipeline.stage_runs"), 2u);
+  EXPECT_EQ(warm.counter("pipeline.stage_runs"), 3u);
   EXPECT_EQ(warm.counter("pipeline.cache_hits"), 2u);
   EXPECT_EQ(warm.counter("pipeline.cache_misses"), 0u);
   EXPECT_EQ(warm.counter("pipeline.cache_stores"), 0u);
-  EXPECT_GT(warm.counter("pipeline.cache_bytes_read"), 0u);
-  // Warm runs never regenerate the workload or rebuild the panel.
+  EXPECT_EQ(warm.counter("pipeline.cache_bytes_read"),
+            cold.counter("pipeline.cache_bytes_written"));
+  // Warm runs never regenerate the workload or re-extract the kb; the
+  // panel is rebuilt in memory over the loaded trace.
   auto warm_global = global.snapshot();
   EXPECT_EQ(warm_global.counter("gen.runs"), 0u);
-  EXPECT_EQ(warm_global.counter("panel.builds"), 0u);
+  EXPECT_EQ(warm.counter("kb.extractions"), 0u);
+  EXPECT_EQ(warm_global.counter("panel.builds"), 1u);
   global.set_enabled(false);
 }
 
@@ -240,14 +314,13 @@ TEST_F(PipelineEquivalenceTest, StrictModeBitIdenticalAcrossKernelTiers) {
     EXPECT_EQ(cold.report, reference.report);
     const RunOutput warm = run_and_render(plan_options(tier_dir, true, 1));
     EXPECT_EQ(source_of(warm, "trace"), StageReport::Source::kCacheHit);
-    EXPECT_EQ(source_of(warm, "panel"), StageReport::Source::kCacheHit);
     EXPECT_EQ(warm.report, reference.report);
     EXPECT_EQ(warm.figures, reference.figures);
     fs::remove_all(tier_dir);
   }
 
   // Stage keys carry no kernel path: a cache the scalar path filled is a
-  // warm hit on this CPU's path for the trace, panel and kb stages.
+  // warm hit on this CPU's path for the trace and kb stages.
   RunPlanOptions options = plan_options(dir_, true, 1);
   options.want_kb = true;
   {
@@ -256,7 +329,7 @@ TEST_F(PipelineEquivalenceTest, StrictModeBitIdenticalAcrossKernelTiers) {
     EXPECT_EQ(source_of(cold, "kb"), StageReport::Source::kComputedAndStored);
   }
   const RunOutput warm = run_and_render(options);
-  for (const char* stage : {"trace", "panel", "kb"})
+  for (const char* stage : {"trace", "kb"})
     EXPECT_EQ(source_of(warm, stage), StageReport::Source::kCacheHit) << stage;
   EXPECT_EQ(warm.report, reference.report);
 }

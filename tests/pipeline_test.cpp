@@ -1,8 +1,8 @@
-// Pipeline engine tests: content-hash behaviour, artifact-cache
-// atomic store/lookup, runner memoization and hit/miss flow, key
+// Run-plan tests: content-hash behaviour, artifact-cache atomic
+// store/lookup, the cached steps' hit/miss flow and metrics, key
 // derivation invariants (inputs and options change keys; thread counts
-// never do), and the run-plan stage graph end to end.
-#include "pipeline/pipeline.h"
+// never do), and pinned trace and kb keys.
+#include "pipeline/run_plan.h"
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,9 @@
 #include <fstream>
 #include <string>
 
-#include "common/check.h"
 #include "obs/metrics.h"
-#include "pipeline/run_plan.h"
+#include "pipeline/artifact_cache.h"
+#include "pipeline/content_hash.h"
 
 namespace cloudlens::pipeline {
 namespace {
@@ -91,167 +91,115 @@ TEST(ArtifactCacheTest, DisabledCacheIsInert) {
   EXPECT_FALSE(flagged_off.enabled());
 }
 
-Stage string_stage(const std::string& name, const std::string& value,
-                   int* compute_count,
-                   std::vector<std::string> inputs = {}) {
-  Stage s;
-  s.name = name;
-  s.inputs = std::move(inputs);
-  s.key_extra = [value](ContentHash& h) { h.str(value); };
-  s.compute = [value, compute_count](const StageInputs&) {
-    if (compute_count != nullptr) ++*compute_count;
-    return std::make_shared<std::string>(value);
-  };
-  s.save = [](const std::shared_ptr<void>& artifact, const StageInputs&,
-              std::ostream& out) {
-    out << *std::static_pointer_cast<std::string>(artifact);
-  };
-  s.load = [](const StageInputs&, std::istream& in) {
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return std::make_shared<std::string>(buffer.str());
-  };
-  return s;
+// --- run-plan key invariants (generated mode) ----------------------------
+
+/// A small generated plan: trace only, or trace + kb with `generate`'s kb
+/// options.
+RunPlanOptions small_plan(const std::string& cache_dir, double scale,
+                          std::uint64_t seed, std::size_t threads,
+                          bool want_kb = false) {
+  RunPlanOptions options;
+  options.scenario.scale = scale;
+  options.scenario.seed = seed;
+  options.want_panel = false;
+  options.want_kb = want_kb;
+  options.kb_options.max_classified_vms = 4;
+  options.cache_dir = cache_dir;
+  options.parallel = ParallelConfig::with_threads(threads);
+  return options;
 }
-
-TEST_F(TempDirTest, RunnerMemoizesWithinARun) {
-  int computes = 0;
-  PipelineRunner runner{ArtifactCache{}};
-  runner.add(string_stage("a", "va", &computes));
-  const auto first = runner.resolve_as<std::string>("a");
-  const auto second = runner.resolve_as<std::string>("a");
-  EXPECT_EQ(computes, 1);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(runner.reports().size(), 1u);
-  EXPECT_EQ(runner.reports()[0].source, StageReport::Source::kComputed);
-  EXPECT_TRUE(runner.reports()[0].key_hex.empty());  // cache disabled
-}
-
-TEST_F(TempDirTest, ColdStoresThenWarmHits) {
-  int computes = 0;
-  {
-    PipelineRunner cold{ArtifactCache{dir()}};
-    cold.add(string_stage("a", "va", &computes));
-    EXPECT_EQ(*cold.resolve_as<std::string>("a"), "va");
-    ASSERT_EQ(cold.reports().size(), 1u);
-    EXPECT_EQ(cold.reports()[0].source,
-              StageReport::Source::kComputedAndStored);
-    EXPECT_EQ(cold.reports()[0].artifact_bytes, 2u);
-    EXPECT_EQ(computes, 1);
-  }
-  {
-    PipelineRunner warm{ArtifactCache{dir()}};
-    warm.add(string_stage("a", "va", &computes));
-    EXPECT_EQ(*warm.resolve_as<std::string>("a"), "va");
-    ASSERT_EQ(warm.reports().size(), 1u);
-    EXPECT_EQ(warm.reports()[0].source, StageReport::Source::kCacheHit);
-    EXPECT_EQ(computes, 1);  // loaded, not recomputed
-  }
-}
-
-TEST_F(TempDirTest, KeyCoversOwnOptionsAndInputKeys) {
-  PipelineRunner r1{ArtifactCache{dir()}};
-  r1.add(string_stage("base", "v1", nullptr));
-  r1.add(string_stage("child", "c", nullptr, {"base"}));
-
-  PipelineRunner r2{ArtifactCache{dir()}};
-  r2.add(string_stage("base", "v2", nullptr));  // changed upstream option
-  r2.add(string_stage("child", "c", nullptr, {"base"}));
-
-  PipelineRunner r3{ArtifactCache{dir()}};
-  r3.add(string_stage("base", "v1", nullptr));
-  r3.add(string_stage("child", "c2", nullptr, {"base"}));  // own option
-
-  EXPECT_NE(r1.key_hex("base"), r2.key_hex("base"));
-  // The child's key shifts when an *input's* key shifts...
-  EXPECT_NE(r1.key_hex("child"), r2.key_hex("child"));
-  // ...and when its own configuration changes.
-  EXPECT_NE(r1.key_hex("child"), r3.key_hex("child"));
-  // Same graph, same keys.
-  PipelineRunner r4{ArtifactCache{dir()}};
-  r4.add(string_stage("base", "v1", nullptr));
-  r4.add(string_stage("child", "c", nullptr, {"base"}));
-  EXPECT_EQ(r1.key_hex("child"), r4.key_hex("child"));
-}
-
-TEST_F(TempDirTest, MetricsCountHitsMissesAndBytes) {
-  obs::MetricsRegistry metrics;
-  metrics.set_enabled(true);
-  {
-    PipelineRunner cold(ArtifactCache{dir()}, {}, &metrics);
-    cold.add(string_stage("a", "va", nullptr));
-    cold.resolve("a");
-  }
-  auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.counter("pipeline.stage_runs"), 1u);
-  EXPECT_EQ(snap.counter("pipeline.cache_misses"), 1u);
-  EXPECT_EQ(snap.counter("pipeline.cache_stores"), 1u);
-  EXPECT_EQ(snap.counter("pipeline.cache_bytes_written"), 2u);
-  EXPECT_EQ(snap.counter("pipeline.cache_hits"), 0u);
-
-  metrics.reset();
-  {
-    PipelineRunner warm(ArtifactCache{dir()}, {}, &metrics);
-    warm.add(string_stage("a", "va", nullptr));
-    warm.resolve("a");
-  }
-  snap = metrics.snapshot();
-  EXPECT_EQ(snap.counter("pipeline.cache_hits"), 1u);
-  EXPECT_EQ(snap.counter("pipeline.cache_misses"), 0u);
-  EXPECT_EQ(snap.counter("pipeline.cache_bytes_read"), 2u);
-}
-
-TEST(PipelineRunnerTest, DetectsCyclesAndUndeclaredInputs) {
-  PipelineRunner runner{ArtifactCache{}};
-  runner.add(string_stage("a", "va", nullptr, {"b"}));
-  runner.add(string_stage("b", "vb", nullptr, {"a"}));
-  EXPECT_THROW(runner.resolve("a"), CheckError);
-
-  PipelineRunner undeclared{ArtifactCache{}};
-  Stage sneaky;
-  sneaky.name = "sneaky";
-  sneaky.compute = [](const StageInputs& inputs) {
-    return inputs.get<std::string>("base");  // never declared
-  };
-  undeclared.add(string_stage("base", "v", nullptr));
-  undeclared.add(std::move(sneaky));
-  undeclared.resolve("base");
-  EXPECT_THROW(undeclared.resolve("sneaky"), CheckError);
-}
-
-TEST(PipelineRunnerTest, RejectsMalformedStages) {
-  PipelineRunner runner{ArtifactCache{}};
-  Stage unnamed;
-  unnamed.compute = [](const StageInputs&) {
-    return std::make_shared<int>(0);
-  };
-  EXPECT_THROW(runner.add(unnamed), CheckError);
-
-  Stage half_cacheable = string_stage("x", "v", nullptr);
-  half_cacheable.load = nullptr;
-  EXPECT_THROW(runner.add(std::move(half_cacheable)), CheckError);
-
-  runner.add(string_stage("dup", "v", nullptr));
-  EXPECT_THROW(runner.add(string_stage("dup", "v", nullptr)), CheckError);
-  EXPECT_THROW(runner.resolve("missing"), CheckError);
-}
-
-// --- run-plan key invariants (generated mode, trace stage only) ---------
 
 std::vector<StageReport> plan_reports(const std::string& cache_dir,
                                       double scale, std::uint64_t seed,
                                       std::size_t threads,
                                       bool mutate_profile = false) {
-  RunPlanOptions options;
-  options.scenario.scale = scale;
-  options.scenario.seed = seed;
-  options.want_panel = false;
-  options.cache_dir = cache_dir;
-  options.parallel = ParallelConfig::with_threads(threads);
+  RunPlanOptions options = small_plan(cache_dir, scale, seed, threads);
   if (mutate_profile) {
     options.scenario.private_profile.pattern_mix.diurnal += 0.01;
   }
   return run_trace_plan(options).reports;
+}
+
+TEST_F(TempDirTest, ColdStoresThenWarmHits) {
+  const auto cold = run_trace_plan(small_plan(dir(), 0.02, 7, 2, true));
+  ASSERT_EQ(cold.reports.size(), 2u);
+  for (const StageReport& r : cold.reports) {
+    EXPECT_EQ(r.source, StageReport::Source::kComputedAndStored) << r.name;
+    EXPECT_GT(r.artifact_bytes, 0u) << r.name;
+    EXPECT_EQ(r.key_hex.size(), 32u) << r.name;
+  }
+  const auto warm = run_trace_plan(small_plan(dir(), 0.02, 7, 2, true));
+  ASSERT_EQ(warm.reports.size(), 2u);
+  for (std::size_t i = 0; i < warm.reports.size(); ++i) {
+    EXPECT_EQ(warm.reports[i].name, cold.reports[i].name);
+    EXPECT_EQ(warm.reports[i].source, StageReport::Source::kCacheHit);
+    EXPECT_EQ(warm.reports[i].key_hex, cold.reports[i].key_hex);
+    EXPECT_EQ(warm.reports[i].artifact_bytes, cold.reports[i].artifact_bytes);
+  }
+  // Exactly one file per cached artifact, and no panel among them.
+  std::size_t files = 0;
+  for (const auto& e : fs::directory_iterator(dir())) {
+    const std::string name = e.path().filename().string();
+    EXPECT_TRUE(name.rfind("trace-", 0) == 0 || name.rfind("kb-", 0) == 0)
+        << name;
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);
+}
+
+TEST_F(TempDirTest, KeyCoversOwnOptionsAndInputKeys) {
+  const auto kb_key = [&](const RunPlanOptions& options) {
+    const auto reports = run_trace_plan(options).reports;
+    return reports.at(1).key_hex;
+  };
+  const std::string base = kb_key(small_plan(dir(), 0.02, 7, 1, true));
+  // The kb key shifts when the trace's key shifts...
+  EXPECT_NE(kb_key(small_plan(dir(), 0.02, 8, 1, true)), base);
+  // ...and when its own configuration changes...
+  RunPlanOptions own = small_plan(dir(), 0.02, 7, 1, true);
+  own.kb_options.oversub_p95_max += 0.01;
+  EXPECT_NE(kb_key(own), base);
+  // ...but never with the thread count or the panel.
+  RunPlanOptions env = small_plan(dir(), 0.02, 7, 4, true);
+  env.want_panel = true;
+  EXPECT_EQ(kb_key(env), base);
+}
+
+TEST_F(TempDirTest, MetricsCountHitsMissesAndBytes) {
+  obs::MetricsRegistry metrics;
+  metrics.set_enabled(true);
+  RunPlanOptions options = small_plan(dir(), 0.02, 7, 1);
+  options.metrics = &metrics;
+  const auto cold = run_trace_plan(options);
+  auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("pipeline.stage_runs"), 1u);
+  EXPECT_EQ(snap.counter("pipeline.cache_misses"), 1u);
+  EXPECT_EQ(snap.counter("pipeline.cache_stores"), 1u);
+  EXPECT_EQ(snap.counter("pipeline.cache_bytes_written"),
+            cold.reports.at(0).artifact_bytes);
+  EXPECT_EQ(snap.counter("pipeline.cache_hits"), 0u);
+
+  metrics.reset();
+  run_trace_plan(options);
+  snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("pipeline.cache_hits"), 1u);
+  EXPECT_EQ(snap.counter("pipeline.cache_misses"), 0u);
+  EXPECT_EQ(snap.counter("pipeline.cache_bytes_read"),
+            cold.reports.at(0).artifact_bytes);
+}
+
+TEST_F(TempDirTest, RunPlanKeysArePinned) {
+  // The trace key of `cloudlens generate --scale 0.02 --seed 7`, unchanged
+  // since the cache was introduced, so caches and spill directories filled
+  // by earlier builds stay warm. The kb key is pinned after its layout
+  // byte moved to 2 (the exact CLSN artifact).
+  const auto reports = run_trace_plan(small_plan(dir(), 0.02, 7, 1, true))
+                           .reports;
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].name, "trace");
+  EXPECT_EQ(reports[0].key_hex, "e683202c1fef01afb08083f0436525aa");
+  EXPECT_EQ(reports[1].name, "kb");
+  EXPECT_EQ(reports[1].key_hex, "eea1b1f047cbbfb24a925d68ccf45991");
 }
 
 TEST_F(TempDirTest, RunPlanKeyTracksIdentityButNeverThreads) {
@@ -272,15 +220,14 @@ TEST_F(TempDirTest, RunPlanKeyTracksIdentityButNeverThreads) {
 }
 
 TEST_F(TempDirTest, RunPlanCacheDisabledNeverStores) {
-  RunPlanOptions options;
-  options.scenario.scale = 0.02;
-  options.scenario.seed = 7;
-  options.want_panel = false;
-  options.cache_dir = dir();
+  RunPlanOptions options = small_plan(dir(), 0.02, 7, 1, true);
   options.cache_enabled = false;
   const auto run = run_trace_plan(options);
-  ASSERT_EQ(run.reports.size(), 1u);
-  EXPECT_EQ(run.reports[0].source, StageReport::Source::kComputed);
+  ASSERT_EQ(run.reports.size(), 2u);
+  for (const StageReport& r : run.reports) {
+    EXPECT_EQ(r.source, StageReport::Source::kComputed) << r.name;
+    EXPECT_TRUE(r.key_hex.empty()) << r.name;
+  }
   EXPECT_TRUE(fs::is_empty(dir()));
 }
 
@@ -292,12 +239,12 @@ TEST(StageTableTest, RendersOneRowPerReport) {
   hit.key_hex = "0123456789abcdef0123456789abcdef";
   hit.artifact_bytes = 1234;
   StageReport computed;
-  computed.name = "panel";
+  computed.name = "pop-shards";
   const std::string table = render_stage_table({hit, computed});
   EXPECT_NE(table.find("trace"), std::string::npos);
   EXPECT_NE(table.find("hit"), std::string::npos);
   EXPECT_NE(table.find("0123456789ab.."), std::string::npos);
-  EXPECT_NE(table.find("panel"), std::string::npos);
+  EXPECT_NE(table.find("pop-shards"), std::string::npos);
   EXPECT_NE(table.find("computed"), std::string::npos);
 }
 

@@ -188,9 +188,9 @@ std::string read_file(const std::string& path) {
 }
 
 // The container bytes are part of the format (kSnapshotFormatVersion 1):
-// a trace snapshot, a panel snapshot and the sealed shard files of this
-// fixed trace must keep these exact digests. A deliberate layout change
-// bumps the version and re-pins them.
+// a trace snapshot and the sealed shard files of this fixed trace must
+// keep these exact digests. A deliberate layout change bumps the version
+// and re-pins them.
 TEST_F(SnapshotHandBuiltTest, ContainerBytesArePinned) {
   EXPECT_EQ(fnv1a(save_to_string(topo_, fx_.trace)), 0xe8a93675f5eccfd4ULL);
 
@@ -209,10 +209,6 @@ TEST_F(SnapshotHandBuiltTest, ContainerBytesArePinned) {
               0x5cf2fe1ebeebd0c9ULL);
   }
   std::filesystem::remove_all(dir);
-
-  std::ostringstream panel(std::ios::binary);
-  save_panel_snapshot(*fx_.trace.build_telemetry_panel(), panel);
-  EXPECT_EQ(fnv1a(panel.str()), 0x92351a1f45f4ed1eULL);
 }
 
 TEST(SnapshotContainer, RejectsBadMagicVersionAndTruncation) {
@@ -298,72 +294,6 @@ TEST_F(SnapshotGeneratedTest, WithoutCodecDegradesToGridExactSamples) {
                 before[i].utilization->at(grid.at(g)));
     }
   }
-}
-
-/// Every sampled row and every hourly row of `b` is bit-identical to `a`.
-void expect_panels_bit_identical(const TelemetryPanel& a,
-                                 const TelemetryPanel& b) {
-  ASSERT_EQ(b.vm_count(), a.vm_count());
-  ASSERT_EQ(b.grid().count, a.grid().count);
-  for (std::size_t v = 0; v < a.vm_count(); v += 37) {
-    const VmId id(static_cast<VmId::underlying>(v));
-    const auto ra = a.row(id);
-    const auto rb = b.row(id);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); i += 53) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ra[i]),
-                std::bit_cast<std::uint64_t>(rb[i]));
-    }
-    const auto ha = a.hourly_row(id);
-    const auto hb = b.hourly_row(id);
-    ASSERT_EQ(ha.size(), hb.size());
-    for (std::size_t i = 0; i < ha.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ha[i]),
-                std::bit_cast<std::uint64_t>(hb[i]));
-    }
-  }
-}
-
-std::unique_ptr<TelemetryPanel> panel_round_trip(const TelemetryPanel& panel) {
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(panel, out);
-  std::istringstream in(out.str(), std::ios::binary);
-  return load_panel_snapshot(in);
-}
-
-TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
-  // The warm pipeline path: the trace snapshot carries no PANEL section,
-  // so the loaded trace gets its panel by adopting the panel snapshot's.
-  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  const auto loaded = load_from_string(
-      save_to_string(*scenario_->topology, *scenario_->trace,
-                     &workloads::pattern_snapshot_codec()),
-      &workloads::pattern_snapshot_codec());
-  EXPECT_EQ(loaded.trace->telemetry_panel(), nullptr);
-
-  ASSERT_TRUE(loaded.trace->adopt_telemetry_panel(panel_round_trip(*panel)));
-  const TelemetryPanel* adopted = loaded.trace->telemetry_panel();
-  ASSERT_NE(adopted, nullptr);
-  expect_panels_bit_identical(*panel, *adopted);
-}
-
-TEST_F(SnapshotGeneratedTest, PanelOnlySnapshotRoundTrips) {
-  const TelemetryPanel* panel = scenario_->trace->build_telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  expect_panels_bit_identical(*panel, *panel_round_trip(*panel));
-}
-
-TEST_F(SnapshotGeneratedTest, AdoptRejectsMismatchedPanel) {
-  // A panel from a different trace (wrong vm count) must be refused.
-  workloads::ScenarioOptions options;
-  options.scale = 0.02;
-  options.seed = 5;
-  auto other = workloads::make_scenario(options);
-  const TelemetryPanel* panel = other.trace->build_telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  EXPECT_FALSE(
-      scenario_->trace->adopt_telemetry_panel(panel_round_trip(*panel)));
 }
 
 // ---- SnapshotMapping: mmap'd read path + error handling -----------------

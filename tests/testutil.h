@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -12,8 +13,41 @@
 #include "cloudsim/topology.h"
 #include "cloudsim/trace.h"
 #include "common/check.h"
+#include "kb/store.h"
 
 namespace cloudlens::test {
+
+/// Every kb record field of `b` equals `a`'s, doubles bit for bit.
+inline void expect_same_knowledge(const kb::KnowledgeBase& a,
+                                  const kb::KnowledgeBase& b) {
+  ASSERT_EQ(b.size(), a.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const kb::SubscriptionKnowledge& x = a.records()[i];
+    const kb::SubscriptionKnowledge& y = b.records()[i];
+    SCOPED_TRACE("kb record " + std::to_string(i));
+    EXPECT_EQ(y.subscription, x.subscription);
+    EXPECT_EQ(y.cloud, x.cloud);
+    EXPECT_EQ(y.party, x.party);
+    EXPECT_EQ(y.service, x.service);
+    EXPECT_EQ(y.vm_count, x.vm_count);
+    EXPECT_EQ(bits(y.total_cores), bits(x.total_cores));
+    EXPECT_EQ(y.region_count, x.region_count);
+    EXPECT_EQ(bits(y.short_lifetime_share), bits(x.short_lifetime_share));
+    EXPECT_EQ(y.ended_vms, x.ended_vms);
+    EXPECT_EQ(y.dominant_pattern, x.dominant_pattern);
+    EXPECT_EQ(bits(y.pattern_confidence), bits(x.pattern_confidence));
+    EXPECT_EQ(bits(y.mean_utilization), bits(x.mean_utilization));
+    EXPECT_EQ(bits(y.p95_utilization), bits(x.p95_utilization));
+    EXPECT_EQ(bits(y.cross_region_correlation),
+              bits(x.cross_region_correlation));
+    EXPECT_EQ(y.region_agnostic, x.region_agnostic);
+    EXPECT_EQ(y.spot_candidate, x.spot_candidate);
+    EXPECT_EQ(y.oversubscription_candidate, x.oversubscription_candidate);
+    EXPECT_EQ(y.deferral_target, x.deferral_target);
+    EXPECT_EQ(y.preprovision_target, x.preprovision_target);
+  }
+}
 
 /// Expects `lookup()` to throw CheckError naming `id` ("unknown vm-7").
 template <typename Fn, typename Tag>

@@ -13,15 +13,17 @@
 // Any directory holding CSVs in the documented schema — including
 // preprocessed external traces — can be analyzed the same way.
 //
-// Every command runs through the stage-graph pipeline (pipeline/run_plan.h):
-// the trace, telemetry panel, and knowledge-base prefixes are content-keyed
-// stages whose binary snapshots land in an artifact cache, so a warm rerun
-// loads them instead of regenerating/reimporting — bit-identically, at any
-// --threads setting. The analysis commands also run without --in, resolving
-// the generated scenario for (--scale, --seed) straight from the cache that
-// `generate` populated. `--cache-dir DIR` relocates the cache (default:
-// `<dir>/.cloudlens-cache`), `--no-cache` disables it, and each run prints
-// a per-stage hit/miss + timing table.
+// Every command runs through the shared run plan (pipeline/run_plan.h):
+// the trace and knowledge-base prefixes are content-keyed artifacts whose
+// binary snapshots land in an artifact cache, so a warm rerun loads them
+// instead of regenerating/reimporting — bit-identically, at any --threads
+// setting. The telemetry panel is rebuilt in memory by the commands that
+// read many rows (analyze, insights, figures), never cached. The analysis
+// commands also run without --in, resolving the generated scenario for
+// (--scale, --seed) straight from the cache that `generate` populated.
+// `--cache-dir DIR` relocates the cache (default: `<dir>/.cloudlens-cache`),
+// `--no-cache` disables it, and each run prints a per-stage hit/miss +
+// timing table.
 //
 // Observability: every command honours `--metrics-out FILE.json` (counter /
 // gauge / histogram snapshot of the run plus an end-of-run summary table on
@@ -162,7 +164,7 @@ int command_help(const std::string& command) {
         << "usage: cloudlens generate --out DIR [flags]\n"
            "synthesize a one-week dual-cloud trace; write topology.csv,\n"
            "vmtable.csv, utilization.csv, kb.csv into DIR and populate the\n"
-           "artifact cache (trace + panel + kb stages) for later commands.\n"
+           "artifact cache (trace + kb) for later commands.\n"
            "  --out DIR           output directory (required)\n"
            "  --scale F           population scale (default 0.3)\n"
            "  --seed N            generator seed (default 42)\n"
@@ -334,6 +336,8 @@ pipeline::RunPlanOptions make_plan(const CliArgs& args) {
 
 /// generate, advise, fit and stream read the resident record vector, which
 /// a record-sharded trace does not have: refuse the flag before any work.
+/// They also read too few telemetry rows to pay for a panel, so their
+/// plans set want_panel = false.
 bool rejects_record_shards(const CliArgs& args) {
   if (args.record_shards == 0) return false;
   std::cerr << args.command
@@ -367,6 +371,7 @@ int cmd_generate(const CliArgs& args) {
   if (rejects_record_shards(args)) return 2;
   pipeline::RunPlanOptions plan = make_plan(args);
   plan.trace_dir.clear();  // generate is always generated-mode
+  plan.want_panel = false;
   plan.want_kb = true;
   plan.kb_options.max_classified_vms = 4;
   std::cout << "generating scenario (scale=" << args.scale
@@ -502,7 +507,9 @@ int cmd_figures(const CliArgs& args) {
 /// for each cloud present in the trace.
 int cmd_fit(const CliArgs& args) {
   if (rejects_record_shards(args)) return 2;
-  const auto run = resolve_and_report(make_plan(args), args);
+  pipeline::RunPlanOptions plan = make_plan(args);
+  plan.want_panel = false;
+  const auto run = resolve_and_report(plan, args);
   const TraceStore& trace = *run.trace->trace;
   for (const CloudType cloud : {CloudType::kPrivate, CloudType::kPublic}) {
     bool present = false;
@@ -555,6 +562,7 @@ int cmd_fit(const CliArgs& args) {
 int cmd_advise(const CliArgs& args) {
   if (rejects_record_shards(args)) return 2;
   pipeline::RunPlanOptions plan = make_plan(args);
+  plan.want_panel = false;
   // CSV mode keeps the historical contract: DIR/kb.csv is the knowledge
   // base when present. Generated mode resolves the kb stage (same options
   // as `generate`, so a prior generate run is a cache hit).
@@ -604,7 +612,9 @@ int cmd_stream(const CliArgs& args) {
     return 2;
   }
   if (rejects_record_shards(args)) return 2;
-  const auto run = pipeline::run_trace_plan(make_plan(args));
+  pipeline::RunPlanOptions plan = make_plan(args);
+  plan.want_panel = false;
+  const auto run = pipeline::run_trace_plan(plan);
   std::cerr << "streaming " << run.trace->trace->vm_count() << " VMs over "
             << run.trace->trace->telemetry_grid().count << " ticks...\n";
   serve::write_event_stream(*run.trace->topology, *run.trace->trace,
