@@ -130,13 +130,14 @@ namespace cloudlens::obs {
   X(kServeKbRecomputed, "serve.kb_records_recomputed")         \
   X(kServeWindowRolls, "serve.window_rolls")                   \
   X(kServeCheckpoints, "serve.checkpoints")                    \
-  /* policies: advisor decisions */                            \
+  /* policies: advisor decisions and platform evaluations */   \
   X(kPolicyRecommendations, "policy.recommendations")          \
   X(kPolicySpot, "policy.spot_adoptions")                      \
   X(kPolicyOversub, "policy.oversubscriptions")                \
   X(kPolicyDeferral, "policy.deferrals")                       \
   X(kPolicyPreprovision, "policy.preprovisions")               \
-  X(kPolicyRebalance, "policy.region_rebalances")
+  X(kPolicyRebalance, "policy.region_rebalances")              \
+  X(kPolicyEvaluations, "policy.evaluations")
 
 // Gauges: last-written (or max-tracked) instantaneous values.
 #define CLOUDLENS_OBS_GAUGES(X)                                \
@@ -167,7 +168,8 @@ namespace cloudlens::obs {
   X(kIngestDecodeSeconds, "ingest.decode_seconds")             \
   X(kServeIngestBatchSeconds, "serve.ingest_batch_seconds")    \
   X(kServeSnapshotBuildSeconds, "serve.snapshot_build_seconds") \
-  X(kServeQuerySeconds, "serve.query_seconds")
+  X(kServeQuerySeconds, "serve.query_seconds")                 \
+  X(kPolicyEvaluateSeconds, "policy.evaluate_seconds")
 
 enum class Counter : std::uint16_t {
 #define CLOUDLENS_OBS_ENUM(id, name) id,

@@ -4,6 +4,7 @@
 
 #include "common/table.h"
 #include "obs/metrics.h"
+#include "obs/phase_timer.h"
 
 namespace cloudlens::policies {
 namespace {
@@ -40,7 +41,7 @@ std::size_t AdvisorReport::count(ActionKind kind) const {
 }
 
 AdvisorReport advise(const TraceStore& trace, const kb::KnowledgeBase& kb,
-                     CloudType cloud) {
+                     CloudType cloud, const ParallelConfig& parallel) {
   AdvisorReport report;
   report.cloud = cloud;
 
@@ -103,12 +104,24 @@ AdvisorReport advise(const TraceStore& trace, const kb::KnowledgeBase& kb,
               report.recommendations.size());
   for (const auto& r : report.recommendations) metrics.add(counter_for(r.action));
 
-  // Platform-level evaluations backing the advisory.
-  report.spot = evaluate_spot_adoption(trace, cloud);
-  report.oversubscription = evaluate_oversubscription(trace, cloud);
+  // Platform-level evaluations backing the advisory, one phase each.
+  const auto phase = [](std::string_view name) {
+    return obs::PhaseTimer(name, obs::Histogram::kPolicyEvaluateSeconds,
+                           obs::Counter::kPolicyEvaluations);
+  };
+  {
+    const auto timer = phase("policies.spot");
+    report.spot = evaluate_spot_adoption(trace, cloud);
+  }
+  {
+    const auto timer = phase("policies.oversubscription");
+    report.oversubscription =
+        evaluate_oversubscription(trace, cloud, {}, parallel);
+  }
   if (cloud == CloudType::kPrivate) {
-    if (const auto shift = recommend_shift(trace, cloud))
-      report.rebalance = evaluate_shift(trace, cloud, *shift);
+    const auto timer = phase("policies.rebalance");
+    if (const auto shift = recommend_shift(trace, cloud, {}, parallel))
+      report.rebalance = evaluate_shift(trace, cloud, *shift, {}, parallel);
   }
   return report;
 }

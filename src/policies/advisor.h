@@ -50,9 +50,11 @@ struct AdvisorReport {
   std::size_t count(ActionKind kind) const;
 };
 
-/// Build the per-cloud advisory from extracted knowledge.
+/// Build the per-cloud advisory from extracted knowledge. The platform
+/// evaluations fan out over `parallel`; the report is bit-identical at any
+/// thread count, with or without a built telemetry panel.
 AdvisorReport advise(const TraceStore& trace, const kb::KnowledgeBase& kb,
-                     CloudType cloud);
+                     CloudType cloud, const ParallelConfig& parallel = {});
 
 /// Render the report as a console summary table.
 std::string render_report(const TraceStore& trace, const AdvisorReport& report);

@@ -1,16 +1,27 @@
 #include "policies/oversub.h"
 
-#include <algorithm>
 #include <vector>
 
+#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 #include "stats/descriptive.h"
 
 namespace cloudlens::policies {
+namespace {
+
+/// One evaluated node's contribution to the report.
+struct NodeDemand {
+  double allocated = 0;    ///< Σ allocated VM cores
+  double reservation = 0;  ///< demand quantile
+  double mean = 0;         ///< mean demand
+  std::size_t violations = 0, intervals = 0;
+};
+
+}  // namespace
 
 OversubscriptionReport evaluate_oversubscription(
     const TraceStore& trace, CloudType cloud,
-    const OversubscriptionOptions& options) {
+    const OversubscriptionOptions& options, const ParallelConfig& parallel) {
   CL_CHECK(options.safety_quantile > 0 && options.safety_quantile <= 1.0);
   const TimeGrid& grid = trace.telemetry_grid();
 
@@ -31,30 +42,47 @@ OversubscriptionReport evaluate_oversubscription(
   if (options.max_nodes > 0 && candidates.size() > options.max_nodes)
     stride = candidates.size() / options.max_nodes;
 
+  // One task per evaluated node: the task owns its demand vector and
+  // scratch row, and adds VMs in vms_on_node order and ticks in grid
+  // order, so each partial is the serial loop's, bit for bit.
+  const TelemetryPanel* panel = trace.telemetry_panel();
+  const std::size_t sampled =
+      candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
+  const auto per_node = parallel_map<NodeDemand>(
+      sampled,
+      [&](std::size_t k) {
+        const std::vector<VmId>& vms = candidates[k * stride].second;
+        NodeDemand node;
+        std::vector<double> demand(grid.count, 0.0);
+        std::vector<double> scratch;
+        for (const VmId id : vms) {
+          const double cores = trace.vm(id).cores;
+          node.allocated += cores;
+          const std::span<const double> row =
+              vm_telemetry_row(trace, panel, id, grid, scratch);
+          for (std::size_t t = 0; t < grid.count; ++t)
+            demand[t] += cores * row[t];
+        }
+        node.reservation = stats::quantile(demand, options.safety_quantile);
+        node.mean = stats::mean(demand);
+        for (const double d : demand) {
+          if (d > node.reservation) ++node.violations;
+        }
+        node.intervals = demand.size();
+        return node;
+      },
+      parallel);
+
+  // Merge in node order: the same additions as the serial loop.
   OversubscriptionReport report;
   std::size_t violations = 0, intervals = 0;
-  std::vector<double> demand(grid.count);
-  for (std::size_t i = 0; i < candidates.size(); i += stride) {
-    const auto& [node_id, vms] = candidates[i];
-    std::fill(demand.begin(), demand.end(), 0.0);
-    double allocated = 0;
-    for (const VmId id : vms) {
-      const auto& vm = trace.vm(id);
-      allocated += vm.cores;
-      for (std::size_t t = 0; t < grid.count; ++t)
-        demand[t] += vm.cores * vm.utilization->at(grid.at(t));
-    }
-    const double reservation =
-        stats::quantile(demand, options.safety_quantile);
-
+  for (const NodeDemand& node : per_node) {
     ++report.nodes_evaluated;
-    report.baseline_reserved_cores += allocated;
-    report.policy_reserved_cores += reservation;
-    report.mean_demand_cores += stats::mean(demand);
-    for (const double d : demand) {
-      if (d > reservation) ++violations;
-    }
-    intervals += demand.size();
+    report.baseline_reserved_cores += node.allocated;
+    report.policy_reserved_cores += node.reservation;
+    report.mean_demand_cores += node.mean;
+    violations += node.violations;
+    intervals += node.intervals;
   }
 
   if (report.policy_reserved_cores > 0 &&

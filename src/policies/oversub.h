@@ -10,6 +10,7 @@
 #include <cstddef>
 
 #include "cloudsim/trace.h"
+#include "common/parallel.h"
 
 namespace cloudlens::policies {
 
@@ -17,7 +18,11 @@ struct OversubscriptionOptions {
   /// Safety level of the chance constraint (e.g. 0.99 = demand may exceed
   /// the reservation in at most 1% of intervals).
   double safety_quantile = 0.99;
-  /// Nodes evaluated (deterministic stride subsampling; 0 = all).
+  /// Deterministic stride subsampling (0 = all). Above this many
+  /// candidates, every (candidates / max_nodes)-th one is evaluated; the
+  /// stride rounds down, so a pool of fewer than 2 × max_nodes nodes is
+  /// evaluated in full, and a larger one evaluates between max_nodes and
+  /// 1.5 × max_nodes of them.
   std::size_t max_nodes = 300;
   /// Only nodes hosting at least this many window-covering VMs count.
   std::size_t min_vms_per_node = 2;
@@ -41,8 +46,13 @@ struct OversubscriptionReport {
   double violation_rate = 0;
 };
 
+/// Evaluated nodes fan out over `parallel`, one task per node, each
+/// building its node's demand from telemetry rows; the per-node partials
+/// are summed serially in node order, so the report is bit-identical at
+/// any thread count.
 OversubscriptionReport evaluate_oversubscription(
     const TraceStore& trace, CloudType cloud,
-    const OversubscriptionOptions& options = {});
+    const OversubscriptionOptions& options = {},
+    const ParallelConfig& parallel = {});
 
 }  // namespace cloudlens::policies

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 #include "stats/descriptive.h"
 
@@ -60,13 +61,16 @@ OversubPlacementReport simulate_oversubscribed_placement(
   if (options.max_vms > 0 && candidates.size() > options.max_vms)
     stride = candidates.size() / options.max_vms;
 
+  const TelemetryPanel* panel = trace.telemetry_panel();
+  std::vector<double> scratch;
   std::vector<std::vector<double>> demand;  // per VM, per interval
   std::vector<double> full_size, effective_size;
   for (std::size_t i = 0; i < candidates.size(); i += stride) {
     const auto& vm = trace.vm(candidates[i]);
+    const std::span<const double> row =
+        vm_telemetry_row(trace, panel, vm.id, grid, scratch);
     std::vector<double> d(grid.count);
-    for (std::size_t t = 0; t < grid.count; ++t)
-      d[t] = vm.cores * vm.utilization->at(grid.at(t));
+    for (std::size_t t = 0; t < grid.count; ++t) d[t] = vm.cores * row[t];
     effective_size.push_back(
         std::max(0.01, stats::quantile(d, options.safety_quantile)));
     full_size.push_back(vm.cores);

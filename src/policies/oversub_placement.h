@@ -22,7 +22,11 @@ struct OversubPlacementOptions {
   double safety_quantile = 0.99;
   /// Node capacity used for the re-packing (cores).
   double node_cores = 64;
-  /// VMs sampled from the cloud's window-covering population (0 = all).
+  /// Deterministic stride subsampling of the cloud's window-covering
+  /// population (0 = all). Above this many VMs, every (VMs / max_vms)-th
+  /// one is packed; the stride rounds down, so fewer than 2 × max_vms VMs
+  /// are packed in full, and a larger population packs between max_vms
+  /// and 1.5 × max_vms of them.
   std::size_t max_vms = 1500;
 };
 

@@ -6,33 +6,66 @@
 
 #include "analysis/context.h"
 #include "analysis/spatial.h"
+#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 
 namespace cloudlens::policies {
 namespace {
 
 /// Mean utilization over the telemetry window (coarse 20-minute sampling —
-/// load metrics do not need 5-minute resolution).
-double vm_mean_util(const TraceStore& trace, const VmRecord& vm) {
+/// load metrics do not need 5-minute resolution): the mean of every fourth
+/// tick of the VM's row that lies inside its alive window. Dead ticks are
+/// skipped, not averaged in as zeros.
+double vm_mean_util(const TraceStore& trace, const TelemetryPanel* panel,
+                    const VmRecord& vm) {
   if (!vm.utilization) return 0.0;
   const TimeGrid& grid = trace.telemetry_grid();
+  std::vector<double> scratch;  // the row, when no panel holds it
+  const std::span<const double> row =
+      vm_telemetry_row(trace, panel, vm.id, grid, scratch);
   double sum = 0;
   std::size_t n = 0;
   for (std::size_t t = 0; t < grid.count; t += 4) {
-    const SimTime when = grid.at(t);
-    if (!vm.alive_at(when)) continue;
-    sum += vm.utilization->at(when);
+    if (!vm.alive_at(grid.at(t))) continue;
+    sum += row[t];
     ++n;
   }
   return n ? sum / static_cast<double>(n) : 0.0;
 }
 
+/// vm_mean_util of every VM of `cloud` alive at the snapshot whose region
+/// `wanted` accepts, in its VM id's slot (every other slot stays 0). One
+/// parallel per-VM pass in which each task writes only its own slot.
+std::vector<double> mean_utils(const TraceStore& trace, CloudType cloud,
+                               const RebalanceOptions& options,
+                               const std::function<bool(RegionId)>& wanted,
+                               const ParallelConfig& parallel) {
+  const std::span<const VmRecord> vms = trace.vms();
+  const TelemetryPanel* panel = trace.telemetry_panel();
+  std::vector<double> means(vms.size(), 0.0);
+  parallel_for(
+      vms.size(),
+      [&](std::size_t i) {
+        const VmRecord& vm = vms[i];
+        if (vm.cloud != cloud || !vm.alive_at(options.snapshot) ||
+            !wanted(vm.region))
+          return;
+        means[vm.id.value()] = vm_mean_util(trace, panel, vm);
+      },
+      parallel);
+  return means;
+}
+
+bool any_region(RegionId) { return true; }
+
 /// Region load where each VM's effective region is remapped by `region_of`
 /// (identity for the real load; the shift what-if overrides one service).
+/// `means` holds mean_utils slots covering every VM mapped to `region`.
 RegionLoad load_with_mapping(
     const TraceStore& trace, CloudType cloud, RegionId region,
     const RebalanceOptions& options,
-    const std::function<RegionId(const VmRecord&)>& region_of) {
+    const std::function<RegionId(const VmRecord&)>& region_of,
+    const std::vector<double>& means) {
   RegionLoad load;
   load.region = region;
   load.total_cores = trace.topology().region_total_cores(region, cloud);
@@ -40,7 +73,7 @@ RegionLoad load_with_mapping(
     if (vm.cloud != cloud || !vm.alive_at(options.snapshot)) continue;
     if (region_of(vm) != region) continue;
     load.allocated_cores += vm.cores;
-    const double mean_util = vm_mean_util(trace, vm);
+    const double mean_util = means[vm.id.value()];
     load.used_cores += mean_util * vm.cores;
     if (mean_util < options.underutilized_threshold)
       load.underutilized_core_pct += vm.cores;
@@ -52,27 +85,44 @@ RegionLoad load_with_mapping(
   return load;
 }
 
+RegionId own_region(const VmRecord& vm) { return vm.region; }
+
+std::vector<RegionLoad> loads_of_all_regions(const TraceStore& trace,
+                                             CloudType cloud,
+                                             const RebalanceOptions& options,
+                                             const std::vector<double>& means) {
+  std::vector<RegionLoad> out;
+  for (const auto& region : trace.topology().regions())
+    out.push_back(
+        load_with_mapping(trace, cloud, region.id, options, own_region, means));
+  return out;
+}
+
 }  // namespace
 
 RegionLoad region_load(const TraceStore& trace, CloudType cloud,
-                       RegionId region, const RebalanceOptions& options) {
-  return load_with_mapping(trace, cloud, region, options,
-                           [](const VmRecord& vm) { return vm.region; });
+                       RegionId region, const RebalanceOptions& options,
+                       const ParallelConfig& parallel) {
+  const auto means = mean_utils(
+      trace, cloud, options, [region](RegionId r) { return r == region; },
+      parallel);
+  return load_with_mapping(trace, cloud, region, options, own_region, means);
 }
 
 std::vector<RegionLoad> all_region_loads(const TraceStore& trace,
                                          CloudType cloud,
-                                         const RebalanceOptions& options) {
-  std::vector<RegionLoad> out;
-  for (const auto& region : trace.topology().regions())
-    out.push_back(region_load(trace, cloud, region.id, options));
-  return out;
+                                         const RebalanceOptions& options,
+                                         const ParallelConfig& parallel) {
+  return loads_of_all_regions(
+      trace, cloud, options,
+      mean_utils(trace, cloud, options, any_region, parallel));
 }
 
 std::optional<ShiftRecommendation> recommend_shift(
-    const TraceStore& trace, CloudType cloud,
-    const RebalanceOptions& options) {
-  const auto loads = all_region_loads(trace, cloud, options);
+    const TraceStore& trace, CloudType cloud, const RebalanceOptions& options,
+    const ParallelConfig& parallel) {
+  const auto means = mean_utils(trace, cloud, options, any_region, parallel);
+  const auto loads = loads_of_all_regions(trace, cloud, options, means);
   if (loads.size() < 2) return std::nullopt;
 
   // Source: the region with the highest underutilized-core percentage.
@@ -83,8 +133,8 @@ std::optional<ShiftRecommendation> recommend_shift(
 
   // Movable services: region-agnostic per the utilization-similarity test.
   const auto verdicts = analysis::detect_region_agnostic_services(
-      AnalysisContext(trace), cloud, options.region_agnostic_correlation,
-      options.max_vms_per_region);
+      AnalysisContext(trace, parallel), cloud,
+      options.region_agnostic_correlation, options.max_vms_per_region);
 
   std::optional<ShiftRecommendation> best;
   double best_score = 0;
@@ -97,7 +147,7 @@ std::optional<ShiftRecommendation> recommend_shift(
       if (vm.region != source.region || !vm.alive_at(options.snapshot))
         continue;
       cores += vm.cores;
-      const double mean_util = vm_mean_util(trace, vm);
+      const double mean_util = means[vm.id.value()];
       used += mean_util * vm.cores;
       if (mean_util < options.underutilized_threshold)
         underutilized += vm.cores;
@@ -137,12 +187,21 @@ std::optional<ShiftRecommendation> recommend_shift(
 
 ShiftOutcome evaluate_shift(const TraceStore& trace, CloudType cloud,
                             const ShiftRecommendation& shift,
-                            const RebalanceOptions& options) {
+                            const RebalanceOptions& options,
+                            const ParallelConfig& parallel) {
   CL_CHECK(shift.from.valid() && shift.to.valid() && shift.service.valid());
+  // Both regions' VMs, before and after the move (a moved VM's own region
+  // is the source).
+  const auto means = mean_utils(
+      trace, cloud, options,
+      [&shift](RegionId r) { return r == shift.from || r == shift.to; },
+      parallel);
   ShiftOutcome outcome;
   outcome.shift = shift;
-  outcome.source_before = region_load(trace, cloud, shift.from, options);
-  outcome.dest_before = region_load(trace, cloud, shift.to, options);
+  outcome.source_before =
+      load_with_mapping(trace, cloud, shift.from, options, own_region, means);
+  outcome.dest_before =
+      load_with_mapping(trace, cloud, shift.to, options, own_region, means);
 
   const auto moved = [&shift](const VmRecord& vm) {
     if (vm.service == shift.service && vm.region == shift.from)
@@ -150,8 +209,9 @@ ShiftOutcome evaluate_shift(const TraceStore& trace, CloudType cloud,
     return vm.region;
   };
   outcome.source_after =
-      load_with_mapping(trace, cloud, shift.from, options, moved);
-  outcome.dest_after = load_with_mapping(trace, cloud, shift.to, options, moved);
+      load_with_mapping(trace, cloud, shift.from, options, moved, means);
+  outcome.dest_after =
+      load_with_mapping(trace, cloud, shift.to, options, moved, means);
   return outcome;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cloudsim/trace.h"
+#include "common/parallel.h"
 
 namespace cloudlens::policies {
 
@@ -35,12 +36,19 @@ struct RebalanceOptions {
   std::size_t max_vms_per_region = 15;
 };
 
+// Every entry point below reads each VM's mean utilization from its
+// telemetry row once, in one parallel per-VM pass over `parallel` with one
+// slot per VM id, then sums the slots serially in VM-id order — so results
+// are bit-identical at any thread count.
+
 RegionLoad region_load(const TraceStore& trace, CloudType cloud,
-                       RegionId region, const RebalanceOptions& options = {});
+                       RegionId region, const RebalanceOptions& options = {},
+                       const ParallelConfig& parallel = {});
 
 std::vector<RegionLoad> all_region_loads(const TraceStore& trace,
                                          CloudType cloud,
-                                         const RebalanceOptions& options = {});
+                                         const RebalanceOptions& options = {},
+                                         const ParallelConfig& parallel = {});
 
 struct ShiftRecommendation {
   ServiceId service;
@@ -56,7 +64,7 @@ struct ShiftRecommendation {
 /// move. Returns nullopt when no region-agnostic service qualifies.
 std::optional<ShiftRecommendation> recommend_shift(
     const TraceStore& trace, CloudType cloud,
-    const RebalanceOptions& options = {});
+    const RebalanceOptions& options = {}, const ParallelConfig& parallel = {});
 
 struct ShiftOutcome {
   ShiftRecommendation shift;
@@ -68,6 +76,7 @@ struct ShiftOutcome {
 /// source-region VMs accounted in the destination instead.
 ShiftOutcome evaluate_shift(const TraceStore& trace, CloudType cloud,
                             const ShiftRecommendation& shift,
-                            const RebalanceOptions& options = {});
+                            const RebalanceOptions& options = {},
+                            const ParallelConfig& parallel = {});
 
 }  // namespace cloudlens::policies

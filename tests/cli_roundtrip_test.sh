@@ -1,6 +1,7 @@
 #!/bin/sh
-# End-to-end CLI round trip: generate -> insights -> figures -> advise,
-# then the out-of-core mode: a record-sharded analyze must write the same
+# End-to-end CLI round trip: generate -> insights -> figures -> advise
+# (whose advisories must not depend on --threads), then the out-of-core
+# mode: a record-sharded analyze must write the same
 # report bytes as the resident one, the retired telemetry-shard and
 # kernel-selection flags must be rejected as usage errors rather than
 # ignored, and a command that needs resident records must refuse
@@ -40,6 +41,15 @@ test -s "$DIR/fig6_weekly_private.csv"
 "$CLI" advise --in "$DIR" --cloud public --metrics-out "$DIR/advise.json" \
     | grep -q "adopt-spot"
 expect_builds "$DIR/advise.json" 0
+# The advisor's platform evaluations fan out over --threads and read rows
+# through the no-panel fill path here. The stage table above the first
+# advisory carries timings, so compare from that line on.
+for threads in 1 8; do
+    "$CLI" advise --in "$DIR" --threads "$threads" \
+        | sed -n '/^Workload-aware advisory/,$p' >"$DIR/advise-$threads.txt"
+done
+test -s "$DIR/advise-1.txt"
+cmp "$DIR/advise-1.txt" "$DIR/advise-8.txt"
 "$CLI" analyze --in "$DIR" --report "$DIR/a.md" \
     --metrics-out "$DIR/analyze.json"
 expect_builds "$DIR/analyze.json" 1

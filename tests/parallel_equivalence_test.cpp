@@ -3,10 +3,14 @@
 // generation, pattern classification, spatial correlation, utilization
 // distribution, profile fitting — must produce *bit-identical* output at
 // threads = 1 (the plain serial loops) and threads = 8, across several
-// seeds. Comparisons use EXPECT_EQ on doubles deliberately: approximate
+// seeds. The advisor's platform evaluations are held to the same contract
+// and, with the panel built or not, to the per-tick model loops they
+// replaced. Comparisons use EXPECT_EQ on doubles deliberately: approximate
 // equality would hide reassociated floating-point sums.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +21,9 @@
 #include "analysis/utilization.h"
 #include "cloudsim/telemetry_panel.h"
 #include "cloudsim/trace_io.h"
+#include "kb/extractor.h"
+#include "policies/advisor.h"
+#include "stats/descriptive.h"
 #include "workloads/fit.h"
 #include "workloads/generator.h"
 
@@ -243,6 +250,265 @@ TEST_F(AnalysisEquivalence, FittedProfilesBitIdentical) {
   EXPECT_EQ(sp.burst_churn.bursts_per_week, pp.burst_churn.bursts_per_week);
   EXPECT_EQ(sp.deploy_size_mu, pp.deploy_size_mu);
   EXPECT_EQ(sp.deploy_size_sigma, pp.deploy_size_sigma);
+}
+
+// --- Advisor equivalence -------------------------------------------------
+//
+// The advisor's platform evaluations fan out per node and per VM and read
+// telemetry rows instead of calling UtilizationModel::at tick by tick.
+// Their reports must match at 1 and 8 threads, with the panel built or
+// not, and match the per-tick loops below, which are the evaluations as
+// they stood before the rows: model calls per tick, serial, node by node.
+
+/// Per-tick reference for evaluate_oversubscription.
+policies::OversubscriptionReport reference_oversubscription(
+    const TraceStore& trace, CloudType cloud,
+    const policies::OversubscriptionOptions& options = {}) {
+  const TimeGrid& grid = trace.telemetry_grid();
+  std::vector<std::vector<VmId>> candidates;
+  for (const auto& node : trace.topology().nodes()) {
+    if (node.cloud != cloud) continue;
+    std::vector<VmId> vms;
+    for (const VmId id : trace.vms_on_node(node.id)) {
+      const auto& vm = trace.vm(id);
+      if (vm.covers(grid) && vm.utilization) vms.push_back(id);
+    }
+    if (vms.size() >= options.min_vms_per_node)
+      candidates.push_back(std::move(vms));
+  }
+  std::size_t stride = 1;
+  if (options.max_nodes > 0 && candidates.size() > options.max_nodes)
+    stride = candidates.size() / options.max_nodes;
+
+  policies::OversubscriptionReport report;
+  std::size_t violations = 0, intervals = 0;
+  std::vector<double> demand(grid.count);
+  for (std::size_t i = 0; i < candidates.size(); i += stride) {
+    std::fill(demand.begin(), demand.end(), 0.0);
+    double allocated = 0;
+    for (const VmId id : candidates[i]) {
+      const auto& vm = trace.vm(id);
+      allocated += vm.cores;
+      for (std::size_t t = 0; t < grid.count; ++t)
+        demand[t] += vm.cores * vm.utilization->at(grid.at(t));
+    }
+    const double reservation =
+        stats::quantile(demand, options.safety_quantile);
+    ++report.nodes_evaluated;
+    report.baseline_reserved_cores += allocated;
+    report.policy_reserved_cores += reservation;
+    report.mean_demand_cores += stats::mean(demand);
+    for (const double d : demand) {
+      if (d > reservation) ++violations;
+    }
+    intervals += demand.size();
+  }
+  if (report.policy_reserved_cores > 0 &&
+      report.baseline_reserved_cores > 0) {
+    report.reservation_shrink =
+        1.0 - report.policy_reserved_cores / report.baseline_reserved_cores;
+    report.utilization_improvement =
+        report.baseline_reserved_cores / report.policy_reserved_cores - 1.0;
+  }
+  if (intervals > 0)
+    report.violation_rate =
+        static_cast<double>(violations) / static_cast<double>(intervals);
+  return report;
+}
+
+/// Per-tick reference for the rebalancer's 20-minute mean utilization.
+double reference_mean_util(const TraceStore& trace, const VmRecord& vm) {
+  if (!vm.utilization) return 0.0;
+  const TimeGrid& grid = trace.telemetry_grid();
+  double sum = 0;
+  std::size_t n = 0;
+  for (std::size_t t = 0; t < grid.count; t += 4) {
+    const SimTime when = grid.at(t);
+    if (!vm.alive_at(when)) continue;
+    sum += vm.utilization->at(when);
+    ++n;
+  }
+  return n ? sum / static_cast<double>(n) : 0.0;
+}
+
+/// Per-tick reference for one region's load under a VM -> region mapping.
+policies::RegionLoad reference_region_load(
+    const TraceStore& trace, CloudType cloud, RegionId region,
+    const std::function<RegionId(const VmRecord&)>& region_of) {
+  const policies::RebalanceOptions options;
+  policies::RegionLoad load;
+  load.region = region;
+  load.total_cores = trace.topology().region_total_cores(region, cloud);
+  for (const auto& vm : trace.vms()) {
+    if (vm.cloud != cloud || !vm.alive_at(options.snapshot)) continue;
+    if (region_of(vm) != region) continue;
+    load.allocated_cores += vm.cores;
+    const double mean_util = reference_mean_util(trace, vm);
+    load.used_cores += mean_util * vm.cores;
+    if (mean_util < options.underutilized_threshold)
+      load.underutilized_core_pct += vm.cores;
+  }
+  if (load.total_cores > 0) {
+    load.core_utilization_rate = load.allocated_cores / load.total_cores;
+    load.underutilized_core_pct /= load.total_cores;
+  }
+  return load;
+}
+
+/// Every double of an oversubscription report, counts included.
+std::vector<double> flatten(const policies::OversubscriptionReport& r) {
+  return {double(r.nodes_evaluated), r.baseline_reserved_cores,
+          r.policy_reserved_cores,   r.mean_demand_cores,
+          r.reservation_shrink,      r.utilization_improvement,
+          r.violation_rate};
+}
+
+std::vector<double> flatten(const policies::RegionLoad& l) {
+  return {double(l.region.value()), l.total_cores,
+          l.allocated_cores,        l.used_cores,
+          l.core_utilization_rate,  l.underutilized_core_pct};
+}
+
+/// Every double of a shift outcome: the recommendation and its four loads.
+std::vector<double> flatten(const policies::ShiftOutcome& o) {
+  std::vector<double> out = {double(o.shift.service.value()),
+                             double(o.shift.from.value()),
+                             double(o.shift.to.value()), o.shift.cores_moved,
+                             o.shift.service_mean_utilization};
+  for (const auto* load : {&o.source_before, &o.source_after, &o.dest_before,
+                           &o.dest_after}) {
+    const auto v = flatten(*load);
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+/// What one advisor run produces, per cloud.
+struct AdvisorRun {
+  std::vector<std::string> rendered;
+  std::vector<std::vector<double>> oversubscription;
+  std::optional<policies::ShiftOutcome> rebalance;  ///< private cloud
+};
+
+AdvisorRun run_advisor(const TraceStore& trace, const kb::KnowledgeBase& kb,
+                       std::size_t threads) {
+  AdvisorRun run;
+  for (const CloudType cloud : {CloudType::kPrivate, CloudType::kPublic}) {
+    const auto report = policies::advise(trace, kb, cloud,
+                                         ParallelConfig::with_threads(threads));
+    run.rendered.push_back(policies::render_report(trace, report));
+    run.oversubscription.push_back(flatten(report.oversubscription));
+    if (cloud == CloudType::kPrivate) run.rebalance = report.rebalance;
+  }
+  return run;
+}
+
+void expect_same_advice(const AdvisorRun& a, const AdvisorRun& b,
+                        const char* what) {
+  EXPECT_EQ(a.rendered, b.rendered) << what;
+  EXPECT_EQ(a.oversubscription, b.oversubscription) << what;
+  ASSERT_EQ(a.rebalance.has_value(), b.rebalance.has_value()) << what;
+  if (a.rebalance) {
+    EXPECT_EQ(flatten(*a.rebalance), flatten(*b.rebalance)) << what;
+  }
+}
+
+class AdvisorEquivalence : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    scenario_ = new Scenario(small_scenario(1234, 1));
+    kb::ExtractorOptions options;
+    options.max_classified_vms = 4;
+    kb_ = new kb::KnowledgeBase(
+        kb::extract_all(AnalysisContext(*scenario_->trace), options));
+  }
+  static void TearDownTestSuite() {
+    delete kb_;
+    delete scenario_;
+    kb_ = nullptr;
+    scenario_ = nullptr;
+  }
+  static Scenario* scenario_;
+  static kb::KnowledgeBase* kb_;
+};
+
+Scenario* AdvisorEquivalence::scenario_ = nullptr;
+kb::KnowledgeBase* AdvisorEquivalence::kb_ = nullptr;
+
+TEST_F(AdvisorEquivalence, ThreadsAndPanelBitIdentical) {
+  TraceStore& trace = *scenario_->trace;
+  ASSERT_EQ(trace.telemetry_panel(), nullptr);
+  const AdvisorRun rows_serial = run_advisor(trace, *kb_, 1);
+  const AdvisorRun rows_threads = run_advisor(trace, *kb_, 8);
+  ASSERT_NE(trace.build_telemetry_panel(), nullptr);
+  const AdvisorRun panel_serial = run_advisor(trace, *kb_, 1);
+  const AdvisorRun panel_threads = run_advisor(trace, *kb_, 8);
+
+  ASSERT_TRUE(rows_serial.rebalance.has_value())
+      << "the scenario must exercise the private-cloud shift";
+  ASSERT_GT(rows_serial.oversubscription[0][0], 0.0);
+  ASSERT_GT(rows_serial.oversubscription[1][0], 0.0);
+  expect_same_advice(rows_serial, rows_threads, "no panel, 1 vs 8 threads");
+  expect_same_advice(rows_serial, panel_serial, "1 thread, panel vs none");
+  expect_same_advice(rows_serial, panel_threads,
+                     "no panel 1 thread vs panel 8 threads");
+}
+
+// Runs over whichever panel state the suite left behind;
+// ThreadsAndPanelBitIdentical ties the two states to each other.
+TEST_F(AdvisorEquivalence, MatchesPerTickModelLoops) {
+  const TraceStore& trace = *scenario_->trace;
+  for (const std::size_t threads : {1, 8}) {
+    const ParallelConfig parallel = ParallelConfig::with_threads(threads);
+    for (const CloudType cloud : {CloudType::kPrivate, CloudType::kPublic}) {
+      EXPECT_EQ(flatten(policies::evaluate_oversubscription(trace, cloud, {},
+                                                            parallel)),
+                flatten(reference_oversubscription(trace, cloud)))
+          << to_string(cloud) << ", threads " << threads;
+    }
+
+    const CloudType cloud = CloudType::kPrivate;
+    const auto loads = policies::all_region_loads(trace, cloud, {}, parallel);
+    ASSERT_EQ(loads.size(), trace.topology().regions().size());
+    for (const auto& load : loads) {
+      EXPECT_EQ(flatten(load),
+                flatten(reference_region_load(
+                    trace, cloud, load.region,
+                    [](const VmRecord& vm) { return vm.region; })))
+          << "region " << load.region.value() << ", threads " << threads;
+    }
+
+    const auto shift = policies::recommend_shift(trace, cloud, {}, parallel);
+    ASSERT_TRUE(shift.has_value());
+    // The recommended service's source footprint, from per-tick means.
+    const policies::RebalanceOptions options;
+    double cores = 0, used = 0;
+    for (const auto& vm : trace.vms()) {
+      if (vm.cloud != cloud || vm.service != shift->service) continue;
+      if (vm.region != shift->from || !vm.alive_at(options.snapshot)) continue;
+      cores += vm.cores;
+      used += reference_mean_util(trace, vm) * vm.cores;
+    }
+    EXPECT_EQ(shift->cores_moved, cores);
+    EXPECT_EQ(shift->service_mean_utilization, used / cores);
+
+    const auto outcome =
+        policies::evaluate_shift(trace, cloud, *shift, {}, parallel);
+    const auto moved = [&](const VmRecord& vm) {
+      if (vm.service == shift->service && vm.region == shift->from)
+        return shift->to;
+      return vm.region;
+    };
+    const auto own = [](const VmRecord& vm) { return vm.region; };
+    EXPECT_EQ(flatten(outcome.source_before),
+              flatten(reference_region_load(trace, cloud, shift->from, own)));
+    EXPECT_EQ(flatten(outcome.dest_before),
+              flatten(reference_region_load(trace, cloud, shift->to, own)));
+    EXPECT_EQ(flatten(outcome.source_after),
+              flatten(reference_region_load(trace, cloud, shift->from, moved)));
+    EXPECT_EQ(flatten(outcome.dest_after),
+              flatten(reference_region_load(trace, cloud, shift->to, moved)));
+  }
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 #   2. ThreadSanitizer — same suite under TSan; this is the build that
 #      polices the deterministic parallel engine (common/parallel.*),
 #      every parallel call site, and concurrent readers of a built
-#      telemetry panel. Run it whenever you touch them.
+#      telemetry panel. Run it whenever you touch them. That includes the
+#      advisor fan-out (per-node oversubscription tasks, the per-VM mean
+#      pass), which AdvisorEquivalence drives with and without a panel and
+#      cli_roundtrip drives through `cloudlens advise --threads 8` over
+#      task-owned scratch rows.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
 #      runs the kernel + stats suites, policing the AVX2 kernels'
 #      integer/float conversions and intrinsic shims, and the snapshot,

@@ -221,6 +221,7 @@ int command_help(const std::string& command) {
         << "usage: cloudlens advise [--in DIR] [--cloud private|public]\n"
            "run the workload-aware advisor from the knowledge base\n"
            "(DIR/kb.csv when present, else extracted via the kb stage).\n"
+           "The platform evaluations fan out over --threads workers.\n"
            "  --in DIR            trace directory (omit for generated mode)\n"
            "  --cloud C           advise one cloud only\n"
            "  --scale F --seed N  generated-mode scenario parameters\n";
@@ -592,7 +593,8 @@ int cmd_advise(const CliArgs& args) {
           ? std::vector<CloudType>{args.cloud}
           : std::vector<CloudType>{CloudType::kPrivate, CloudType::kPublic};
   for (const CloudType cloud : clouds) {
-    const auto report = policies::advise(*run.trace->trace, knowledge, cloud);
+    const auto report =
+        policies::advise(*run.trace->trace, knowledge, cloud, args.parallel());
     std::cout << "\n" << policies::render_report(*run.trace->trace, report);
   }
   return 0;
