@@ -17,9 +17,9 @@ namespace {
 
 /// Hourly-mean utilization averaged over a set of VMs (unweighted mean,
 /// matching the paper's "averaged utilization computed at the region
-/// level"). Consumes the panel's hourly companion view: one 168-sample
-/// row accumulation per VM instead of re-rolling 12-tick windows over a
-/// freshly evaluated 2016-sample series per subscription.
+/// level"). Rolls each VM's panel row up to hours in place: one 168-sample
+/// row accumulation per VM instead of a freshly evaluated 2016-sample
+/// series per subscription.
 stats::TimeSeries average_hourly_utilization(const TraceStore& trace,
                                              const TelemetryPanel* panel,
                                              std::span<const VmId> vms,

@@ -30,10 +30,10 @@ UtilizationDistribution utilization_distribution(const AnalysisContext& ctx,
   if (max_vms > 0 && candidates.size() > max_vms)
     stride = candidates.size() / max_vms;
 
-  // Hot path #1: per-VM hourly roll-up straight off the panel's hourly
-  // companion view (or an identically-computed scratch row when there is
-  // no panel). Slot-per-VM fan-out, grouped by record shard when the
-  // population is sharded; the assembled vector is the same either way.
+  // Hot path #1: per-VM hourly roll-up of the panel row (or of an
+  // identically-computed scratch row when there is no panel). Slot-per-VM
+  // fan-out, grouped by record shard when the population is sharded; the
+  // assembled vector is the same either way.
   const std::size_t sampled =
       candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
   CL_CHECK(grid.step > 0 && kHour % grid.step == 0);

@@ -255,25 +255,25 @@ void encode_model_record(const UtilizationModel& model, const TimeGrid& grid,
                          const SnapshotModelCodec* codec, std::string& out) {
   std::string payload;
   std::uint8_t tag = 0;
+  const auto* sampled = dynamic_cast<const SampledUtilization*>(&model);
   if (const auto* c = dynamic_cast<const ConstantUtilization*>(&model)) {
     tag = kModelConstant;
     append_f64(payload, c->level());
-  } else if (const auto* s = dynamic_cast<const SampledUtilization*>(&model)) {
-    tag = kModelSampled;
-    append_grid(payload, s->grid());
-    payload.append(reinterpret_cast<const char*>(s->samples().data()),
-                   s->samples().size_bytes());
-  } else if (codec != nullptr && (tag = codec->encode(model, payload)) != 0) {
+  } else if (sampled == nullptr && codec != nullptr &&
+             (tag = codec->encode(model, payload)) != 0) {
     CL_CHECK_MSG(tag >= kFirstCustomModelTag,
                  "model codec returned a reserved tag");
   } else {
-    // Unknown model type: degrade to explicit samples over the telemetry
-    // grid (exact at every grid tick, step-interpolated elsewhere).
+    // A sampled model stores its own window as sample() reads it, so no
+    // cell past its valid-tick cut is touched. Any other model degrades to
+    // explicit samples over the telemetry grid (exact at every grid tick,
+    // step-interpolated elsewhere).
+    const TimeGrid& cells_grid = sampled != nullptr ? sampled->grid() : grid;
     tag = kModelSampled;
     payload.clear();
-    append_grid(payload, grid);
-    std::vector<double> samples(grid.count);
-    model.sample(grid, samples);
+    append_grid(payload, cells_grid);
+    std::vector<double> samples(cells_grid.count);
+    model.sample(cells_grid, samples);
     payload.append(reinterpret_cast<const char*>(samples.data()),
                    samples.size() * sizeof(double));
   }

@@ -67,30 +67,15 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   obs::PhaseTimer phase("panel.build", obs::Histogram::kPanelBuildSeconds,
                         obs::Counter::kPanelBuilds);
   CL_CHECK(grid_.count > 0);
-  const bool hourly_ok =
-      grid_.step > 0 && kHour % grid_.step == 0 &&
-      grid_.count >= static_cast<std::size_t>(kHour / grid_.step);
-  if (hourly_ok) {
-    const std::size_t factor = static_cast<std::size_t>(kHour / grid_.step);
-    hourly_grid_ = TimeGrid{grid_.start, kHour, grid_.count / factor};
-  }
   data_.resize(rows_ * grid_.count);
-  hourly_.resize(rows_ * hourly_grid_.count);
 
   const std::span<const VmRecord> vms = trace.vms();
-  // Deterministic parallel fill: VM v writes only its own row(s), so the
+  // Deterministic parallel fill: VM v writes only its own row, so the
   // matrix is bit-identical at any thread count.
   parallel_for(
       rows_,
       [&](std::size_t v) {
-        const std::span<double> row{data_.data() + v * grid_.count,
-                                    grid_.count};
-        fill_row(vms[v], grid_, row);
-        if (hourly_grid_.count > 0) {
-          hourly_from_row(row, grid_,
-                          {hourly_.data() + v * hourly_grid_.count,
-                           hourly_grid_.count});
-        }
+        fill_row(vms[v], grid_, {data_.data() + v * grid_.count, grid_.count});
       },
       parallel);
 
@@ -98,8 +83,7 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   metrics.add(obs::Counter::kPanelRowsFilled, rows_);
   metrics.set(obs::Gauge::kPanelVms, static_cast<double>(rows_));
   metrics.set(obs::Gauge::kPanelBytes,
-              static_cast<double>((data_.capacity() + hourly_.capacity()) *
-                                  sizeof(double)));
+              static_cast<double>(data_.capacity() * sizeof(double)));
 }
 
 std::span<const double> vm_telemetry_row(const TraceStore& trace,
@@ -122,11 +106,6 @@ std::span<const double> vm_hourly_row(const TraceStore& trace,
                                       const TimeGrid& grid,
                                       std::vector<double>& row_scratch,
                                       std::vector<double>& hourly_scratch) {
-  if (panel != nullptr && panel->grid() == grid &&
-      id.value() < panel->vm_count() && panel->hourly_grid().count > 0) {
-    obs::MetricsRegistry::global().add(obs::Counter::kPanelRowHits);
-    return panel->hourly_row(id);
-  }
   const std::span<const double> row =
       vm_telemetry_row(trace, panel, id, grid, row_scratch);
   CL_CHECK(grid.step > 0 && kHour % grid.step == 0);

@@ -12,9 +12,9 @@
 // dispatch and noise/envelope recomputation out of the loop.
 //
 // Memory: one double per VM per tick — 16 KB per VM for the default
-// one-week 5-minute grid (2016 ticks), plus 1.3 KB for the hourly
-// companion view (168 samples). A 100k-VM trace costs ~1.7 GB, so the
-// panel exists only on request: TraceStore::build_telemetry_panel()
+// one-week 5-minute grid (2016 ticks); hourly views are rolled up from a
+// row on read (vm_hourly_row), not stored. A 100k-VM trace costs ~1.6 GB,
+// so the panel exists only on request: TraceStore::build_telemetry_panel()
 // materializes it (the run plan calls it once the trace resolves, when
 // the command asked for a panel), and a trace nobody asked for a panel
 // holds none. The panel is never persisted: rebuilding it from the
@@ -44,9 +44,8 @@
 
 namespace cloudlens {
 
-/// Row-major VM × tick utilization matrix over one grid, with an
-/// hourly-mean companion view. Immutable after construction; safe to read
-/// from any number of threads.
+/// Row-major VM × tick utilization matrix over one grid. Immutable after
+/// construction; safe to read from any number of threads.
 class TelemetryPanel {
  public:
   /// Materializes rows for every VM currently in `trace` (row index ==
@@ -56,9 +55,6 @@ class TelemetryPanel {
                  const ParallelConfig& parallel = {});
 
   const TimeGrid& grid() const { return grid_; }
-  /// Grid of the hourly companion view; count == 0 when the base grid
-  /// cannot be rolled into hours (step does not divide an hour).
-  const TimeGrid& hourly_grid() const { return hourly_grid_; }
 
   std::size_t vm_count() const { return rows_; }
   std::size_t tick_count() const { return grid_.count; }
@@ -67,18 +63,8 @@ class TelemetryPanel {
   std::span<const double> row(VmId id) const {
     return {data_.data() + id.value() * grid_.count, grid_.count};
   }
-  /// The VM's hourly-mean row (hourly_grid().count samples); empty when
-  /// the hourly view is unavailable.
-  std::span<const double> hourly_row(VmId id) const {
-    if (hourly_grid_.count == 0) return {};
-    return {hourly_.data() + id.value() * hourly_grid_.count,
-            hourly_grid_.count};
-  }
-
-  /// Bytes held by the materialized matrices (for bench/rss accounting).
-  std::size_t memory_bytes() const {
-    return (data_.size() + hourly_.size()) * sizeof(double);
-  }
+  /// Bytes held by the materialized matrix (for bench/rss accounting).
+  std::size_t memory_bytes() const { return data_.size() * sizeof(double); }
 
   /// The shared row-fill kernel: out[i] = utilization->sample value when
   /// the VM is alive at grid.at(i), else 0 (also all-zero for model-less
@@ -96,10 +82,8 @@ class TelemetryPanel {
 
  private:
   TimeGrid grid_;
-  TimeGrid hourly_grid_{0, kHour, 0};
   std::size_t rows_ = 0;
-  std::vector<double> data_;    // rows_ × grid_.count, row-major
-  std::vector<double> hourly_;  // rows_ × hourly_grid_.count, row-major
+  std::vector<double> data_;  // rows_ × grid_.count, row-major
 };
 
 /// Copy-free row access for the analysis hot paths: returns the cached
@@ -111,8 +95,8 @@ std::span<const double> vm_telemetry_row(const TraceStore& trace,
                                          const TimeGrid& grid,
                                          std::vector<double>& scratch);
 
-/// Hourly-mean counterpart of vm_telemetry_row. `row_scratch` holds the
-/// intermediate full-resolution row on the fallback path.
+/// Hourly-mean counterpart of vm_telemetry_row: the row (from the panel or
+/// `row_scratch`) rolled up into `hourly_scratch` by hourly_from_row.
 std::span<const double> vm_hourly_row(const TraceStore& trace,
                                       const TelemetryPanel* panel, VmId id,
                                       const TimeGrid& grid,

@@ -189,10 +189,9 @@ class TraceStore {
   double node_used_cores(NodeId id, SimTime t) const;
 
   /// The columnar telemetry cache (row-major VM × tick utilization matrix
-  /// plus an hourly-mean companion view over `telemetry_grid()`), or
-  /// nullptr when none was built since the last record mutation.
-  /// Consumers fall back to on-demand row evaluation with identical bits
-  /// (see telemetry_panel.h).
+  /// over `telemetry_grid()`), or nullptr when none was built since the
+  /// last record mutation. Consumers fall back to on-demand row
+  /// evaluation with identical bits (see telemetry_panel.h).
   const TelemetryPanel* telemetry_panel() const { return panel_.get(); }
 
   /// Materialize the panel over `telemetry_grid()` (a no-op when one is

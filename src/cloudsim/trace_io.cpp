@@ -20,30 +20,52 @@ std::string pattern_label(const UtilizationModel* model) {
 
 SampledUtilization::SampledUtilization(TimeGrid grid,
                                        std::vector<double> samples)
-    : grid_(grid), samples_(std::move(samples)) {
-  CL_CHECK_MSG(samples_.size() == grid_.count,
+    : grid_(grid),
+      cells_(std::make_shared<const std::vector<double>>(std::move(samples))),
+      offset_(0),
+      valid_(grid.count) {
+  CL_CHECK_MSG(cells_->size() == grid_.count,
                "sample count must match the grid");
 }
 
+SampledUtilization::SampledUtilization(
+    TimeGrid grid, std::shared_ptr<const std::vector<double>> cells,
+    std::size_t offset, std::size_t valid_ticks)
+    : grid_(grid), cells_(std::move(cells)), offset_(offset),
+      valid_(valid_ticks) {
+  CL_CHECK_MSG(grid_.count > 0 && offset_ + grid_.count <= cells_->size() &&
+                   valid_ <= grid_.count,
+               "sample window must lie inside the cell buffer");
+}
+
 double SampledUtilization::at(SimTime t) const {
-  if (t < grid_.start) return samples_.front();
-  if (t >= grid_.end()) return samples_.back();
-  return samples_[grid_.index_of(t)];
+  if (t < grid_.start) return cell(0);
+  if (t >= grid_.end()) return cell(grid_.count - 1);
+  return cell(grid_.index_of(t));
 }
 
 void SampledUtilization::sample(const TimeGrid& grid,
                                 std::span<double> out) const {
   CL_CHECK(out.size() == grid.count);
-  // Split the request into the three monotone segments (before / inside /
-  // after the backing window) once, instead of re-testing every tick.
+  if (grid.step == grid_.step && grid.start >= grid_.start &&
+      (grid.start - grid_.start) % grid.step == 0) {
+    const auto first =
+        static_cast<std::size_t>((grid.start - grid_.start) / grid.step);
+    for (std::size_t i = 0; i < grid.count; ++i)
+      out[i] = cell(std::min(first + i, grid_.count - 1));
+    return;
+  }
+  // Any other grid: split the request into the three monotone segments
+  // (before / inside / after the window) once, instead of re-testing
+  // every tick.
   std::size_t i = 0;
-  while (i < grid.count && grid.at(i) < grid_.start) out[i++] = samples_.front();
+  while (i < grid.count && grid.at(i) < grid_.start) out[i++] = cell(0);
   const SimTime back_end = grid_.end();
   while (i < grid.count && grid.at(i) < back_end) {
-    out[i] = samples_[grid_.index_of(grid.at(i))];
+    out[i] = cell(grid_.index_of(grid.at(i)));
     ++i;
   }
-  while (i < grid.count) out[i++] = samples_.back();
+  while (i < grid.count) out[i++] = cell(grid_.count - 1);
 }
 
 void export_topology(const Topology& topology, std::ostream& out) {

@@ -15,24 +15,41 @@
 namespace cloudlens {
 
 /// Step-function utilization backed by explicit samples (what an imported
-/// trace carries instead of a generator model).
+/// trace carries instead of a generator model). The model reads a window
+/// of a cell buffer it may share: tick i of grid() is cell `offset + i`,
+/// and every tick at or past the valid-tick cut reads 0.0 without touching
+/// the buffer. Importers and the snapshot decoder own their cells (offset
+/// 0, no cut). Serve snapshots view a live VM's buffer cut at the snapshot
+/// epoch, so no reader touches a cell the ingester may still write.
 class SampledUtilization final : public UtilizationModel {
  public:
+  /// Owns `samples`, one per grid tick.
   SampledUtilization(TimeGrid grid, std::vector<double> samples);
+  /// Views cells [offset, offset + grid.count) of the shared `cells`; ticks
+  /// at or past `valid_ticks` read 0.0.
+  SampledUtilization(TimeGrid grid,
+                     std::shared_ptr<const std::vector<double>> cells,
+                     std::size_t offset, std::size_t valid_ticks);
 
   /// Sample of the interval containing t; clamped at the ends.
   double at(SimTime t) const override;
-  /// Batched lookup: a single branch-light index walk instead of one
-  /// virtual call + two range tests per tick. Bit-identical to at().
+  /// Batched lookup, bit-identical to at(). A sub-grid of grid() (the
+  /// shape of every telemetry row read) walks consecutive cells without a
+  /// virtual call or a division per tick.
   void sample(const TimeGrid& grid, std::span<double> out) const override;
   std::string_view kind() const override { return "sampled"; }
 
   const TimeGrid& grid() const { return grid_; }
-  std::span<const double> samples() const { return samples_; }
 
  private:
+  double cell(std::size_t i) const {
+    return i < valid_ ? (*cells_)[offset_ + i] : 0.0;
+  }
+
   TimeGrid grid_;
-  std::vector<double> samples_;
+  std::shared_ptr<const std::vector<double>> cells_;
+  std::size_t offset_;
+  std::size_t valid_;
 };
 
 struct TraceExportOptions {

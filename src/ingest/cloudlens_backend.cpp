@@ -39,6 +39,28 @@ std::uint32_t parse_id(const CsvRow& row, std::size_t col) {
   return static_cast<std::uint32_t>(value);
 }
 
+void PlaceholderUniverse::add(SubscriptionId subscription, ServiceId service,
+                              CloudType cloud, PartyType party) {
+  const std::size_t s = subscription.value();
+  if (s >= subscriptions_.size()) subscriptions_.resize(s + 1);
+  subscriptions_[s].cloud = cloud;
+  subscriptions_[s].party = party;
+  if (!service.valid()) return;
+  subscriptions_[s].service = service;
+  const std::size_t v = service.value();
+  if (v >= services_.size()) services_.resize(v + 1);
+  services_[v].cloud = cloud;
+  if (services_[v].name.empty()) services_[v].name = "svc-" + std::to_string(v);
+}
+
+void PlaceholderUniverse::install(TraceStore& trace) {
+  for (auto& svc : services_) {
+    if (svc.name.empty()) svc.name = "svc-unreferenced";
+    trace.add_service(svc);
+  }
+  for (const auto& sub : subscriptions_) trace.add_subscription(sub);
+}
+
 namespace {
 
 CsvDecodeOptions decode_options(const IngestOptions& options,
@@ -72,9 +94,9 @@ struct TopoRow {
 };
 
 struct VmRow {
-  std::uint64_t vm, sub;
-  std::uint64_t svc = 0;
-  bool has_svc = false;
+  std::uint64_t vm;
+  SubscriptionId sub;
+  ServiceId svc;  // invalid when the row names no service
   CloudType cloud;
   PartyType party;
   std::uint64_t region, cluster, rack, node;
@@ -167,17 +189,15 @@ void CloudlensImport::import(std::istream& topology_csv,
   // --- vm table -----------------------------------------------------------
   check_header(vm_csv, vm_name, "vm,", "vmtable");
   std::vector<VmRow> rows;
+  PlaceholderUniverse universe;
   decode_csv<VmRow>(
       vm_csv, decode_options(opt, vm_name),
       [](const CsvRow& row) {
         row.expect_fields(14);
         VmRow r;
         r.vm = row.u64(0);
-        r.sub = row.u64(1);
-        if (!row.field(2).empty()) {
-          r.has_svc = true;
-          r.svc = row.u64(2);
-        }
+        r.sub = SubscriptionId(parse_id(row, 1));
+        if (!row.field(2).empty()) r.svc = ServiceId(parse_id(row, 2));
         r.cloud = parse_cloud(row, 3);
         r.party = parse_party(row, 4);
         r.region = row.u64(5);
@@ -193,40 +213,11 @@ void CloudlensImport::import(std::istream& topology_csv,
       },
       [&](VmRow&& r) {
         ++result.report.rows;
+        universe.add(r.sub, r.svc, r.cloud, r.party);
         rows.push_back(std::move(r));
       });
-
-  // Dense id spaces: create placeholder services/subscriptions, then
-  // refine from the VM rows that reference them.
-  std::size_t max_sub = 0;
-  std::size_t max_svc = 0;
-  bool any_svc = false;
-  for (const VmRow& r : rows) {
-    max_sub = std::max(max_sub, static_cast<std::size_t>(r.sub) + 1);
-    if (r.has_svc) {
-      any_svc = true;
-      max_svc = std::max(max_svc, static_cast<std::size_t>(r.svc) + 1);
-    }
-  }
-  std::vector<ServiceInfo> services(any_svc ? max_svc : 0);
-  std::vector<SubscriptionInfo> subscriptions(max_sub);
-  for (const VmRow& r : rows) {
-    subscriptions[r.sub].cloud = r.cloud;
-    subscriptions[r.sub].party = r.party;
-    if (r.has_svc) {
-      subscriptions[r.sub].service =
-          ServiceId(static_cast<ServiceId::underlying>(r.svc));
-      services[r.svc].cloud = r.cloud;
-      if (services[r.svc].name.empty())
-        services[r.svc].name = "svc-" + std::to_string(r.svc);
-    }
-  }
-  for (auto& svc : services) {
-    if (svc.name.empty()) svc.name = "svc-unreferenced";
-    trace.add_service(svc);
-  }
-  for (const auto& sub : subscriptions) trace.add_subscription(sub);
-  result.report.subscriptions = subscriptions.size();
+  universe.install(trace);
+  result.report.subscriptions = universe.subscription_count();
 
   // --- utilization (optional) --------------------------------------------
   std::unordered_map<std::uint32_t, std::shared_ptr<SampledUtilization>>
@@ -270,10 +261,8 @@ void CloudlensImport::import(std::istream& topology_csv,
     const VmRow& r = rows[i];
     CL_CHECK_MSG(r.vm == i, "vm ids must be dense and in order");
     VmRecord rec;
-    rec.subscription =
-        SubscriptionId(static_cast<SubscriptionId::underlying>(r.sub));
-    if (r.has_svc)
-      rec.service = ServiceId(static_cast<ServiceId::underlying>(r.svc));
+    rec.subscription = r.sub;
+    rec.service = r.svc;
     rec.cloud = r.cloud;
     rec.party = r.party;
     rec.region = RegionId(static_cast<RegionId::underlying>(r.region));

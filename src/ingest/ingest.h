@@ -26,6 +26,27 @@ PartyType parse_party(const CsvRow& row, std::size_t col);
 /// the invalid-id sentinel, fail like any other malformed field.
 std::uint32_t parse_id(const CsvRow& row, std::size_t col);
 
+/// The ownership universe a cloudlens-schema VM table implies. Rows name
+/// subscriptions and services only by id, so every id up to the largest
+/// one referenced gets a placeholder entry, refined by the rows that
+/// reference it: a subscription takes its cloud and party from the last
+/// row naming it, and its service from the last such row naming one; a
+/// service is named "svc-<id>" and takes its cloud from the last row
+/// naming it ("svc-unreferenced" when none does). Fed one row at a time,
+/// in row order, by the importer and by serve snapshots.
+class PlaceholderUniverse {
+ public:
+  void add(SubscriptionId subscription, ServiceId service, CloudType cloud,
+           PartyType party);
+  /// Registers every service, then every subscription, with `trace`.
+  void install(TraceStore& trace);
+  std::size_t subscription_count() const { return subscriptions_.size(); }
+
+ private:
+  std::vector<ServiceInfo> services_;
+  std::vector<SubscriptionInfo> subscriptions_;
+};
+
 /// Stream-level cloudlens-schema import: the cloudlens backend's core,
 /// exposed for callers that hold streams rather than a directory (the
 /// serve engine, tests). Pass nullptr for `utilization_csv` to import

@@ -126,8 +126,6 @@ namespace cloudlens::obs {
   X(kServeSnapshotsBuilt, "serve.snapshots_built")             \
   X(kServeSnapshotReuses, "serve.snapshot_reuses")             \
   X(kServeQueries, "serve.queries")                            \
-  X(kServeKbReused, "serve.kb_records_reused")                 \
-  X(kServeKbRecomputed, "serve.kb_records_recomputed")         \
   X(kServeWindowRolls, "serve.window_rolls")                   \
   X(kServeCheckpoints, "serve.checkpoints")                    \
   /* policies: advisor decisions and platform evaluations */   \

@@ -1,11 +1,9 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -28,9 +26,6 @@ namespace {
 constexpr SimTime kWatermarkUnset = std::numeric_limits<SimTime>::min();
 /// first_sample sentinel meaning "never streamed a sample".
 constexpr SimTime kNoSample = std::numeric_limits<SimTime>::max();
-/// Snapshot kb tag of a subscription touched at or past the cutoff.
-constexpr std::uint64_t kKbInFlight =
-    std::numeric_limits<std::uint64_t>::max();
 
 /// File name the located parse errors of ingest_line carry.
 const std::string kStreamFile = "serve stream";
@@ -59,61 +54,6 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Zero-copy utilization model over one resident VM's full-grid sample
-/// buffer, windowed to the snapshot grid and cut at the snapshot epoch:
-/// every tick at or past `epoch` reads 0.0 without touching the buffer.
-/// The buffer is shared with the live engine — no per-epoch cell copies.
-/// This is safe because stream timestamps are non-decreasing: a cell can
-/// only be written while its tick is incomplete, i.e. at or past the
-/// epoch, and those ticks read as the 0.0 a CSV import of the same event
-/// prefix leaves in unstreamed cells (checkpoints, which degrade this
-/// model to sampled cells, store the same zeros).
-class WindowedSamples final : public UtilizationModel {
- public:
-  WindowedSamples(TimeGrid window, std::size_t offset, std::size_t epoch,
-                  std::shared_ptr<const std::vector<double>> cells)
-      : window_(window), offset_(offset), epoch_(epoch),
-        cells_(std::move(cells)) {}
-
-  double at(SimTime t) const override {
-    std::size_t i = 0;
-    if (t >= window_.end()) {
-      i = window_.count - 1;
-    } else if (t >= window_.start) {
-      i = window_.index_of(t);
-    }
-    return i < epoch_ ? (*cells_)[offset_ + i] : 0.0;
-  }
-  /// Same values as the per-tick at() loop. Every snapshot row read samples
-  /// a sub-grid of the window, whose ticks map to consecutive window
-  /// indices: read those cells without a virtual call or a division per
-  /// tick.
-  void sample(const TimeGrid& grid, std::span<double> out) const override {
-    CL_CHECK(out.size() == grid.count);
-    if (grid.step != window_.step || grid.start < window_.start ||
-        (grid.start - window_.start) % grid.step != 0) {
-      for (std::size_t i = 0; i < grid.count; ++i) out[i] = at(grid.at(i));
-      return;
-    }
-    const auto first =
-        static_cast<std::size_t>((grid.start - window_.start) / grid.step);
-    for (std::size_t i = 0; i < grid.count; ++i) {
-      const std::size_t w = std::min(first + i, window_.count - 1);
-      out[i] = w < epoch_ ? (*cells_)[offset_ + w] : 0.0;
-    }
-  }
-  /// Reports "sampled": exports surface kind() in the vm table's pattern
-  /// column, and this view must be indistinguishable from the copied
-  /// SampledUtilization cells of a CSV import.
-  std::string_view kind() const override { return "sampled"; }
-
- private:
-  TimeGrid window_;
-  std::size_t offset_;
-  std::size_t epoch_;
-  std::shared_ptr<const std::vector<double>> cells_;
-};
-
 }  // namespace
 
 /// One resident VM: its record (id = original stream id) plus the
@@ -135,8 +75,6 @@ struct ServeEngine::Snapshot {
   std::shared_ptr<const TraceStore> trace;
   /// Dense snapshot VM id -> original stream id (checkpoint sidecar).
   std::vector<std::uint32_t> original_ids;
-  /// Per-subscription dirty generation at build time (kb reuse tags).
-  std::vector<std::uint64_t> sub_generations;
   /// Rendered query results for this snapshot (guarded by query_mu_).
   std::map<std::string, std::string> results;
 };
@@ -199,7 +137,6 @@ void ServeEngine::ingest_line(std::string_view line) {
       vm.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
     (*vm.samples)[grid_.index_of(t)] = value;
     if (t < vm.first_sample) vm.first_sample = t;
-    touch_subscription(vm.rec.subscription.value(), t);
     metrics_->add(obs::Counter::kServeSamplesIngested);
   } else if (tag == "del") {
     row.expect_fields(3);
@@ -211,7 +148,6 @@ void ServeEngine::ingest_line(std::string_view line) {
     CL_CHECK_MSG(t > it->second.rec.created,
                  "vm " << id << " deleted before creation");
     it->second.rec.deleted = t;
-    touch_subscription(it->second.rec.subscription.value(), t);
     metrics_->add(obs::Counter::kServeVmsDeleted);
   } else {
     CL_CHECK_MSG(false, "unknown stream line: " << line);
@@ -261,7 +197,6 @@ void ServeEngine::apply_vm_line(const ingest::CsvRow& row) {
   rec.deleted = kNoEnd;
   advance_watermark(rec.created);
   CL_CHECK_MSG(vms_.find(id) == vms_.end(), "duplicate vm id " << id);
-  touch_subscription(rec.subscription.value(), rec.created);
   vms_.emplace(id, std::move(st));
 }
 
@@ -304,8 +239,6 @@ void ServeEngine::maybe_roll_window() {
         ++it;
       }
     }
-    // Everything is dirty after a roll: the analysis grid changed.
-    for (auto& gen : sub_generation_) ++gen;
     cached_snapshot_.reset();
     ++rolls_;
     metrics_->add(obs::Counter::kServeWindowRolls);
@@ -337,15 +270,6 @@ std::shared_ptr<const Topology> ServeEngine::parse_topology_locked() const {
       "cores,memory_gb,created,deleted,pattern\n");
   auto imported = import_trace(topo_in, vm_in, nullptr, grid_);
   return std::shared_ptr<const Topology>(std::move(imported.topology));
-}
-
-void ServeEngine::touch_subscription(std::uint32_t sub, SimTime t) {
-  if (sub >= sub_generation_.size()) {
-    sub_generation_.resize(sub + 1, 0);
-    sub_touched_at_.resize(sub + 1, std::numeric_limits<SimTime>::min());
-  }
-  ++sub_generation_[sub];
-  sub_touched_at_[sub] = t;
 }
 
 // --- progress -------------------------------------------------------------
@@ -439,50 +363,26 @@ std::shared_ptr<ServeEngine::Snapshot> ServeEngine::snapshot_locked() {
   snap->roll_gen = rolls_;
   snap->window = win;
   snap->topology = topo;
-  snap->sub_generations = sub_generation_;
-  // A subscription touched at or past the cutoff has events this snapshot
-  // cannot see yet; once they become visible no further event need bump
-  // its generation, so its record must not be cached now.
-  for (std::size_t s = 0; s < sub_touched_at_.size(); ++s) {
-    if (sub_touched_at_[s] >= cut) snap->sub_generations[s] = kKbInFlight;
-  }
 
   // Included VMs are those created before the cutoff, in ascending
   // original-id order — exactly the importer's row order, so the snapshot
   // and a CSV import of the same prefix agree byte-for-byte. First the
-  // placeholder ownership universe over them (same first-touch semantics
-  // as the CSV importer).
-  std::vector<ServiceInfo> services;
-  std::vector<SubscriptionInfo> subscriptions;
+  // importer's placeholder ownership universe over them.
+  ingest::PlaceholderUniverse universe;
   std::size_t included = 0;
   for (const auto& [id, st] : vms_) {
     const VmRecord& rec = st.rec;
     if (rec.created >= cut) continue;
     ++included;
-    const std::size_t s = rec.subscription.value();
-    if (s >= subscriptions.size()) subscriptions.resize(s + 1);
-    subscriptions[s].cloud = rec.cloud;
-    subscriptions[s].party = rec.party;
-    if (rec.service.valid()) {
-      subscriptions[s].service = rec.service;
-      const std::size_t v = rec.service.value();
-      if (v >= services.size()) services.resize(v + 1);
-      services[v].cloud = rec.cloud;
-      if (services[v].name.empty())
-        services[v].name = "svc-" + std::to_string(v);
-    }
+    universe.add(rec.subscription, rec.service, rec.cloud, rec.party);
   }
 
   // Then a plain resident trace with no panel (analyses evaluate rows on
   // demand, bit-identical by the panel contract), holding each included
   // record as of the cutoff: a deletion or first sample at or past it is
-  // not visible yet.
+  // not visible yet, and its sample cells are read up to the epoch only.
   auto trace = std::make_shared<TraceStore>(topo.get(), win);
-  for (auto& svc : services) {
-    if (svc.name.empty()) svc.name = "svc-unreferenced";
-    trace->add_service(svc);
-  }
-  for (const auto& sub : subscriptions) trace->add_subscription(sub);
+  universe.install(*trace);
   trace->reserve_vms(included);
   snap->original_ids.reserve(included);
   for (const auto& [id, st] : vms_) {
@@ -490,8 +390,8 @@ std::shared_ptr<ServeEngine::Snapshot> ServeEngine::snapshot_locked() {
     VmRecord rec = st.rec;
     if (rec.deleted != kNoEnd && rec.deleted >= cut) rec.deleted = kNoEnd;
     if (st.first_sample < cut) {
-      rec.utilization = std::make_shared<WindowedSamples>(
-          win, window_start_tick_, e, st.samples);
+      rec.utilization = std::make_shared<SampledUtilization>(
+          win, st.samples, window_start_tick_, e);
     }
     snap->original_ids.push_back(id);
     trace->add_vm(std::move(rec));
@@ -517,41 +417,14 @@ std::shared_ptr<const TraceStore> ServeEngine::snapshot_trace() {
 
 // --- knowledge base -------------------------------------------------------
 
-std::vector<kb::SubscriptionKnowledge> ServeEngine::knowledge_records(
-    const Snapshot& snap) {
+kb::KnowledgeBase ServeEngine::window_knowledge(const Snapshot& snap) const {
   const AnalysisContext ctx(*snap.trace, options_.parallel, metrics_);
-  std::vector<kb::SubscriptionKnowledge> records;
-  const auto subs = snap.trace->subscriptions();
-  for (std::size_t s = 0; s < subs.size(); ++s) {
-    const std::uint64_t gen =
-        s < snap.sub_generations.size() ? snap.sub_generations[s] : 0;
-    const bool settled = gen != kKbInFlight;
-    auto it = kb_cache_.find(static_cast<std::uint32_t>(s));
-    if (settled && it != kb_cache_.end() && it->second.generation == gen) {
-      metrics_->add(obs::Counter::kServeKbReused);
-      if (it->second.has_record) records.push_back(it->second.record);
-      continue;
-    }
-    metrics_->add(obs::Counter::kServeKbRecomputed);
-    auto rec = kb::extract_subscription(
-        ctx, SubscriptionId(static_cast<SubscriptionId::underlying>(s)),
-        options_.kb_options);
-    KbCacheEntry entry;
-    entry.generation = gen;
-    entry.has_record = rec.has_value();
-    if (rec) {
-      entry.record = *rec;
-      records.push_back(*rec);
-    }
-    if (settled) kb_cache_[static_cast<std::uint32_t>(s)] = std::move(entry);
-  }
-  return records;
+  return kb::KnowledgeBase(kb::extract_all(ctx, options_.kb_options));
 }
 
 kb::KnowledgeBase ServeEngine::knowledge() {
   std::lock_guard<std::mutex> qlock(query_mu_);
-  const auto snap = current_snapshot();
-  return kb::KnowledgeBase(knowledge_records(*snap));
+  return window_knowledge(*current_snapshot());
 }
 
 kb::KnowledgeBase ServeEngine::long_term_knowledge() const {
@@ -628,7 +501,7 @@ std::string ServeEngine::query(const std::string& what) {
     }
     result = all.str();
   } else if (what == "kb") {
-    result = kb::KnowledgeBase(knowledge_records(*snap)).to_csv();
+    result = window_knowledge(*snap).to_csv();
   } else if (what == "kb-longterm") {
     kb::KnowledgeBase blended;
     {
@@ -772,21 +645,18 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
           dynamic_cast<const SampledUtilization*>(rec.utilization.get());
       CL_CHECK_MSG(sampled != nullptr,
                    "checkpoint vm carries a non-sampled model");
-      st.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
-      const auto cells = sampled->samples();
-      CL_CHECK_MSG(cells.size() <= grid_.count - window_start_tick_,
+      const TimeGrid& cells = sampled->grid();
+      CL_CHECK_MSG(cells.count <= grid_.count - window_start_tick_,
                    "checkpoint vm samples overrun the grid");
-      for (std::size_t j = 0; j < cells.size(); ++j) {
-        (*st.samples)[window_start_tick_ + j] = cells[j];
-      }
+      st.samples = std::make_shared<std::vector<double>>(grid_.count, 0.0);
+      sampled->sample(cells, std::span<double>(*st.samples)
+                                 .subspan(window_start_tick_, cells.count));
       // The exact first-sample time is not recorded; anything before the
       // restored cutoff keeps the model included, matching pre-checkpoint
       // state.
       st.first_sample = std::numeric_limits<SimTime>::min();
     }
     st.rec.utilization = nullptr;
-    touch_subscription(st.rec.subscription.value(),
-                       std::numeric_limits<SimTime>::min());
     vms_.emplace(ids[i], std::move(st));
   }
   // Resume exactly at the checkpoint's cutoff: events with t >= cutoff

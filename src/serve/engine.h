@@ -15,13 +15,13 @@
 // reaches grid.at(i+1)... conservatively, once an event with a strictly
 // later timestamp has arrived. A snapshot at epoch E contains exactly the
 // events with timestamp < grid.at(E) (every event, once the window is
-// fully complete), materialized as a TraceStore with the same placeholder
-// subscription/service semantics as the CSV importer and full-window
-// SampledUtilization models whose not-yet-streamed cells read 0.0 —
-// byte-for-byte what import_trace would build from CSVs holding the same
-// prefix of rows. Consequently, once the stream is fully ingested, every
-// query byte-matches the batch pipeline over the same data, at any thread
-// count (serve_equivalence_test pins this).
+// fully complete), materialized as a TraceStore with the CSV importer's
+// placeholder subscription/service universe (ingest::PlaceholderUniverse)
+// and full-window SampledUtilization models whose not-yet-streamed cells
+// read 0.0 — byte-for-byte what import_trace would build from CSVs holding
+// the same prefix of rows. Consequently, once the stream is fully
+// ingested, every query byte-matches the batch pipeline over the same
+// data, at any thread count (serve_equivalence_test pins this).
 //
 // ## Concurrency
 //
@@ -32,25 +32,23 @@
 // panel — analyses evaluate rows on demand, with the same bits. The
 // snapshot is published as a shared_ptr and the analyses run outside any
 // engine lock. Sample cells are not copied: each record's utilization
-// model is a zero-copy window over the VM's live sample buffer that reads
-// 0.0 at every tick at or past the snapshot epoch. That is safe because
-// stream timestamps are non-decreasing: a cell can only be written while
-// its tick is incomplete, i.e. at or past the epoch, so no snapshot ever
-// reads a cell the ingester may still write. Snapshots and per-(epoch,
-// query) results are cached, so repeated queries at an unchanged epoch
-// are reuses, not recomputations. Queries serialize among themselves but
-// never block ingestion for longer than the snapshot build.
+// model is a SampledUtilization window over the VM's live sample buffer,
+// cut at the snapshot epoch so every tick at or past it reads 0.0 without
+// touching the buffer. That is safe because stream timestamps are
+// non-decreasing: a cell can only be written while its tick is
+// incomplete, i.e. at or past the epoch, so no snapshot (nor a checkpoint
+// of one) ever reads a cell the ingester may still write. Snapshots and
+// per-(epoch, query) results are cached, so repeated queries at an
+// unchanged epoch are reuses, not recomputations. Queries serialize among
+// themselves but never block ingestion for longer than the snapshot
+// build.
 //
-// ## Incremental knowledge base
+// ## Knowledge base
 //
-// KB records are cached per subscription with a dirty generation bumped
-// by every event touching the subscription; a query re-extracts only
-// dirty subscriptions, plus those touched at or past the snapshot's
-// cutoff, whose events the snapshot cannot see yet and which therefore
-// never enter the cache (serve.kb_records_{reused,recomputed} count the
-// split). Reuse is byte-safe because extraction is a pure function of the
-// subscription's VM rows and sample cells, and the snapshot grid is the
-// whole window at every epoch.
+// The kb query runs the batch extractor, kb::extract_all, over the
+// snapshot at the engine's ParallelConfig, so its records are the batch
+// kb's by construction; like every query result, the rendered CSV is
+// cached per snapshot.
 //
 // ## Rolling window
 //
@@ -68,7 +66,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/insights.h"
@@ -148,7 +145,7 @@ class ServeEngine {
   ///   insights          rendered four-insight verdicts
   ///   shares,<cloud>    classifier shares CSV for private|public
   ///   figures           every figure CSV, framed by "== name ==" lines
-  ///   kb                current-window knowledge base CSV (incremental)
+  ///   kb                current-window knowledge base CSV
   ///   kb-longterm       rolled long-term KB blended with current window
   ///   stats             ingest progress counters
   ///   checkpoint        write a snapshot file; returns its path
@@ -160,7 +157,7 @@ class ServeEngine {
   /// telemetry panel (analyses use on-demand rows — identical bits).
   std::shared_ptr<const TraceStore> snapshot_trace();
 
-  /// Current-window KB records via the incremental per-subscription cache.
+  /// Current-window KB: kb::extract_all over the current snapshot.
   kb::KnowledgeBase knowledge();
 
   /// Long-term KB: window-roll folds only (no current-window blend).
@@ -199,11 +196,9 @@ class ServeEngine {
   std::size_t epoch_locked() const;
   SimTime cutoff_locked() const;
   TimeGrid window_grid_locked() const;
-  void touch_subscription(std::uint32_t sub, SimTime t);
   std::shared_ptr<Snapshot> snapshot_locked();
   std::shared_ptr<Snapshot> current_snapshot();
-  std::vector<kb::SubscriptionKnowledge> knowledge_records(
-      const Snapshot& snap);
+  kb::KnowledgeBase window_knowledge(const Snapshot& snap) const;
 
   ServeOptions options_;
   obs::MetricsRegistry* metrics_;
@@ -224,20 +219,10 @@ class ServeEngine {
   /// Resident VMs keyed by original stream id (ascending iteration order
   /// gives the importer's row order).
   std::map<std::uint32_t, VmState> vms_;
-  /// Per-subscription dirty generation and time of the newest touching
-  /// event (both grow with the id universe).
-  std::vector<std::uint64_t> sub_generation_;
-  std::vector<SimTime> sub_touched_at_;
   kb::KnowledgeBase long_term_;
   std::shared_ptr<Snapshot> cached_snapshot_;
 
-  std::mutex query_mu_;             // serializes query-side caches
-  struct KbCacheEntry {
-    kb::SubscriptionKnowledge record;
-    std::uint64_t generation = 0;
-    bool has_record = false;        // extraction returned a record
-  };
-  std::unordered_map<std::uint32_t, KbCacheEntry> kb_cache_;
+  std::mutex query_mu_;             // serializes queries (result caches)
   std::uint64_t checkpoints_ = 0;
 };
 

@@ -437,17 +437,29 @@ TEST_F(IngestTempDir, CloudlensBackendRoundTripsAnExportedTrace) {
 TEST(IngestStreams, ImportTraceWrapperStillWorks) {
   // The pre-backend stream-level entry point (kept for tests and the
   // serve engine) still decodes the cloudlens schema.
-  std::istringstream topo_in(
+  const std::string topo_csv =
       "node,rack,cluster,datacenter,region,region_name,tz_offset_hours,"
       "cloud,node_cores,node_memory_gb\n"
-      "0,0,0,0,0,east,-5,private,16,64\n");
-  std::istringstream vm_in(
+      "0,0,0,0,0,east,-5,private,16,64\n";
+  const std::string vm_header =
       "vm,subscription,service,cloud,party,region,cluster,rack,node,cores,"
-      "memory_gb,created,deleted,pattern\n"
-      "0,0,0,private,first-party,0,0,0,0,4,16,0,3600,unknown\n");
+      "memory_gb,created,deleted,pattern\n";
+  std::istringstream topo_in(topo_csv);
+  std::istringstream vm_in(
+      vm_header + "0,0,0,private,first-party,0,0,0,0,4,16,0,3600,unknown\n");
   const auto imported = import_trace(topo_in, vm_in, nullptr);
   ASSERT_EQ(imported.trace->vms().size(), 1u);
   EXPECT_EQ(imported.trace->vms()[0].deleted, 3600);
+
+  // Owner ids are strict 32-bit ids: a subscription id past the id space
+  // fails with its row and column instead of wrapping.
+  std::istringstream topo_again(topo_csv);
+  std::istringstream bad_vm(
+      vm_header +
+      "0,4294967296,0,private,first-party,0,0,0,0,4,16,0,3600,unknown\n");
+  const std::string msg =
+      check_error_of([&] { import_trace(topo_again, bad_vm, nullptr); });
+  EXPECT_NE(msg.find("vmtable.csv:2: column 2"), std::string::npos) << msg;
 }
 
 }  // namespace

@@ -347,6 +347,41 @@ TEST_F(ServeEngineTest, CheckpointFailsWhenMetaCannotBeWritten) {
   std::filesystem::remove_all(dir);
 }
 
+// Checkpoint bytes are pinned. The fixture stream's last events sit on the
+// final grid tick, so the engine checkpoints with that tick in flight: the
+// sample buffers already hold cells the snapshot must store as 0.0, and an
+// encoder that read them would change the digest.
+TEST_F(ServeEngineTest, MidTickCheckpointBytesArePinned) {
+  const TimeGrid& grid = fx_.trace.telemetry_grid();
+  std::vector<double> cells(grid.count);
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    cells[i] = 0.2 + 0.001 * static_cast<double>(i % 97);
+  fx_.add_vm(CloudType::kPrivate, fx_.private_sub,
+             test::first_node(topo_, CloudType::kPrivate), 4, 0, kNoEnd,
+             std::make_shared<SampledUtilization>(grid, cells));
+  fx_.add_vm(CloudType::kPublic, fx_.public_sub,
+             test::first_node(topo_, CloudType::kPublic), 2, kHour, 2 * kDay,
+             std::make_shared<ConstantUtilization>(0.5));
+  fx_.add_vm(CloudType::kPublic, fx_.public_sub,
+             test::first_node(topo_, CloudType::kPublic), 1, kDay, kNoEnd);
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "cloudlens_serve_pin")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServeOptions options;
+  options.checkpoint_dir = dir;
+  ServeEngine engine(options);
+  for (const auto& line : stream_lines()) engine.ingest_line(line);
+  ASSERT_EQ(engine.epoch(), grid.count - 1);
+
+  const std::string path = engine.checkpoint();
+  EXPECT_EQ(test::fnv1a(test::read_file(path)), 0x2a055916cb50edb2ULL);
+  EXPECT_EQ(test::fnv1a(test::read_file(path + ".meta")),
+            0x5c320d835052dd8fULL);
+  std::filesystem::remove_all(dir);
+}
+
 // The snapshot clamp: a mid-stream snapshot must read 0.0 at the in-flight
 // tick E even though the live buffer already holds a sample there, through
 // both at() and sample(); the snapshot trace holds no panel.

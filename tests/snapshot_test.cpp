@@ -26,6 +26,8 @@
 namespace cloudlens {
 namespace {
 
+using test::fnv1a;
+using test::read_file;
 using test::TraceFixture;
 using test::tiny_topology;
 
@@ -169,22 +171,6 @@ TEST_F(SnapshotHandBuiltTest, SharedModelsStaySharedAndExact) {
 
 TEST_F(SnapshotHandBuiltTest, SaveIsDeterministic) {
   EXPECT_EQ(save_to_string(topo_, fx_.trace), save_to_string(topo_, fx_.trace));
-}
-
-/// FNV-1a over `bytes`: pins container bytes without checking them in.
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 // The container bytes are part of the format (kSnapshotFormatVersion 1):

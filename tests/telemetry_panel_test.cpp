@@ -1,7 +1,7 @@
 // Telemetry panel suite: lifecycle (build on request, add_vm/set_vm_deleted
 // invalidation, the unbuilt fallback), row semantics (model-less VMs,
 // partial lifetimes), the batched sample() == at() bit-identity contract,
-// the hourly companion view, concurrent readers of a built panel
+// the hourly roll-up (vm_hourly_row), concurrent readers of a built panel
 // (exercised under TSan in CI), and the fused-vs-naive Pearson kernel.
 #include "cloudsim/telemetry_panel.h"
 
@@ -178,14 +178,21 @@ TEST(TelemetryPanelTest, HourlyRowMatchesHourlyMeanBitwise) {
       std::make_shared<workloads::HourlyPeakUtilization>(
           workloads::HourlyPeakUtilization::Params{}, 5));
 
-  const TelemetryPanel* panel = f.trace.build_telemetry_panel();
-  ASSERT_GT(panel->hourly_grid().count, 0u);
-  for (const VmId id : {full, partial}) {
-    const auto hourly = panel->hourly_row(id);
-    const auto reference = f.trace.vm_utilization(id, grid).hourly_mean();
-    ASSERT_EQ(hourly.size(), reference.size());
-    for (std::size_t h = 0; h < hourly.size(); ++h)
-      ASSERT_EQ(hourly[h], reference[h]) << "hour " << h;
+  // The roll-up of a scratch row (no panel yet) and of a panel row.
+  for (const bool built : {false, true}) {
+    SCOPED_TRACE(built ? "panel" : "no panel");
+    const TelemetryPanel* panel =
+        built ? f.trace.build_telemetry_panel() : f.trace.telemetry_panel();
+    ASSERT_EQ(panel != nullptr, built);
+    std::vector<double> row_scratch, hourly_scratch;
+    for (const VmId id : {full, partial}) {
+      const auto hourly = vm_hourly_row(f.trace, panel, id, grid, row_scratch,
+                                        hourly_scratch);
+      const auto reference = f.trace.vm_utilization(id, grid).hourly_mean();
+      ASSERT_EQ(hourly.size(), reference.size());
+      for (std::size_t h = 0; h < hourly.size(); ++h)
+        ASSERT_EQ(hourly[h], reference[h]) << "hour " << h;
+    }
   }
 }
 
@@ -253,6 +260,17 @@ class SampleContractTest : public ::testing::Test {
     for (std::size_t i = 0; i < src.count; ++i)
       samples[i] = 0.5 + 0.4 * std::sin(static_cast<double>(i) / 17.0);
     out.push_back(std::make_shared<SampledUtilization>(src, samples));
+    // Windows over a shared buffer (the serve snapshot shape): cells start
+    // at an offset, and past a valid-tick cut every tick reads 0.0. With
+    // the cut before the window's end the clamp past it reads 0.0 too;
+    // without one it reads the last cell.
+    const TimeGrid window{0, kTelemetryInterval, 4 * 12 * 24};
+    auto cells = std::make_shared<std::vector<double>>(window.count + 13);
+    for (std::size_t i = 0; i < cells->size(); ++i)
+      (*cells)[i] = 0.3 + 0.2 * std::cos(static_cast<double>(i) / 11.0);
+    out.push_back(std::make_shared<SampledUtilization>(window, cells, 7, 600));
+    out.push_back(
+        std::make_shared<SampledUtilization>(window, cells, 13, window.count));
     return out;
   }
 

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "cloudsim/simulator.h"
 #include "cloudsim/topology.h"
@@ -47,6 +51,22 @@ inline void expect_same_knowledge(const kb::KnowledgeBase& a,
     EXPECT_EQ(y.deferral_target, x.deferral_target);
     EXPECT_EQ(y.preprovision_target, x.preprovision_target);
   }
+}
+
+/// FNV-1a over `bytes`: pins file bytes without checking them in.
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Expects `lookup()` to throw CheckError naming `id` ("unknown vm-7").

@@ -28,9 +28,10 @@
 # trips, cache-key invariants, cold/warm equivalence) — the TSan pass
 # matters here because warm runs rebuild the panel over a loaded trace
 # that parallel analyses then read — and the serve suites (stream format pins,
-# streamed-vs-batch byte identity, the snapshot epoch clamp, concurrent
-# ingest/query), where the TSan pass polices the serve engine's snapshot
-# publication.
+# streamed-vs-batch byte identity, the snapshot epoch clamp, checkpoint
+# byte pins, concurrent ingest with kb/shares/stats/checkpoint queries),
+# where the TSan pass polices the serve engine's snapshot publication and
+# the checkpoint encoder's reads of live sample buffers.
 # The Release flavour finishes with perf smokes: a small-trace
 # bench_telemetry run that checks panel/legacy checksum identity, a
 # bench_obs run that fails if enabling metrics+tracing costs more than 3%
@@ -95,8 +96,8 @@ run_flavour() {
     # Streaming ingest: the event-stream format pins, the engine's
     # epoch/cutoff accounting, the streamed-vs-batch byte-identity
     # contract, and the concurrent ingest/query test (the TSan pass is
-    # what polices the snapshot publication and query caches under a
-    # live ingester).
+    # what polices the snapshot publication, the query caches and a
+    # checkpoint under a live ingester).
     ctest --test-dir "$dir" --output-on-failure -R 'Serve'
     echo "== [$name] ingest suites =="
     # Trace ingest: strict field parsing (file:line:column errors, no
@@ -117,16 +118,6 @@ require_json() {
 
 run_flavour release -DCMAKE_BUILD_TYPE=Release -DCLOUDLENS_WERROR=ON
 run_flavour tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCLOUDLENS_SANITIZE=thread
-
-echo "== [tsan] serve ingest/query smoke =="
-# Small streaming pass under TSan: an ingester thread drains the event
-# stream while the main thread fires queries — polices the serve
-# engine's snapshot publication, kb cache, and metrics under real
-# concurrency. The byte-identity gate still applies.
-"$BUILD_ROOT/tsan/bench/bench_serve" \
-    --scale=0.01 --util-vms=100 --threads=2 \
-    --out="$BUILD_ROOT/BENCH_serve_tsan_smoke.json"
-require_json "$BUILD_ROOT/BENCH_serve_tsan_smoke.json"
 
 echo "== [tsan] ingest decode smoke =="
 # Chunked parallel CSV decode under TSan: polices the superblock fan-out
@@ -180,17 +171,6 @@ echo "== [release] observability overhead smoke =="
     --scale=0.02 --passes=1 --reps=201 --max-overhead-pct=3.0 \
     --out="$BUILD_ROOT/BENCH_obs_smoke.json"
 require_json "$BUILD_ROOT/BENCH_obs_smoke.json"
-
-echo "== [release] serve streaming smoke =="
-# Streamed ingest + live-query latency: the drained engine's report must
-# byte-match the batch pipeline over the same data, and sustained ingest
-# must clear a (deliberately loose) ticks/sec floor. The full-size
-# numbers in BENCH_serve.json come from
-# `bench_serve --scale=0.1 --util-vms=2000`.
-"$BUILD_ROOT/release/bench/bench_serve" \
-    --scale=0.02 --min-ticks-per-sec=100 \
-    --out="$BUILD_ROOT/BENCH_serve_smoke.json"
-require_json "$BUILD_ROOT/BENCH_serve_smoke.json"
 
 echo "== [release] population RSS budget smoke =="
 # Record-sharded path at FULL scale: generation streams the VM records

@@ -3,12 +3,22 @@
 //   cloudlens generate --out DIR [--scale F] [--seed N] [--util-vms N]
 //       synthesize a one-week dual-cloud trace and write topology.csv,
 //       vmtable.csv, utilization.csv, and kb.csv into DIR.
+//   cloudlens import --in DIR [--backend cloudlens|azure|google]
+//       import a raw trace directory through an ingest backend.
 //   cloudlens analyze --in DIR
 //       load a trace directory and print the full characterization.
 //   cloudlens insights --in DIR
 //       evaluate the paper's four insights against the trace.
+//   cloudlens figures --in DIR
+//       write the data series behind each paper figure as fig*.csv.
+//   cloudlens fit --in DIR
+//       estimate generative CloudProfile parameters from the trace.
 //   cloudlens advise --in DIR [--cloud private|public]
 //       run the workload-aware advisor from the stored knowledge base.
+//   cloudlens stream --in DIR
+//       print the trace as the time-ordered event stream serve ingests.
+//   cloudlens serve [--window-weeks N] [--listen SOCK]
+//       ingest an event stream on stdin and answer queries mid-stream.
 //
 // Any directory holding CSVs in the documented schema — including
 // preprocessed external traces — can be analyzed the same way.
