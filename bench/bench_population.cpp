@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   sharding.shards = shards;
   sharding.budget_bytes = static_cast<std::size_t>(budget_mib * (1 << 20));
   sharding.spill_dir = spill_dir;
-  sharding.keep_files = false;
   workloads::ScenarioOptions scenario_options;
   scenario_options.scale = args.scale;
   scenario_options.seed = args.seed;

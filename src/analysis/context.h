@@ -56,13 +56,6 @@ class AnalysisContext {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
   obs::TraceSink& trace_sink() const { return *sink_; }
 
-  /// Fluent copies for call sites that need to tweak one knob.
-  AnalysisContext with_parallel(ParallelConfig parallel) const {
-    AnalysisContext copy = *this;
-    copy.parallel_ = parallel;
-    return copy;
-  }
-
   /// Count an event against this context's registry (no-op when metrics
   /// are disabled).
   void count(obs::Counter c, std::uint64_t delta = 1) const {

@@ -45,9 +45,8 @@ constexpr std::size_t kRecordBytes = 64;
 constexpr std::size_t kStageBytes = 256u << 10;
 
 /// FNV-1a over the router inputs, with the subscription table folded in.
-/// Binds spill files to (record metadata, subscription metadata, grid, K).
-/// Model *internals* are not hashed; directories that may be shared across
-/// traces must be keyed by trace content, which the pipeline does.
+/// Binds spill files to (record metadata, subscription metadata, grid, K):
+/// a page-in refuses a file whose meta carries another store's digest.
 class Fnv64 {
  public:
   Fnv64() = default;
@@ -90,17 +89,6 @@ void digest_subscriptions(Fnv64& h,
     h.u64(s.service.value());
   }
   h.u64(subs.size());
-}
-
-/// The streaming digest in one pass, for the conversion path's warm check.
-std::uint64_t compute_trace_digest(const TraceStore& trace,
-                                   std::uint32_t shards) {
-  Fnv64 h;
-  digest_header(h, trace.telemetry_grid(), shards);
-  for (const VmRecord& vm : trace.vms()) digest_vm(h, vm);
-  h.u64(trace.vms().size());
-  digest_subscriptions(h, trace.subscriptions());
-  return h.digest();
 }
 
 std::string shard_file(const std::string& dir, std::uint32_t index) {
@@ -242,10 +230,6 @@ std::span<const VmId> PopulationShardView::vms_of(SubscriptionId sub) const {
 
 PopulationShardStore::PopulationShardStore(
     TimeGrid grid, const PopulationShardingOptions& options)
-    : PopulationShardStore(grid, options, /*open_logs=*/true) {}
-
-PopulationShardStore::PopulationShardStore(
-    TimeGrid grid, const PopulationShardingOptions& options, bool open_logs)
     : grid_(grid), options_(options) {
   CL_CHECK_MSG(!options_.spill_dir.empty(),
                "population store: spill_dir is required");
@@ -265,7 +249,6 @@ PopulationShardStore::PopulationShardStore(
     digest_header(h, grid_, shard_count_);
     digest_state_ = h.digest();
   }
-  if (!open_logs) return;
   builders_.reserve(shard_count_);
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
     auto b = std::make_unique<BuilderShard>();
@@ -290,16 +273,13 @@ PopulationShardStore::~PopulationShardStore() {
     fs::remove(builders_[s]->models_path, ec);
     fs::remove(shards_[s]->path + ".tmp", ec);
   }
-  if (!options_.keep_files) {
-    for (const auto& s : shards_) fs::remove(s->path, ec);
-    // Only an emptied directory goes, and only one this store created.
-    if (created_spill_dir_) fs::remove(options_.spill_dir, ec);
-  }
+  for (const auto& s : shards_) fs::remove(s->path, ec);
+  // Only an emptied directory goes, and only one this store created.
+  if (created_spill_dir_) fs::remove(options_.spill_dir, ec);
 }
 
 VmId PopulationShardStore::append_vm(VmRecord record) {
-  CL_CHECK_MSG(!sealed_ && !builders_.empty(),
-               "population store: append_vm outside a spill");
+  CL_CHECK_MSG(!sealed_, "population store: append_vm outside a spill");
   const VmId id(static_cast<VmId::underlying>(vm_shards_.size()));
   record.id = id;
   const std::uint32_t s =
@@ -444,8 +424,7 @@ void PopulationShardStore::seal_shard(
 
 void PopulationShardStore::finalize_spill(
     std::span<const SubscriptionInfo> subscriptions) {
-  CL_CHECK_MSG(!sealed_ && !builders_.empty(),
-               "population store: finalize without an active spill");
+  CL_CHECK_MSG(!sealed_, "population store: finalize without an active spill");
   sub_count_ = subscriptions.size();
   {
     Fnv64 h(digest_state_);
@@ -469,70 +448,6 @@ void PopulationShardStore::finalize_spill(
   metrics.set(obs::Gauge::kPopulationShardCount,
               static_cast<double>(shard_count_));
   metrics.set(obs::Gauge::kPopulationShardResidentBytes, 0.0);
-}
-
-std::unique_ptr<PopulationShardStore> PopulationShardStore::build(
-    const TraceStore& trace, const PopulationShardingOptions& options) {
-  const std::uint32_t shard_count = std::max<std::uint32_t>(1, options.shards);
-  const std::uint64_t digest = compute_trace_digest(trace, shard_count);
-
-  // Warm start: adopt the on-disk files when every shard matches this
-  // trace's digest — the sealed bytes are a pure function of the inputs
-  // the digest covers, so matching files are the files this build would
-  // write.
-  bool warm = !options.spill_dir.empty();
-  std::vector<PopulationMeta> metas;
-  for (std::uint32_t s = 0; warm && s < shard_count; ++s) {
-    const std::string path = shard_file(options.spill_dir, s);
-    try {
-      SnapshotMapping mapping(path);
-      const PopulationMeta m = read_meta(mapping);
-      warm = m.router_digest == digest && m.shard_index == s &&
-             m.shard_count == shard_count &&
-             m.global_vms == trace.vms().size() &&
-             m.global_subs == trace.subscriptions().size() &&
-             m.grid.start == trace.telemetry_grid().start &&
-             m.grid.step == trace.telemetry_grid().step &&
-             m.grid.count == trace.telemetry_grid().count;
-      if (warm) metas.push_back(m);
-    } catch (const CheckError&) {
-      warm = false;
-    }
-  }
-
-  if (warm) {
-    auto store = std::unique_ptr<PopulationShardStore>(
-        new PopulationShardStore(trace.telemetry_grid(), options,
-                                 /*open_logs=*/false));
-    store->router_digest_ = digest;
-    store->sub_count_ = trace.subscriptions().size();
-    store->vm_shards_.reserve(trace.vms().size());
-    for (const VmRecord& vm : trace.vms()) {
-      store->vm_shards_.push_back(
-          shard_of_subscription(vm.subscription, shard_count));
-    }
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      Shard& shard = *store->shards_[s];
-      shard.vm_count = metas[s].shard_vms;
-      shard.sub_count = metas[s].shard_subs;
-      shard.file_bytes =
-          static_cast<std::size_t>(fs::file_size(shard.path));
-      store->spill_bytes_ += shard.file_bytes;
-    }
-    store->sealed_ = true;
-    auto& metrics = obs::MetricsRegistry::global();
-    metrics.set(obs::Gauge::kPopulationShardCount,
-                static_cast<double>(shard_count));
-    return store;
-  }
-
-  auto store = std::make_unique<PopulationShardStore>(trace.telemetry_grid(),
-                                                      options);
-  for (const VmRecord& vm : trace.vms()) store->append_vm(vm);
-  store->finalize_spill(trace.subscriptions());
-  CL_CHECK_MSG(store->router_digest_ == digest,
-               "population store: streaming/conversion digest divergence");
-  return store;
 }
 
 std::uint32_t PopulationShardStore::shard_of(SubscriptionId sub) const {
@@ -681,7 +596,7 @@ std::span<const VmId> PopulationShardStore::vms_of_subscription(
   return acquire(shard_of(sub)).vms_of(sub);
 }
 
-void PopulationShardStore::build_node_index() const {
+void PopulationShardStore::load_node_index() const {
   std::lock_guard<std::mutex> lock(node_index_mutex_);
   if (node_index_valid_.load(std::memory_order_relaxed)) return;
   node_index_.clear();
@@ -711,7 +626,7 @@ void PopulationShardStore::build_node_index() const {
 
 std::span<const VmId> PopulationShardStore::vms_on_node(NodeId node) const {
   CL_CHECK_MSG(sealed_, "population store: read before finalize_spill");
-  if (!node_index_valid_.load(std::memory_order_acquire)) build_node_index();
+  if (!node_index_valid_.load(std::memory_order_acquire)) load_node_index();
   const auto it = node_index_.find(node);
   if (it == node_index_.end()) return {};
   return it->second;

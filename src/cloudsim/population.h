@@ -20,23 +20,21 @@
 // SplitMix64(sub.value()).next() % K, a pure function of (subscription
 // id, K) — independent of thread count, build order, and platform — so a
 // subscription's VMs and its SubscriptionInfo always live in one shard,
-// whole subscriptions stream without crossing shard boundaries, and spill
-// files are reusable across runs (the router digest binds a file to its
-// trace + K).
+// and whole subscriptions stream without crossing shard boundaries. Every
+// shard file records the store's router digest, and a page-in refuses a
+// file whose digest is not its store's.
 //
-// Two build paths:
-//  * Streaming (the generator and the ingest backends): construct with
-//    (grid, options), call append_vm() for each record as it is produced —
-//    records are encoded straight into per-shard spill logs through a
-//    small staging buffer, so the full population never materializes —
-//    then finalize_spill() once with the subscription table. Utilization
-//    models are serialized per VM via the snapshot model-record codec
-//    (parametric generator models stay parametric when the codec is
-//    passed; imported SampledUtilization is native).
-//  * Conversion (an already-resident trace): build() streams the resident
-//    records through the same path, unless every shard file on disk
-//    already matches the router digest (warm start), in which case the
-//    files are adopted without a write.
+// One build path, streaming. A producer — the generator, an ingest
+// backend, or a trace snapshot load — constructs the store with (grid,
+// options) through TraceStore::begin_population_spill, calls append_vm()
+// for each record as it is produced — records are encoded straight into
+// per-shard spill logs through a small staging buffer, so the full
+// population never materializes — then finalize_spill() once with the
+// subscription table. Utilization models are serialized per VM via the
+// snapshot model-record codec (parametric generator models stay
+// parametric when the codec is passed; imported SampledUtilization is
+// native). The spill files live exactly as long as the store: nothing
+// adopts them afterwards, so no run ever trusts bytes it did not write.
 //
 // Reads decode a shard's sections into ordinary VmRecord /
 // SubscriptionInfo vectors at acquire time (the mapping itself is dropped
@@ -87,13 +85,9 @@ struct PopulationShardingOptions {
   /// resident shard at a time.
   std::size_t budget_bytes = 256ull << 20;
   /// Directory for the spill files (created if missing). Files are named
-  /// pop-shard-<index>.clsn; on the conversion path, existing files whose
-  /// router digest matches are adopted instead of rewritten.
+  /// pop-shard-<index>.clsn; the store removes them at destruction, and
+  /// spill_dir too when the store created it.
   std::string spill_dir;
-  /// Leave the spill files on disk at destruction (cache-dir reuse).
-  /// Otherwise the store removes them, and spill_dir too when the store
-  /// created it.
-  bool keep_files = false;
   /// Codec for non-native utilization models (workloads pattern models).
   /// Without it such models degrade to explicit samples over the grid —
   /// correct, but 16 KB per VM instead of a few dozen bytes. Must outlive
@@ -127,7 +121,7 @@ class PopulationShardView {
 };
 
 /// K spilled population shards plus the router that assigns records to
-/// them. See the file comment for the build paths and concurrency rules.
+/// them. See the file comment for the build path and concurrency rules.
 class PopulationShardStore {
  public:
   /// Streaming builder: opens the per-shard spill logs. The store is
@@ -137,12 +131,6 @@ class PopulationShardStore {
   ~PopulationShardStore();
   PopulationShardStore(const PopulationShardStore&) = delete;
   PopulationShardStore& operator=(const PopulationShardStore&) = delete;
-
-  /// Conversion from a resident trace. Adopts matching on-disk shard
-  /// files (router-digest warm start) or streams the resident records
-  /// through the builder path — either way the files are identical.
-  static std::unique_ptr<PopulationShardStore> build(
-      const TraceStore& trace, const PopulationShardingOptions& options);
 
   // --- builder API (before finalize_spill) -------------------------------
 
@@ -154,7 +142,7 @@ class PopulationShardStore {
   /// (ids 0..N-1); each lands in its hash shard.
   void finalize_spill(std::span<const SubscriptionInfo> subscriptions);
 
-  // --- read API (after finalize_spill / build) ---------------------------
+  // --- read API (after finalize_spill) ----------------------------------
 
   std::uint32_t shard_count() const { return shard_count_; }
   std::size_t vm_count() const { return vm_shards_.size(); }
@@ -216,16 +204,11 @@ class PopulationShardStore {
     std::atomic<std::uint64_t> last_use{0};
   };
 
-  /// Shared ctor body: `open_logs` is false on the warm-adoption path,
-  /// where the files already exist and no builder state is needed.
-  PopulationShardStore(TimeGrid grid, const PopulationShardingOptions& options,
-                       bool open_logs);
-
   const PopulationShardView& acquire(std::uint32_t shard) const;
   void drop_locked(Shard& s) const;
   void seal_shard(std::uint32_t s, std::span<const SubscriptionInfo> subs,
                   std::span<const std::uint32_t> shard_sub_indices);
-  void build_node_index() const;
+  void load_node_index() const;
 
   TimeGrid grid_;
   std::uint32_t shard_count_ = 1;
@@ -233,8 +216,7 @@ class PopulationShardStore {
   std::uint64_t router_digest_ = 0;
   std::size_t sub_count_ = 0;
   bool sealed_ = false;
-  /// The constructor created spill_dir; the destructor removes it unless
-  /// the files are kept.
+  /// The constructor created spill_dir, so the destructor removes it.
   bool created_spill_dir_ = false;
   /// Owning shard per VM, indexed by dense id (4 bytes/VM resident).
   std::vector<std::uint32_t> vm_shards_;

@@ -438,9 +438,11 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
                         staged_section(kVms, vms)});
 }
 
-LoadedSnapshot load_trace_snapshot(std::istream& in,
-                                   const SnapshotModelCodec* codec) {
+LoadedSnapshot load_trace_snapshot(
+    std::istream& in, const SnapshotModelCodec* codec,
+    const PopulationShardingOptions* population_sharding) {
   const SnapshotMapping c(in);
+  const bool spilling = population_sharding != nullptr;
   LoadedSnapshot result;
 
   Reader grid_r(c.section(kGrid));
@@ -456,14 +458,30 @@ LoadedSnapshot load_trace_snapshot(std::istream& in,
   Reader sub_r(c.section(kSubscriptions));
   decode_subscriptions(sub_r, trace);
 
-  Reader model_r(c.section(kModels));
+  // A resident load decodes the model table once and shares each model
+  // among the VMs that reference it. A spilling load keeps one view per
+  // record and decodes per VM instead: the model leaves with its record,
+  // so the decoded table is never held.
+  const std::string_view model_section = c.section(kModels);
+  Reader model_r(model_section);
   const std::uint64_t model_count = model_r.u64();
   std::vector<std::shared_ptr<const UtilizationModel>> models;
-  models.reserve(model_count);
+  std::vector<std::string_view> model_records;
   for (std::uint64_t i = 0; i < model_count; ++i) {
-    models.push_back(decode_model_record(model_r, codec));
+    if (!spilling) {
+      models.push_back(decode_model_record(model_r, codec));
+      continue;
+    }
+    const std::size_t begin = model_r.offset();
+    model_r.u8();                // tag
+    model_r.raw(model_r.u32());  // payload
+    model_records.push_back(
+        model_section.substr(begin, model_r.offset() - begin));
   }
 
+  // Every subscription is registered: a spilling load is a record
+  // producer like the generator and the ingest backends.
+  if (spilling) trace.begin_population_spill(*population_sharding);
   Reader vm_r(c.section(kVms));
   const std::uint64_t vm_count = vm_r.u64();
   for (std::uint64_t i = 0; i < vm_count; ++i) {
@@ -483,11 +501,17 @@ LoadedSnapshot load_trace_snapshot(std::istream& in,
     rec.deleted = vm_r.i64();
     const std::uint32_t model = vm_r.u32();
     if (model != kNoModel) {
-      CL_CHECK_MSG(model < models.size(), "snapshot: bad model index");
-      rec.utilization = models[model];
+      CL_CHECK_MSG(model < model_count, "snapshot: bad model index");
+      if (spilling) {
+        Reader record(model_records[model]);
+        rec.utilization = decode_model_record(record, codec);
+      } else {
+        rec.utilization = models[model];
+      }
     }
     trace.add_vm(std::move(rec));
   }
+  if (spilling) trace.finish_population_spill();
   return result;
 }
 

@@ -105,6 +105,8 @@ class Reader {
   /// Raw view of the next `n` bytes (advances the cursor).
   std::string_view raw(std::size_t n);
   bool done() const { return pos_ == bytes_.size(); }
+  /// Bytes consumed so far.
+  std::size_t offset() const { return pos_; }
 
  private:
   std::string_view bytes_;
@@ -185,10 +187,16 @@ struct LoadedSnapshot {
 };
 
 /// Rebuild a topology + trace from a snapshot stream. Pass the codec that
-/// was used to save custom models. Throws CheckError on malformed input or
-/// a format-version mismatch.
-LoadedSnapshot load_trace_snapshot(std::istream& in,
-                                   const SnapshotModelCodec* codec = nullptr);
+/// was used to save custom models. With `population_sharding` the load is
+/// a record producer like the generator and the ingest backends: it
+/// brackets its VM loop with TraceStore::begin/finish_population_spill,
+/// so the trace comes back population-sharded and its resident record
+/// vector never materializes (the shards encode models with the options'
+/// model_codec). Throws CheckError on malformed input or a format-version
+/// mismatch.
+LoadedSnapshot load_trace_snapshot(
+    std::istream& in, const SnapshotModelCodec* codec = nullptr,
+    const PopulationShardingOptions* population_sharding = nullptr);
 
 // --- the container reader ------------------------------------------------
 //

@@ -192,21 +192,6 @@ void TraceStore::finish_population_spill() {
   invalidate_derived();
 }
 
-void TraceStore::set_population_sharding(
-    const PopulationShardingOptions& options) {
-  CL_CHECK_MSG(pop_shards_ == nullptr, "population sharding already enabled");
-  pop_shards_ = PopulationShardStore::build(*this, options);
-  // The records and every resident derivative now live out-of-core; drop
-  // the in-memory copies so RSS never holds both.
-  vms_.clear();
-  vms_.shrink_to_fit();
-  subscriptions_.clear();
-  subscriptions_.shrink_to_fit();
-  invalidate_derived();
-  node_index_.clear();
-  sub_index_.clear();
-}
-
 stats::TimeSeries TraceStore::vm_utilization(VmId id,
                                              const TimeGrid& grid) const {
   const VmRecord& rec = vm(id);

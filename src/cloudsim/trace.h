@@ -5,12 +5,15 @@
 // deterministic UtilizationModel evaluated on demand, so traces with
 // hundreds of thousands of VMs fit easily in memory.
 //
-// A TraceStore holds its records in one of two storage modes:
+// A TraceStore holds its records in one of two storage modes, fixed when
+// its producer finishes:
 //  * resident — services, subscriptions and VMs in vectors, with an
 //    optional TelemetryPanel (the VM × tick matrix) that exists only once
 //    build_telemetry_panel() built it (it is never loaded from disk);
 //  * population-sharded — subscription-hashed record shards spilled to
-//    disk and paged in on demand (cloudsim/population.h); no panel.
+//    disk and paged in on demand (cloudsim/population.h); no panel. The
+//    producer (the generator, an ingest backend or a snapshot load)
+//    streams the records into the shards as it emits them.
 // Every consumer reads rows through the same fill kernel in both modes,
 // so results are bit-identical whichever mode and panel state a run uses.
 #pragma once
@@ -203,22 +206,18 @@ class TraceStore {
 
   // --- population sharding (out-of-core VM/subscription records) --------
   //
-  // Two ways in:
-  //  * Streaming (generator/ingest): begin_population_spill() before any
-  //    add_vm, then add_subscription/add_vm as usual — records are routed
-  //    straight to per-shard spill logs instead of the resident vector —
-  //    then finish_population_spill() once, which seals the shard files
-  //    and moves the subscriptions out-of-core too.
-  //  * Conversion (an already-resident trace): set_population_sharding()
-  //    spills the resident records and drops them.
-  // Either way the store ends up population-sharded: vms()/subscriptions()
-  // become unavailable, record lookups page shards in on demand, and
+  // One way in, streaming: the producer (generator, ingest backend or
+  // snapshot load) calls begin_population_spill() before any add_vm, then
+  // add_subscription/add_vm as usual — records are routed straight to
+  // per-shard spill logs instead of the resident vector — then
+  // finish_population_spill() once, which seals the shard files and moves
+  // the subscriptions out-of-core too. From then on vms()/subscriptions()
+  // are unavailable, record lookups page shards in on demand, and
   // mutation (add_vm/set_vm_deleted) is rejected. A population-sharded
   // trace has no telemetry panel: consumers compute rows on demand with
   // TelemetryPanel::fill_row (identical bits).
   void begin_population_spill(const PopulationShardingOptions& options);
   void finish_population_spill();
-  void set_population_sharding(const PopulationShardingOptions& options);
   const PopulationShardStore* population_shards() const {
     return pop_shards_ != nullptr && !pop_spilling_ ? pop_shards_.get()
                                                     : nullptr;
@@ -255,9 +254,9 @@ class TraceStore {
   // are serialized against readers by contract.
   std::unique_ptr<TelemetryPanel> panel_;
 
-  // Population sharding: non-null once begin_population_spill() or
-  // set_population_sharding() ran; `pop_spilling_` is true between
-  // begin and finish (the store is still a write-only builder then).
+  // Population sharding: non-null once begin_population_spill() ran;
+  // `pop_spilling_` is true between begin and finish (the store is still
+  // a write-only builder then).
   // Mutator-written state, serialized against readers by contract.
   std::unique_ptr<PopulationShardStore> pop_shards_;
   bool pop_spilling_ = false;

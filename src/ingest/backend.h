@@ -54,10 +54,13 @@ struct IngestOptions {
   obs::MetricsRegistry* metrics = nullptr;  ///< null = process-global
   obs::TraceSink* sink = nullptr;           ///< null = process-global
   /// When set, imported VM records stream straight into population
-  /// shards (cloudsim/population.h) as each backend assembles them: the
-  /// resident record vector never materializes and imported sampled
-  /// utilization spills natively, so trace RSS is bounded by the shard
-  /// budget instead of the import size.
+  /// shards (cloudsim/population.h) as each backend assembles them, and
+  /// imported sampled utilization spills natively. What this bounds is
+  /// the trace after the import: its records and models live in the
+  /// shards, paged in under the shard budget, and the resident record
+  /// vector never materializes. The import itself is not bounded: every
+  /// backend fills each VM's sample buffer before its first add_vm, so
+  /// the decode peaks as high as a resident import.
   const PopulationShardingOptions* population_sharding = nullptr;
 };
 

@@ -75,6 +75,15 @@ CsvDecodeOptions decode_options(const IngestOptions& options,
   return decode;
 }
 
+/// A 32-bit placement id (region, cluster, rack, node). Unlike parse_id
+/// it accepts 4294967295, the invalid id export_vm_table writes for an
+/// unplaced VM; anything wider fails like any other malformed field.
+std::uint32_t parse_placement(const CsvRow& row, std::size_t col) {
+  const std::uint64_t value = row.u64(col);
+  if (value > NodeId::kInvalid) row.fail(col, "a 32-bit id");
+  return static_cast<std::uint32_t>(value);
+}
+
 void check_header(std::istream& in, const std::string& file,
                   std::string_view prefix, std::string_view what) {
   std::string header;
@@ -99,7 +108,10 @@ struct VmRow {
   ServiceId svc;  // invalid when the row names no service
   CloudType cloud;
   PartyType party;
-  std::uint64_t region, cluster, rack, node;
+  RegionId region;
+  ClusterId cluster;
+  RackId rack;
+  NodeId node;
   double cores, memory_gb;
   SimTime created, deleted;
 };
@@ -200,10 +212,10 @@ void CloudlensImport::import(std::istream& topology_csv,
         if (!row.field(2).empty()) r.svc = ServiceId(parse_id(row, 2));
         r.cloud = parse_cloud(row, 3);
         r.party = parse_party(row, 4);
-        r.region = row.u64(5);
-        r.cluster = row.u64(6);
-        r.rack = row.u64(7);
-        r.node = row.u64(8);
+        r.region = RegionId(parse_placement(row, 5));
+        r.cluster = ClusterId(parse_placement(row, 6));
+        r.rack = RackId(parse_placement(row, 7));
+        r.node = NodeId(parse_placement(row, 8));
         r.cores = row.f64(9);
         r.memory_gb = row.f64(10);
         r.created = row.i64(11);
@@ -231,7 +243,7 @@ void CloudlensImport::import(std::istream& topology_csv,
         [](const CsvRow& row) {
           row.expect_fields(3);
           UtilRow r;
-          r.vm = static_cast<std::uint32_t>(row.u64(0));
+          r.vm = parse_id(row, 0);
           r.t = row.i64(1);
           r.cpu = row.f64(2);
           return r;
@@ -265,10 +277,10 @@ void CloudlensImport::import(std::istream& topology_csv,
     rec.service = r.svc;
     rec.cloud = r.cloud;
     rec.party = r.party;
-    rec.region = RegionId(static_cast<RegionId::underlying>(r.region));
-    rec.cluster = ClusterId(static_cast<ClusterId::underlying>(r.cluster));
-    rec.rack = RackId(static_cast<RackId::underlying>(r.rack));
-    rec.node = NodeId(static_cast<NodeId::underlying>(r.node));
+    rec.region = r.region;
+    rec.cluster = r.cluster;
+    rec.rack = r.rack;
+    rec.node = r.node;
     rec.cores = r.cores;
     rec.memory_gb = r.memory_gb;
     rec.created = r.created;

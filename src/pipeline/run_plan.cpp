@@ -57,13 +57,13 @@ void timed_step(const Line& line, const std::string& name,
 }
 
 /// The one cache path: loads the artifact stored under (name, key_hex)
-/// when there is one, else computes it and, when `key_hex` is non-empty,
-/// stores it. An empty key (caching off) just computes. Appends the
-/// step's report either way.
+/// when there is one, else computes it and, when `key_hex` is non-empty
+/// and `store` holds, stores it. An empty key (caching off) just
+/// computes. Appends the step's report either way.
 template <typename T, typename Compute, typename Save, typename Load>
 std::shared_ptr<T> cached_step(const Line& line, const std::string& name,
-                               const std::string& key_hex, Compute&& compute,
-                               Save&& save, Load&& load) {
+                               const std::string& key_hex, bool store,
+                               Compute&& compute, Save&& save, Load&& load) {
   std::shared_ptr<T> artifact;
   timed_step(line, name, key_hex, [&](StageReport& report) {
     if (key_hex.empty()) {
@@ -86,6 +86,7 @@ std::shared_ptr<T> cached_step(const Line& line, const std::string& name,
     }
     line.metrics->add(obs::Counter::kPipelineCacheMisses);
     artifact = compute();
+    if (!store) return;
     obs::PhaseTimer io("pipeline." + name + ".store",
                        obs::Histogram::kPipelineSnapshotIoSeconds,
                        obs::Counter::kPipelineCacheStores, line.metrics,
@@ -194,59 +195,39 @@ std::string kb_key(const std::string& trace_key_hex,
   return h.hex();
 }
 
-/// Spill directory for the shard files. With caching on, the directory is
-/// named by the *trace stage's content key*, which covers everything that
-/// can change shard bytes (profiles, seed, scale, grid, CSV bytes) —
-/// including model internals the router digest deliberately leaves out —
-/// so warm reuse across runs is sound, and the files are kept. With
-/// caching off, every spill gets its own temp directory (pid plus a
-/// process-wide sequence, so runs alive together in one process never
-/// share files), removed with the store.
-std::string shard_spill_dir(const std::string& cache_dir,
-                            const std::string& trace_key_hex) {
-  if (!trace_key_hex.empty()) {
-    return (std::filesystem::path(cache_dir) / ("pop-shards-" + trace_key_hex))
-        .string();
-  }
+/// Record-shard options for one run: the shard count, the residency
+/// budget, and a temp spill directory of its own (pid plus a process-wide
+/// sequence, so runs alive together in one process never share files),
+/// which the store removes with its files.
+PopulationShardingOptions population_options(const RunPlanOptions& options) {
   static std::atomic<std::uint64_t> sequence{0};
   std::string pid = "0";
 #if defined(__unix__) || defined(__APPLE__)
   pid = std::to_string(static_cast<unsigned long>(::getpid()));
 #endif
-  return (std::filesystem::temp_directory_path() /
-          ("cloudlens-pop-shards-" + pid + "-" +
-           std::to_string(sequence.fetch_add(1, std::memory_order_relaxed))))
-      .string();
-}
-
-/// Record-shard options: the spill dir of `trace_key_hex` (kept files) or,
-/// with caching off, a temp dir of its own (removed with the store).
-PopulationShardingOptions population_options(const RunPlanOptions& options,
-                                             const std::string& trace_key_hex) {
   PopulationShardingOptions po;
   po.shards = options.record_shards;
   po.budget_bytes = options.shard_budget_mib << 20;
-  po.spill_dir = shard_spill_dir(options.cache_dir, trace_key_hex);
-  po.keep_files = !trace_key_hex.empty();
+  po.spill_dir =
+      (std::filesystem::temp_directory_path() /
+       ("cloudlens-record-shards-" + pid + "-" +
+        std::to_string(sequence.fetch_add(1, std::memory_order_relaxed))))
+          .string();
   po.model_codec = &workloads::pattern_snapshot_codec();
   return po;
 }
 
-/// Generate or import the trace. A record-sharded run without a cache
-/// streams the records straight into the shards as they are produced —
-/// the resident vector never materializes. With a cache the trace must
-/// stay a saveable resident snapshot, so the pop-shards step converts it
-/// instead.
-std::shared_ptr<TraceArtifact> compute_trace(const RunPlanOptions& options,
-                                             const Line& line,
-                                             bool stream_records) {
-  PopulationShardingOptions po;
-  if (stream_records) po = population_options(options, "");
+/// Generate or import the trace. With `sharding` the records stream
+/// straight into the shards as they are produced, so the resident vector
+/// never materializes.
+std::shared_ptr<TraceArtifact> compute_trace(
+    const RunPlanOptions& options, const Line& line,
+    const PopulationShardingOptions* sharding) {
   auto artifact = std::make_shared<TraceArtifact>();
   if (options.trace_dir.empty()) {
     workloads::ScenarioOptions run = options.scenario;
     run.parallel = options.parallel;
-    if (stream_records) run.population_sharding = &po;
+    run.population_sharding = sharding;
     auto result = workloads::make_scenario(run);
     artifact->topology = std::move(result.topology);
     artifact->trace = std::move(result.trace);
@@ -257,7 +238,7 @@ std::shared_ptr<TraceArtifact> compute_trace(const RunPlanOptions& options,
   ingest_options.parallel = options.parallel;
   ingest_options.metrics = line.metrics;
   ingest_options.sink = line.sink;
-  if (stream_records) ingest_options.population_sharding = &po;
+  ingest_options.population_sharding = sharding;
   ingest::IngestResult imported =
       csv_backend(options).import_dir(options.trace_dir, ingest_options);
   artifact->topology = std::move(imported.topology);
@@ -307,20 +288,26 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
   const bool cached = line.cache.enabled();
   const std::string trace_key_hex = cached ? trace_key(options) : "";
 
-  // 1. The trace (cached).
+  // 1. The trace (cached). A record-sharded run streams whichever
+  // producer resolves the trace into its own spill dir: a hit stream-loads
+  // the stored snapshot, a miss streams from the generator or backend and
+  // stores nothing, since the run never holds a resident trace to save.
+  // Only the shard count reaches the shard files; the budget is execution
+  // environment.
+  const bool sharded = options.record_shards > 0;
+  const PopulationShardingOptions sharding =
+      sharded ? population_options(options) : PopulationShardingOptions{};
+  const PopulationShardingOptions* spill = sharded ? &sharding : nullptr;
   run.trace = cached_step<TraceArtifact>(
-      line, "trace", trace_key_hex,
-      [&] {
-        return compute_trace(options, line,
-                             options.record_shards > 0 && !cached);
-      },
+      line, "trace", trace_key_hex, /*store=*/!sharded,
+      [&] { return compute_trace(options, line, spill); },
       [](const TraceArtifact& trace, std::ostream& out) {
         save_trace_snapshot(*trace.topology, *trace.trace, out,
                             &workloads::pattern_snapshot_codec());
       },
-      [](std::istream& in) {
-        LoadedSnapshot loaded =
-            load_trace_snapshot(in, &workloads::pattern_snapshot_codec());
+      [&](std::istream& in) {
+        LoadedSnapshot loaded = load_trace_snapshot(
+            in, &workloads::pattern_snapshot_codec(), spill);
         auto artifact = std::make_shared<TraceArtifact>();
         artifact->topology = std::move(loaded.topology);
         artifact->trace = std::move(loaded.trace);
@@ -328,19 +315,8 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
       });
   TraceStore& trace = *run.trace->trace;
 
-  // 2. The record shards or the panel (never cached). Shards must exist
-  // before kb so extraction streams over the spill files. Only the shard
-  // count reaches the spill dir's identity; the budget is execution
-  // environment. A trace that streamed its records is already sharded.
-  if (options.record_shards > 0) {
-    timed_step(line, "pop-shards", "", [&](StageReport&) {
-      if (!trace.population_sharded())
-        trace.set_population_sharding(
-            population_options(options, trace_key_hex));
-      CL_CHECK_MSG(trace.population_shards() != nullptr,
-                   "pop-shards step failed to build the store");
-    });
-  } else if (options.want_panel) {
+  // 2. The panel (never cached), for a resident run that asked for one.
+  if (!sharded && options.want_panel) {
     const obs::PhaseTimer phase("pipeline.panel",
                                 obs::Histogram::kPipelineStageSeconds,
                                 obs::Counter::kPipelineStageRuns, line.metrics,
@@ -352,6 +328,7 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
   if (options.want_kb) {
     run.knowledge = cached_step<kb::KnowledgeBase>(
         line, "kb", cached ? kb_key(trace_key_hex, options.kb_options) : "",
+        /*store=*/true,
         [&] {
           const AnalysisContext ctx(trace, options.parallel, line.metrics,
                                     line.sink);

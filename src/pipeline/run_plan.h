@@ -13,14 +13,16 @@
 //               backend's input files from `trace_dir`; keyed by the
 //               backend name + the raw bytes of those files (editing any
 //               row is a new key) + the telemetry grid.
-//   then one of (never cached):
-//     pop-shards  the record shards of an out-of-core run (record_shards
-//                 > 0); the spill files are their own persistent form;
-//     panel       the in-memory TelemetryPanel of a resident run that
-//                 asked for one (want_panel), built by
-//                 TraceStore::build_telemetry_panel once the trace
-//                 resolves. It is a pure function of the trace, so it is
-//                 rebuilt rather than stored.
+//           An out-of-core run (record_shards > 0) streams the records
+//           into population shards in a temp spill dir of its own from
+//           whichever producer resolves the trace: a hit stream-loads
+//           the stored snapshot; a miss streams from the generator or
+//           backend and stores no trace, since the run never holds a
+//           resident one. Spill files are never cached.
+//   panel   the in-memory TelemetryPanel of a resident run that asked for
+//           one (want_panel), built by TraceStore::build_telemetry_panel
+//           once the trace resolves (never cached). It is a pure function
+//           of the trace, so it is rebuilt rather than stored.
 //   kb      SubscriptionKnowledge records (cached), keyed by the trace key
 //           and every ExtractorOptions field; stored exactly as a CLSN
 //           container (kb/store.h).
@@ -92,14 +94,12 @@ struct RunPlanOptions {
   /// on demand (identical bits). Commands that read few rows turn it off.
   bool want_panel = true;
   /// The one out-of-core mode: when > 0 the trace runs population-sharded
-  /// (cloudsim/population.h) with this many record shards. With caching
-  /// enabled the trace stays a cached resident snapshot and the
-  /// "pop-shards" step converts it (warm-reusing spill files via the
-  /// router digest); with caching disabled the records stream straight
-  /// into the shards during generation/import and the resident record
-  /// vector never materializes. A record-sharded run builds no panel:
-  /// telemetry rows are computed from the models on demand. Outputs are
-  /// byte-identical either way.
+  /// (cloudsim/population.h) with this many record shards. The records
+  /// stream straight into the shards from the producer — the generator,
+  /// the backend, or the cached snapshot on a hit — so the resident
+  /// record vector never materializes, and a miss stores no trace. A
+  /// record-sharded run builds no panel: telemetry rows are computed from
+  /// the models on demand. Outputs are byte-identical to a resident run.
   std::uint32_t record_shards = 0;
   /// Residency budget for the decoded population shards, in MiB. Like
   /// thread counts it is execution environment, never part of a cache key.
@@ -119,7 +119,7 @@ struct RunPlanOptions {
 };
 
 /// The trace stage's artifact. Mutable TraceStore so the run can build the
-/// panel into it or convert it to record shards.
+/// panel into it.
 struct TraceArtifact {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;
@@ -128,12 +128,13 @@ struct TraceArtifact {
   ingest::IngestReport ingest;
 };
 
-/// What one run did for one reported step (trace, pop-shards, kb), for
-/// the CLI's per-stage table and the pipeline tests. The in-memory panel
-/// is never cached and has no report.
+/// What one run did for one reported step (trace, kb), for the CLI's
+/// per-stage table and the pipeline tests. The in-memory panel is never
+/// cached and has no report.
 struct StageReport {
   enum class Source {
-    kComputed,           ///< computed; not stored (uncached/disabled)
+    kComputed,           ///< computed; not stored (caching off, or a
+                         ///< record-sharded trace miss)
     kCacheHit,           ///< loaded the cached artifact
     kComputedAndStored,  ///< computed and published to the cache
   };
@@ -141,7 +142,7 @@ struct StageReport {
   Source source = Source::kComputed;
   /// Wall time of the step (load or compute+store).
   double millis = 0.0;
-  /// Content key; empty when the step is uncached or caching is off.
+  /// Content key looked up; empty when caching is off.
   std::string key_hex;
   /// Serialized artifact size (0 when not cached).
   std::uint64_t artifact_bytes = 0;
@@ -161,8 +162,9 @@ struct ResolvedRun {
   std::vector<StageReport> reports;
 };
 
-/// Run the line for `options`: resolve the trace, then the record shards
-/// or the panel, then the kb, and return them with the step reports.
+/// Run the line for `options`: resolve the trace (resident or streamed
+/// into record shards), then the panel, then the kb, and return them with
+/// the step reports.
 ResolvedRun run_trace_plan(const RunPlanOptions& options);
 
 }  // namespace cloudlens::pipeline

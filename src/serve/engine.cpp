@@ -70,7 +70,6 @@ struct ServeEngine::VmState {
 struct ServeEngine::Snapshot {
   std::size_t epoch = 0;
   std::uint64_t roll_gen = 0;
-  TimeGrid window{};
   std::shared_ptr<const Topology> topology;
   std::shared_ptr<const TraceStore> trace;
   /// Dense snapshot VM id -> original stream id (checkpoint sidecar).
@@ -100,7 +99,6 @@ void ServeEngine::ingest_line(std::string_view line) {
   if (tag == "cloudlens-stream") {
     CL_CHECK_MSG(row.size() == 2 && row.field(1) == "v1",
                  "unsupported stream header: " << line);
-    header_seen_ = true;
     return;
   }
   if (tag == "grid") {
@@ -361,7 +359,6 @@ std::shared_ptr<ServeEngine::Snapshot> ServeEngine::snapshot_locked() {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = e;
   snap->roll_gen = rolls_;
-  snap->window = win;
   snap->topology = topo;
 
   // Included VMs are those created before the cutoff, in ascending
@@ -480,7 +477,8 @@ std::string ServeEngine::query(const std::string& what) {
     const CloudType cloud = what == "shares,private" ? CloudType::kPrivate
                                                      : CloudType::kPublic;
     const auto shares =
-        analysis::classify_population(ctx, cloud, options_.classify_max_vms);
+        analysis::classify_population(ctx, cloud,
+                                      options_.insights.classify_max_vms);
     result = render_shares(cloud, shares);
   } else if (what == "figures") {
     std::ostringstream current;
@@ -582,7 +580,6 @@ std::string ServeEngine::write_checkpoint() {
   CL_CHECK_MSG(meta.good(),
                "checkpoint meta write failed: " << path << ".meta");
   metrics_->add(obs::Counter::kServeCheckpoints);
-  ++checkpoints_;
   return path;
 }
 
@@ -632,7 +629,6 @@ void ServeEngine::restore_checkpoint(const std::string& path) {
   const TraceStore& trace = *loaded.trace;
   CL_CHECK_MSG(ids.size() == trace.vms().size(),
                "checkpoint meta/vm count mismatch");
-  header_seen_ = true;
 
   const TimeGrid win = window_grid_locked();
   for (std::size_t i = 0; i < ids.size(); ++i) {

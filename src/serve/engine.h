@@ -96,10 +96,9 @@ struct ServeOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Extractor knobs for the kb queries and window-roll folds.
   kb::ExtractorOptions kb_options;
-  /// Classifier sample cap for the shares query (matches the insight
-  /// default so serve shares line up with batch evaluate_insights).
-  std::size_t classify_max_vms = 800;
-  /// Analysis knobs for report/insights queries.
+  /// Analysis knobs for report/insights queries; the shares query takes
+  /// its classifier sample cap (classify_max_vms) from here too, so serve
+  /// shares line up with batch evaluate_insights.
   analysis::InsightOptions insights;
   /// Where `checkpoint()` writes snapshot files (empty = checkpointing
   /// disabled).
@@ -207,7 +206,6 @@ class ServeEngine {
   std::vector<std::string> topo_rows_;
   std::shared_ptr<const Topology> topology_;
   TimeGrid grid_{};                 // full stream grid (count 0 = unset)
-  bool header_seen_ = false;
   SimTime watermark_;
   std::uint64_t lines_ = 0;         // lines handed to ingest_line
   /// ingest_line's field buffer, reused across lines; its views point
@@ -223,7 +221,6 @@ class ServeEngine {
   std::shared_ptr<Snapshot> cached_snapshot_;
 
   std::mutex query_mu_;             // serializes queries (result caches)
-  std::uint64_t checkpoints_ = 0;
 };
 
 }  // namespace cloudlens::serve

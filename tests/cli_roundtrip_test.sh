@@ -1,13 +1,16 @@
 #!/bin/sh
 # End-to-end CLI round trip: generate -> insights -> figures -> advise
 # (whose advisories must not depend on --threads), then the out-of-core
-# mode: a record-sharded analyze must write the same
-# report bytes as the resident one, the retired telemetry-shard and
-# kernel-selection flags must be rejected as usage errors rather than
-# ignored, and a command that needs resident records must refuse
-# --record-shards before doing work. Along the way --metrics-out shows
-# that only commands that read many rows build a telemetry panel, and the
-# cache holds exactly one trace and one kb artifact (never a panel).
+# mode: a record-sharded analyze must write the same report bytes as the
+# resident one, uncached and cached (a cache hit streams the stored
+# snapshot into the shards, a miss streams from the importer and stores
+# no trace, and neither leaves anything but trace and kb artifacts in the
+# cache), the retired telemetry-shard and kernel-selection flags must be
+# rejected as usage errors rather than ignored, and a command that needs
+# resident records must refuse --record-shards before doing work. Along
+# the way --metrics-out shows that only commands that read many rows
+# build a telemetry panel, and the cache holds exactly one trace and one
+# kb artifact (never a panel).
 set -e
 CLI="$1"
 DIR=$(mktemp -d)
@@ -56,6 +59,41 @@ expect_builds "$DIR/analyze.json" 1
 "$CLI" analyze --in "$DIR" --record-shards 4 --shard-budget-mib 0 --no-cache \
     --report "$DIR/b.md"
 cmp "$DIR/a.md" "$DIR/b.md"
+# expect_artifacts_only CACHE: CACHE holds trace-*.bin and kb-*.bin files
+# and nothing else (no spill directory, no other file).
+expect_artifacts_only() {
+    others=$(find "$1" -mindepth 1 ! \( -type f \( -name 'trace-*.bin' \
+        -o -name 'kb-*.bin' \) \) | wc -l)
+    if [ "$others" -ne 0 ]; then
+        echo "$1: want only trace and kb artifacts, got:" >&2
+        find "$1" -mindepth 1 >&2
+        exit 1
+    fi
+}
+# The cache the resident runs above filled holds this directory's
+# CSV-mode trace: a record-sharded run streams that snapshot into its
+# shards. (The default budget keeps this run cheap under TSan; the runs
+# around it page at budget 0.)
+"$CLI" analyze --in "$DIR" --record-shards 4 --report "$DIR/c.md" \
+    >"$DIR/c.out"
+if ! grep -Eq '^trace +hit ' "$DIR/c.out"; then
+    echo "cached record-sharded analyze: want a trace hit, got:" >&2
+    cat "$DIR/c.out" >&2
+    exit 1
+fi
+cmp "$DIR/a.md" "$DIR/c.md"
+expect_artifacts_only "$DIR/.cloudlens-cache"
+# generate's cache holds no CSV-mode trace: the run streams from the
+# importer and stores none, so the cache keeps generate's two files.
+"$CLI" analyze --in "$DIR" --record-shards 4 --shard-budget-mib 0 \
+    --cache-dir "$DIR/cache" --report "$DIR/d.md"
+cmp "$DIR/a.md" "$DIR/d.md"
+expect_artifacts_only "$DIR/cache"
+if [ "$(find "$DIR/cache" -type f | wc -l)" -ne 2 ]; then
+    echo "record-sharded miss stored an artifact:" >&2
+    ls -l "$DIR/cache" >&2
+    exit 1
+fi
 rc=0
 "$CLI" insights --in "$DIR" --panel-shards 4 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then

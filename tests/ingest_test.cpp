@@ -462,5 +462,54 @@ TEST(IngestStreams, ImportTraceWrapperStillWorks) {
   EXPECT_NE(msg.find("vmtable.csv:2: column 2"), std::string::npos) << msg;
 }
 
+TEST(IngestStreams, PlacementAndUtilizationIdsPastTheIdSpaceFail) {
+  // Placement and utilization vm ids are 32-bit too: 4294967296 fails
+  // with its row and column instead of wrapping to 0, while 4294967295,
+  // the invalid id export_vm_table writes for an unplaced VM, imports.
+  const std::string topo_csv =
+      "node,rack,cluster,datacenter,region,region_name,tz_offset_hours,"
+      "cloud,node_cores,node_memory_gb\n"
+      "0,0,0,0,0,east,-5,private,16,64\n";
+  const std::string vm_header =
+      "vm,subscription,service,cloud,party,region,cluster,rack,node,cores,"
+      "memory_gb,created,deleted,pattern\n";
+  const std::string util_header = "vm,timestamp,avg_cpu\n";
+  const auto import = [&](const std::string& vm_rows,
+                          const std::string& util_rows) {
+    std::istringstream topo_in(topo_csv);
+    std::istringstream vm_in(vm_header + vm_rows);
+    std::istringstream util_in(util_header + util_rows);
+    return import_trace(topo_in, vm_in, &util_in);
+  };
+
+  const auto unplaced = import(
+      "0,0,0,private,first-party,0,4294967295,4294967295,4294967295,4,16,0,"
+      "3600,unknown\n",
+      "0,0,0.5\n");
+  ASSERT_EQ(unplaced.trace->vms().size(), 1u);
+  EXPECT_FALSE(unplaced.trace->vms()[0].placed());
+  EXPECT_FALSE(unplaced.trace->vms()[0].cluster.valid());
+
+  const std::string node_msg = check_error_of([&] {
+    import("0,0,0,private,first-party,0,0,0,4294967296,4,16,0,3600,unknown\n",
+           "");
+  });
+  EXPECT_NE(node_msg.find("vmtable.csv:2: column 9"), std::string::npos)
+      << node_msg;
+  const std::string region_msg = check_error_of([&] {
+    import("0,0,0,private,first-party,4294967296,0,0,0,4,16,0,3600,unknown\n",
+           "");
+  });
+  EXPECT_NE(region_msg.find("vmtable.csv:2: column 6"), std::string::npos)
+      << region_msg;
+
+  const std::string util_msg = check_error_of([&] {
+    import("0,0,0,private,first-party,0,0,0,0,4,16,0,3600,unknown\n",
+           "0,0,0.5\n4294967296,300,0.5\n");
+  });
+  EXPECT_NE(util_msg.find("utilization.csv:3: column 1"), std::string::npos)
+      << util_msg;
+}
+
 }  // namespace
 }  // namespace cloudlens::ingest

@@ -6,6 +6,7 @@
 // and kb work (observed via the pipeline.* counters, not timing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <filesystem>
@@ -233,10 +234,10 @@ std::string render_report(const ResolvedRun& run) {
   return report.str();
 }
 
-/// This process's uncached record-shard spill directories in the temp dir.
+/// This process's record-shard spill directories in the temp dir.
 std::size_t own_spill_dirs() {
   const std::string prefix =
-      "cloudlens-pop-shards-" + std::to_string(::getpid()) + "-";
+      "cloudlens-record-shards-" + std::to_string(::getpid()) + "-";
   std::size_t count = 0;
   for (const auto& entry : fs::directory_iterator(fs::temp_directory_path())) {
     if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
@@ -272,6 +273,91 @@ TEST(RunPlanTest, RecordShardedRunsAliveTogetherKeepTheirOwnSpills) {
     EXPECT_EQ(render_report(a), resident_a);
   }
   EXPECT_EQ(own_spill_dirs(), dirs_before);
+}
+
+/// A record-sharded plan (scale 0.02, seed 11, 4 shards, budget 0) with
+/// its kb, over the cache at `cache_dir`.
+RunPlanOptions sharded_plan(const std::string& cache_dir) {
+  RunPlanOptions o;
+  o.scenario.scale = 0.02;
+  o.scenario.seed = 11;
+  o.cache_dir = cache_dir;
+  o.want_kb = true;
+  o.kb_options.max_classified_vms = 4;
+  o.record_shards = 4;
+  o.shard_budget_mib = 0;
+  return o;
+}
+
+/// The names of every entry in `dir`, directories marked with a '/'.
+std::vector<std::string> cache_entries(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string() +
+                    (entry.is_directory() ? "/" : ""));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(RunPlanTest, RecordShardedRunStreamsTheResidentRunsSnapshot) {
+  // A resident cached run stores the trace and kb; a record-sharded run
+  // on the same cache stream-loads that snapshot into its own shards.
+  const fs::path cache = fs::path(::testing::TempDir()) /
+                         "cloudlens_runplan_sharded_hit";
+  fs::remove_all(cache);
+  RunPlanOptions resident_plan = sharded_plan(cache.string());
+  resident_plan.record_shards = 0;
+  const std::string resident = render_report(run_trace_plan(resident_plan));
+  const std::vector<std::string> stored = cache_entries(cache);
+  ASSERT_EQ(stored.size(), 2u);
+
+  const std::size_t dirs_before = own_spill_dirs();
+  {
+    const ResolvedRun sharded = run_trace_plan(sharded_plan(cache.string()));
+    ASSERT_EQ(sharded.reports.size(), 2u);
+    for (const StageReport& r : sharded.reports)
+      EXPECT_EQ(r.source, StageReport::Source::kCacheHit) << r.name;
+    EXPECT_TRUE(sharded.trace->trace->population_sharded());
+    EXPECT_EQ(own_spill_dirs(), dirs_before + 1);
+    EXPECT_EQ(render_report(sharded), resident);
+  }
+  // The spill dir went with the run, and the cache holds what the
+  // resident run stored, nothing more.
+  EXPECT_EQ(own_spill_dirs(), dirs_before);
+  EXPECT_EQ(cache_entries(cache), stored);
+  fs::remove_all(cache);
+}
+
+TEST(RunPlanTest, RecordShardedMissStreamsAndStoresNoTrace) {
+  // On an empty cache a record-sharded run streams from the generator; it
+  // never holds a resident trace, so it stores no trace artifact, and it
+  // leaves no spill directory in the cache. The kb is still cached.
+  const fs::path cache = fs::path(::testing::TempDir()) /
+                         "cloudlens_runplan_sharded_miss";
+  fs::remove_all(cache);
+  std::string sharded_report;
+  {
+    const ResolvedRun run = run_trace_plan(sharded_plan(cache.string()));
+    ASSERT_EQ(run.reports.size(), 2u);
+    EXPECT_EQ(run.reports[0].name, "trace");
+    EXPECT_EQ(run.reports[0].source, StageReport::Source::kComputed);
+    EXPECT_EQ(run.reports[0].artifact_bytes, 0u);
+    EXPECT_EQ(run.reports[1].name, "kb");
+    EXPECT_EQ(run.reports[1].source,
+              StageReport::Source::kComputedAndStored);
+    EXPECT_TRUE(run.trace->trace->population_sharded());
+    sharded_report = render_report(run);
+  }
+  const std::vector<std::string> entries = cache_entries(cache);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].rfind("kb-", 0), 0u) << entries[0];
+
+  RunPlanOptions resident_plan = sharded_plan("");
+  resident_plan.cache_enabled = false;
+  resident_plan.record_shards = 0;
+  EXPECT_EQ(sharded_report, render_report(run_trace_plan(resident_plan)));
+  fs::remove_all(cache);
 }
 
 // --- Kernel path equivalence ---------------------------------------------

@@ -190,8 +190,8 @@ TEST_F(TempDirTest, MetricsCountHitsMissesAndBytes) {
 
 TEST_F(TempDirTest, RunPlanKeysArePinned) {
   // The trace key of `cloudlens generate --scale 0.02 --seed 7`, unchanged
-  // since the cache was introduced, so caches and spill directories filled
-  // by earlier builds stay warm. The kb key is pinned after its layout
+  // since the cache was introduced, so caches filled by earlier builds
+  // stay warm. The kb key is pinned after its layout
   // byte moved to 2 (the exact CLSN artifact).
   const auto reports = run_trace_plan(small_plan(dir(), 0.02, 7, 1, true))
                            .reports;
@@ -239,12 +239,12 @@ TEST(StageTableTest, RendersOneRowPerReport) {
   hit.key_hex = "0123456789abcdef0123456789abcdef";
   hit.artifact_bytes = 1234;
   StageReport computed;
-  computed.name = "pop-shards";
+  computed.name = "kb";
   const std::string table = render_stage_table({hit, computed});
   EXPECT_NE(table.find("trace"), std::string::npos);
   EXPECT_NE(table.find("hit"), std::string::npos);
   EXPECT_NE(table.find("0123456789ab.."), std::string::npos);
-  EXPECT_NE(table.find("pop-shards"), std::string::npos);
+  EXPECT_NE(table.find("kb"), std::string::npos);
   EXPECT_NE(table.find("computed"), std::string::npos);
 }
 

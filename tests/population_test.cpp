@@ -1,11 +1,11 @@
 // Out-of-core population shard store tests: the subscription-hash router
-// is a pure function of (subscription, K), conversion round-trips the
-// records/subscriptions/indices bit-for-bit, the streaming build path
-// (generator-order appends) produces the same router digest as
-// conversion, budget-driven eviction, warm spill-file reuse, the
-// TraceStore population-sharded mode contract, failure paths (unwritable
-// spill dir, disk-full short write, truncated shard file), concurrent
-// shard acquisition (TSan-policed in the sanitizer CI flavour), and the
+// is a pure function of (subscription, K), a snapshot load streamed into
+// shards round-trips the records/subscriptions/indices bit-for-bit, the
+// snapshot and generator producers write the same router digest, records
+// and shard files, budget-driven eviction, the TraceStore
+// population-sharded mode contract, failure paths (unwritable spill dir,
+// disk-full short write, truncated shard file), concurrent shard
+// acquisition (TSan-policed in the sanitizer CI flavour), and the
 // analyses staying byte-identical to the resident path at any thread
 // count, both per pass and as the full rendered output set.
 #include "cloudsim/population.h"
@@ -124,10 +124,12 @@ class PopulationGeneratedTest : public ::testing::Test {
 
 workloads::Scenario* PopulationGeneratedTest::scenario_ = nullptr;
 
-TEST_F(PopulationGeneratedTest, ConversionRoundTripsRecordsAndIndices) {
+TEST_F(PopulationGeneratedTest, SnapshotStreamRoundTripsRecordsAndIndices) {
   const TraceStore& trace = *scenario_->trace;
   TempSpillDir dir("roundtrip");
-  auto store = PopulationShardStore::build(trace, spill_options(dir.path(), 7));
+  const auto loaded =
+      test::load_into_shards(trace, spill_options(dir.path(), 7));
+  const PopulationShardStore* store = loaded.trace->population_shards();
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->shard_count(), 7u);
   EXPECT_EQ(store->vm_count(), trace.vms().size());
@@ -194,61 +196,52 @@ TEST_F(PopulationGeneratedTest, ConversionRoundTripsRecordsAndIndices) {
   EXPECT_GT(nodes_checked, 0u);
 }
 
-TEST_F(PopulationGeneratedTest, WarmStartReusesSpillFilesWithMatchingDigest) {
-  const TraceStore& trace = *scenario_->trace;
-  TempSpillDir dir("warm");
-  auto opts = spill_options(dir.path(), 4);
-  opts.keep_files = true;
+TEST_F(PopulationGeneratedTest, SnapshotStreamMatchesGeneratorStream) {
+  // Two producers stream the same scenario: the generator as it emits the
+  // records, and a load of the resident twin's snapshot. Both must write
+  // the same router digest, records and shard-file bytes.
+  TempSpillDir gen_dir("digest-generator");
+  const auto gen_options = spill_options(gen_dir.path(), 5);
+  workloads::ScenarioOptions options;
+  options.scale = 0.03;
+  options.seed = 17;
+  options.population_sharding = &gen_options;
+  const auto generated = workloads::make_scenario(options);
+  const PopulationShardStore* a = generated.trace->population_shards();
+  ASSERT_NE(a, nullptr);
 
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.reset();
-  metrics.set_enabled(true);
+  TempSpillDir snap_dir("digest-snapshot");
+  const auto loaded = test::load_into_shards(
+      *scenario_->trace, spill_options(snap_dir.path(), 5));
+  const PopulationShardStore* b = loaded.trace->population_shards();
+  ASSERT_NE(b, nullptr);
 
-  std::uint64_t digest = 0;
-  {
-    auto cold = PopulationShardStore::build(trace, opts);
-    digest = cold->router_digest();
-    EXPECT_EQ(metrics.snapshot().counter("population.shard_spills"), 4u);
-  }
-  // Files survived (keep_files) and the second build adopts them: no new
-  // spills, identical digest, identical records.
-  {
-    auto warm = PopulationShardStore::build(trace, opts);
-    EXPECT_EQ(warm->router_digest(), digest);
-    EXPECT_EQ(metrics.snapshot().counter("population.shard_spills"), 4u);
-    const VmRecord& a = trace.vms()[0];
-    const VmRecord& b = warm->record(VmId(0));
-    EXPECT_EQ(b.subscription, a.subscription);
-    EXPECT_EQ(b.created, a.created);
-  }
-  metrics.set_enabled(false);
-}
-
-TEST_F(PopulationGeneratedTest, StreamingBuildMatchesConversionDigest) {
-  const TraceStore& trace = *scenario_->trace;
-  TempSpillDir conv_dir("digest-conv");
-  auto conversion =
-      PopulationShardStore::build(trace, spill_options(conv_dir.path(), 5));
-
-  // Stream the same records through the builder path in id order — the
-  // order the generator/ingest backends append them.
-  TempSpillDir stream_dir("digest-stream");
-  PopulationShardStore streamed(trace.telemetry_grid(),
-                                spill_options(stream_dir.path(), 5));
-  for (const VmRecord& vm : trace.vms()) streamed.append_vm(vm);
-  streamed.finalize_spill(trace.subscriptions());
-
-  EXPECT_EQ(streamed.router_digest(), conversion->router_digest());
-  EXPECT_EQ(streamed.vm_count(), conversion->vm_count());
-  EXPECT_EQ(streamed.subscription_count(), conversion->subscription_count());
-  for (std::size_t v = 0; v < streamed.vm_count(); v += 17) {
+  EXPECT_EQ(b->router_digest(), a->router_digest());
+  ASSERT_EQ(b->vm_count(), a->vm_count());
+  EXPECT_EQ(b->subscription_count(), a->subscription_count());
+  const TimeGrid& grid = scenario_->trace->telemetry_grid();
+  for (std::size_t v = 0; v < a->vm_count(); v += 17) {
     const VmId id(static_cast<VmId::underlying>(v));
-    const VmRecord& a = conversion->record(id);
-    const VmRecord& b = streamed.record(id);
-    EXPECT_EQ(b.subscription, a.subscription);
-    EXPECT_EQ(b.node, a.node);
-    EXPECT_EQ(b.created, a.created);
-    EXPECT_EQ(b.deleted, a.deleted);
+    const VmRecord& x = a->record(id);
+    const VmRecord& y = b->record(id);
+    EXPECT_EQ(y.subscription, x.subscription);
+    EXPECT_EQ(y.node, x.node);
+    EXPECT_EQ(y.created, x.created);
+    EXPECT_EQ(y.deleted, x.deleted);
+    EXPECT_EQ(bits(y.cores), bits(x.cores));
+    ASSERT_EQ(y.utilization != nullptr, x.utilization != nullptr);
+    if (x.utilization == nullptr) continue;
+    for (std::size_t i = 0; i < grid.count; i += 41) {
+      EXPECT_EQ(bits(y.utilization->at(grid.at(i))),
+                bits(x.utilization->at(grid.at(i))))
+          << "vm " << v << " tick " << i;
+    }
+  }
+  for (std::uint32_t s = 0; s < 5; ++s) {
+    const std::string name = "/pop-shard-" + std::to_string(s) + ".clsn";
+    EXPECT_EQ(test::read_file(snap_dir.path() + name),
+              test::read_file(gen_dir.path() + name))
+        << "shard " << s;
   }
 }
 
@@ -257,7 +250,9 @@ TEST_F(PopulationGeneratedTest, EvictionRespectsBudgetAndCountsPages) {
   TempSpillDir dir("evict");
   auto opts = spill_options(dir.path(), 5);
   opts.budget_bytes = 0;  // at most one resident shard after eviction
-  auto store = PopulationShardStore::build(trace, opts);
+  const auto loaded = test::load_into_shards(trace, opts);
+  const PopulationShardStore* store = loaded.trace->population_shards();
+  ASSERT_NE(store, nullptr);
 
   auto& metrics = obs::MetricsRegistry::global();
   metrics.reset();
@@ -292,7 +287,10 @@ TEST_F(PopulationGeneratedTest, EvictionRespectsBudgetAndCountsPages) {
 TEST_F(PopulationGeneratedTest, ConcurrentAcquireIsCleanAcrossEvictions) {
   const TraceStore& trace = *scenario_->trace;
   TempSpillDir dir("concurrent");
-  auto store = PopulationShardStore::build(trace, spill_options(dir.path(), 6));
+  const auto loaded =
+      test::load_into_shards(trace, spill_options(dir.path(), 6));
+  const PopulationShardStore* store = loaded.trace->population_shards();
+  ASSERT_NE(store, nullptr);
 
   // Parallel region: every worker reads records from every shard; the
   // first toucher of a shard decodes it and publishes the view with a
@@ -302,7 +300,7 @@ TEST_F(PopulationGeneratedTest, ConcurrentAcquireIsCleanAcrossEvictions) {
     std::vector<std::thread> workers;
     std::atomic<std::uint64_t> sum{0};
     for (int w = 0; w < 8; ++w) {
-      workers.emplace_back([&store, &trace, w, &sum] {
+      workers.emplace_back([store, &trace, w, &sum] {
         std::uint64_t local = 0;
         for (std::size_t v = static_cast<std::size_t>(w);
              v < trace.vms().size(); v += 8) {
@@ -322,19 +320,12 @@ TEST_F(PopulationGeneratedTest, ConcurrentAcquireIsCleanAcrossEvictions) {
 }
 
 TEST_F(PopulationGeneratedTest, TraceStorePopulationShardedModeContract) {
-  // Private scenario copy: set_population_sharding converts the trace
-  // permanently (the resident vectors are released).
-  workloads::ScenarioOptions options;
-  options.scale = 0.02;
-  options.seed = 23;
-  auto scenario = workloads::make_scenario(options);
-  TraceStore& trace = *scenario.trace;
-  const std::size_t vm_count = trace.vms().size();
-  const std::size_t sub_count = trace.subscriptions().size();
-  const VmRecord resident_first = trace.vms()[0];
-
+  // The storage mode is fixed when the producer finishes: a snapshot load
+  // with a destination returns a population-sharded trace.
+  const TraceStore& resident = *scenario_->trace;
   TempSpillDir dir("mode");
-  trace.set_population_sharding(spill_options(dir.path(), 3));
+  auto loaded = test::load_into_shards(resident, spill_options(dir.path(), 3));
+  TraceStore& trace = *loaded.trace;
 
   EXPECT_TRUE(trace.population_sharded());
   ASSERT_NE(trace.population_shards(), nullptr);
@@ -342,9 +333,11 @@ TEST_F(PopulationGeneratedTest, TraceStorePopulationShardedModeContract) {
   // The resident spans are unreachable; counts and per-id accessors work.
   EXPECT_THROW(trace.vms(), CheckError);
   EXPECT_THROW(trace.subscriptions(), CheckError);
-  EXPECT_EQ(trace.vm_count(), vm_count);
-  EXPECT_EQ(trace.subscription_count(), sub_count);
-  EXPECT_EQ(trace.vm(VmId(0)).subscription, resident_first.subscription);
+  EXPECT_EQ(trace.vm_count(), resident.vms().size());
+  EXPECT_EQ(trace.subscription_count(), resident.subscriptions().size());
+  EXPECT_EQ(trace.vm(VmId(0)).subscription, resident.vms()[0].subscription);
+  // Mutation is rejected once the records live out of core.
+  EXPECT_THROW(trace.set_vm_deleted(VmId(0), 1), CheckError);
   // No resident per-VM matrix of any kind in population mode.
   EXPECT_EQ(trace.telemetry_panel(), nullptr);
   EXPECT_THROW(trace.build_telemetry_panel(), CheckError);
@@ -356,14 +349,16 @@ TEST(PopulationLookupTest, UnknownIdsThrowCheckErrorNamingTheId) {
   f.add_vm(CloudType::kPublic, f.public_sub,
            test::first_node(topo, CloudType::kPublic), 2, 0, kNoEnd);
   TempSpillDir dir("lookup");
-  f.trace.set_population_sharding(spill_options(dir.path(), 2));
-  ASSERT_TRUE(f.trace.population_sharded());
-  EXPECT_EQ(f.trace.vm(VmId(0)).cores, 2);
-  test::expect_unknown_id([&] { f.trace.vm(VmId(1)); }, VmId(1));
-  test::expect_unknown_id([&] { f.trace.vm(VmId()); }, VmId());
-  test::expect_unknown_id([&] { f.trace.subscription(SubscriptionId(2)); },
+  const auto loaded =
+      test::load_into_shards(f.trace, spill_options(dir.path(), 2));
+  const TraceStore& trace = *loaded.trace;
+  ASSERT_TRUE(trace.population_sharded());
+  EXPECT_EQ(trace.vm(VmId(0)).cores, 2);
+  test::expect_unknown_id([&] { trace.vm(VmId(1)); }, VmId(1));
+  test::expect_unknown_id([&] { trace.vm(VmId()); }, VmId());
+  test::expect_unknown_id([&] { trace.subscription(SubscriptionId(2)); },
                           SubscriptionId(2));
-  test::expect_unknown_id([&] { f.trace.subscription(SubscriptionId()); },
+  test::expect_unknown_id([&] { trace.subscription(SubscriptionId()); },
                           SubscriptionId());
 }
 
@@ -374,12 +369,20 @@ TEST(PopulationFailure, UnwritableSpillDirThrows) {
   // cannot succeed, even for root (unlike permission-bit schemes).
   const std::string blocker = dir.path() + "/blocker";
   std::ofstream(blocker).put('x');
+  const PopulationShardingOptions opts =
+      spill_options(blocker + "/shards", 2);
   workloads::ScenarioOptions options;
   options.scale = 0.02;
   options.seed = 23;
-  auto scenario = workloads::make_scenario(options);
-  PopulationShardingOptions opts = spill_options(blocker + "/shards", 2);
-  EXPECT_THROW(PopulationShardStore::build(*scenario.trace, opts), CheckError);
+  options.population_sharding = &opts;
+  try {
+    workloads::make_scenario(options);
+    ADD_FAILURE() << "no CheckError for an unwritable spill dir";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot create spill dir"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 #if defined(__linux__)
@@ -432,13 +435,15 @@ TEST(PopulationFailure, ShortWriteOnSealThrows) {
 #endif
 
 TEST(PopulationFailure, TruncatedShardFileThrows) {
+  TempSpillDir dir("truncated");
+  const PopulationShardingOptions opts = spill_options(dir.path(), 2);
   workloads::ScenarioOptions options;
   options.scale = 0.02;
   options.seed = 23;
-  auto scenario = workloads::make_scenario(options);
-  TempSpillDir dir("truncated");
-  auto store =
-      PopulationShardStore::build(*scenario.trace, spill_options(dir.path(), 2));
+  options.population_sharding = &opts;
+  const auto scenario = workloads::make_scenario(options);
+  const PopulationShardStore* store = scenario.trace->population_shards();
+  ASSERT_NE(store, nullptr);
   store->evict_all();
   // Chop a sealed shard file in half behind the store's back: the next
   // page-in must fail loudly, not decode garbage.
@@ -453,16 +458,17 @@ TEST(PopulationAnalyses, ByteIdenticalToResidentAtAnyThreadCount) {
   workloads::ScenarioOptions options;
   options.scale = 0.03;
   options.seed = 29;
-  auto scenario = workloads::make_scenario(options);
-  TraceStore& trace = *scenario.trace;
+  const std::string resident = rendered_outputs(
+      *workloads::make_scenario(options).trace, ParallelConfig::with_threads(2));
 
-  const std::string resident =
-      rendered_outputs(trace, ParallelConfig::with_threads(2));
-
+  // The same scenario streamed into shards as the generator emits it.
   TempSpillDir dir("analyses");
   auto opts = spill_options(dir.path(), 6);
   opts.budget_bytes = 0;  // evict to a single shard at every serial point
-  trace.set_population_sharding(opts);
+  options.population_sharding = &opts;
+  const auto scenario = workloads::make_scenario(options);
+  const TraceStore& trace = *scenario.trace;
+  ASSERT_TRUE(trace.population_sharded());
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE(threads);
@@ -473,7 +479,7 @@ TEST(PopulationAnalyses, ByteIdenticalToResidentAtAnyThreadCount) {
 }
 
 TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
-  // Private scenario: set_population_sharding converts the trace for good.
+  // Private scenario: the reference results read its panel.
   workloads::ScenarioOptions options;
   options.scale = 0.03;
   options.seed = 17;
@@ -492,16 +498,19 @@ TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
   const auto xr_ref = analysis::cross_region_correlations(
       AnalysisContext(trace, two), CloudType::kPrivate, 60, 10);
 
+  // The snapshot producer streams the same records into shards.
   TempSpillDir dir("per-pass");
   auto opts = spill_options(dir.path(), 6);
   opts.budget_bytes = 0;  // evict to a single shard at every serial point
-  trace.set_population_sharding(opts);
+  const auto loaded = test::load_into_shards(trace, opts);
+  const TraceStore& sharded = *loaded.trace;
+  ASSERT_TRUE(sharded.population_sharded());
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(threads);
     const ParallelConfig par = ParallelConfig::with_threads(threads);
     const auto shares = analysis::classify_population(
-        AnalysisContext(trace, par), CloudType::kPrivate, 150, {});
+        AnalysisContext(sharded, par), CloudType::kPrivate, 150, {});
     EXPECT_EQ(shares.classified, shares_ref.classified);
     EXPECT_EQ(bits(shares.diurnal), bits(shares_ref.diurnal));
     EXPECT_EQ(bits(shares.stable), bits(shares_ref.stable));
@@ -509,7 +518,7 @@ TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
     EXPECT_EQ(bits(shares.hourly_peak), bits(shares_ref.hourly_peak));
 
     const auto dist = analysis::utilization_distribution(
-        AnalysisContext(trace, par), CloudType::kPublic, 150);
+        AnalysisContext(sharded, par), CloudType::kPublic, 150);
     EXPECT_EQ(dist.vms_used, dist_ref.vms_used);
     ASSERT_EQ(dist.weekly.p50.size(), dist_ref.weekly.p50.size());
     for (std::size_t i = 0; i < dist.weekly.p50.size(); ++i) {
@@ -524,13 +533,13 @@ TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
     }
 
     const auto corr = analysis::node_vm_correlations(
-        AnalysisContext(trace, par), CloudType::kPrivate, 40);
+        AnalysisContext(sharded, par), CloudType::kPrivate, 40);
     ASSERT_EQ(corr.size(), corr_ref.size());
     for (std::size_t i = 0; i < corr.size(); ++i)
       EXPECT_EQ(bits(corr[i]), bits(corr_ref[i]));
 
     const auto xr = analysis::cross_region_correlations(
-        AnalysisContext(trace, par), CloudType::kPrivate, 60, 10);
+        AnalysisContext(sharded, par), CloudType::kPrivate, 60, 10);
     ASSERT_EQ(xr.size(), xr_ref.size());
     for (std::size_t i = 0; i < xr.size(); ++i)
       EXPECT_EQ(bits(xr[i]), bits(xr_ref[i]));

@@ -188,7 +188,7 @@ TEST_F(SnapshotHandBuiltTest, ContainerBytesArePinned) {
     PopulationShardingOptions options;
     options.shards = 2;
     options.spill_dir = dir;
-    const auto store = PopulationShardStore::build(fx_.trace, options);
+    const auto loaded = test::load_into_shards(fx_.trace, options);
     EXPECT_EQ(fnv1a(read_file(dir + "/pop-shard-0.clsn")),
               0x6e0811da83eef870ULL);
     EXPECT_EQ(fnv1a(read_file(dir + "/pop-shard-1.clsn")),

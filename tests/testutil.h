@@ -13,7 +13,9 @@
 #include <string>
 #include <string_view>
 
+#include "cloudsim/population.h"
 #include "cloudsim/simulator.h"
+#include "cloudsim/snapshot.h"
 #include "cloudsim/topology.h"
 #include "cloudsim/trace.h"
 #include "common/check.h"
@@ -67,6 +69,16 @@ inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// A population-sharded copy of `trace` from the snapshot producer: the
+/// trace is saved as a snapshot and stream-loaded back with `sharding` as
+/// its destination (the options' model_codec saves and loads the models).
+inline LoadedSnapshot load_into_shards(
+    const TraceStore& trace, const PopulationShardingOptions& sharding) {
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  save_trace_snapshot(trace.topology(), trace, bytes, sharding.model_codec);
+  return load_trace_snapshot(bytes, sharding.model_codec, &sharding);
 }
 
 /// Expects `lookup()` to throw CheckError naming `id` ("unknown vm-7").

@@ -87,9 +87,10 @@ run_flavour() {
     ctest --test-dir "$dir" --output-on-failure \
         -R 'Snapshot|ContentHash|ArtifactCache|TempDirTest|RunPlan|PipelineEquivalence|StageTable|KnowledgeBase|TraceIo'
     echo "== [$name] population shard suites =="
-    # Out-of-core record store: conversion/streaming round trips, eviction
-    # budget, failure paths, and the resident-vs-sharded byte-identity
-    # contract (the TSan pass polices the concurrent shard acquire).
+    # Out-of-core record store: snapshot/generator streaming round trips,
+    # eviction budget, failure paths, and the resident-vs-sharded
+    # byte-identity contract (the TSan pass polices the concurrent shard
+    # acquire).
     ctest --test-dir "$dir" --output-on-failure \
         -R 'Population'
     echo "== [$name] serve suites =="
