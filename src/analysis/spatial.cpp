@@ -52,21 +52,25 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
   // Use the columnar telemetry cache when the trace holds one.
   const TelemetryPanel* panel = trace.telemetry_panel();
 
-  // Candidate nodes: host >= 2 window-covering VMs of this cloud. (This
+  // Mark every window-covering VM with a model in one shard-ordered sweep
+  // (record_stream.h's access rule: a node's VMs sit in many shards); the
+  // node's cloud selects below.
+  std::vector<std::uint8_t> eligible(trace.vm_count(), 0);
+  for_each_vm_group(trace, [&](std::span<const VmRecord> vms) {
+    for (const VmRecord& vm : vms)
+      if (vm.covers(grid) && vm.utilization) eligible.at(vm.id.value()) = 1;
+  });
+
+  // Candidate nodes: host >= 2 marked VMs of this cloud. (This
   // enumeration also builds the node index serially, before the fan-out.)
   std::vector<std::pair<NodeId, std::vector<VmId>>> candidates;
-  const PopulationShardStore* pop = trace.population_shards();
   for (const auto& node : trace.topology().nodes()) {
     if (node.cloud != cloud) continue;
     std::vector<VmId> covering;
-    for (const VmId id : trace.vms_on_node(node.id)) {
-      const auto& vm = trace.vm(id);
-      if (vm.covers(grid) && vm.utilization) covering.push_back(id);
-    }
+    for (const VmId id : trace.vms_on_node(node.id))
+      if (eligible.at(id.value()) != 0) covering.push_back(id);
     if (covering.size() >= 2)
       candidates.emplace_back(node.id, std::move(covering));
-    // Serial loop: safe to shed record shards the lookups paged in.
-    if (pop != nullptr) pop->evict_over_budget();
   }
 
   std::size_t stride = 1;
@@ -100,7 +104,8 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
   for (const auto& rs : per_node) out.insert(out.end(), rs.begin(), rs.end());
   // The fan-out paged in whatever shards its row evaluations touched; the
   // pool has drained, so release them here.
-  if (pop != nullptr) pop->evict_over_budget();
+  if (const PopulationShardStore* pop = trace.population_shards())
+    pop->evict_over_budget();
   std::sort(out.begin(), out.end());
   ctx.count(obs::Counter::kAnalysisCorrelations, out.size());
   return out;

@@ -14,14 +14,13 @@ bool in_region(const VmRecord& vm, RegionId region) {
   return !region.valid() || vm.region == region;
 }
 
-// Raw sweeps, shared by the instrumented AnalysisContext entry points
-// below (creation_cv_by_region reuses creations_impl directly so it opens
-// exactly one phase, not one per region).
+}  // namespace
 
-std::vector<double> lifetimes_impl(const TraceStore& trace, CloudType cloud,
-                                   SimTime window_start, SimTime window_end) {
+std::vector<double> vm_lifetimes(const AnalysisContext& ctx, CloudType cloud,
+                                 SimTime window_start, SimTime window_end) {
+  auto phase = ctx.phase("analysis.vm_lifetimes");
   std::vector<double> out;
-  for_each_vm_group(trace, [&](std::span<const VmRecord> vms) {
+  for_each_vm_group(ctx.trace(), [&](std::span<const VmRecord> vms) {
     for (const auto& vm : vms) {
       if (vm.cloud != cloud || !vm.ended()) continue;
       if (vm.created < window_start || vm.deleted > window_end) continue;
@@ -30,28 +29,6 @@ std::vector<double> lifetimes_impl(const TraceStore& trace, CloudType cloud,
   });
   std::sort(out.begin(), out.end());
   return out;
-}
-
-stats::TimeSeries creations_impl(const TraceStore& trace, CloudType cloud,
-                                 RegionId region, const TimeGrid& grid) {
-  stats::TimeSeries out(grid);
-  // Integer counts: bin increments are exact, so group order is moot.
-  for_each_vm_group(trace, [&](std::span<const VmRecord> vms) {
-    for (const auto& vm : vms) {
-      if (vm.cloud != cloud || !in_region(vm, region)) continue;
-      if (!grid.contains(vm.created)) continue;
-      out[grid.index_of(vm.created)] += 1.0;
-    }
-  });
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> vm_lifetimes(const AnalysisContext& ctx, CloudType cloud,
-                                 SimTime window_start, SimTime window_end) {
-  auto phase = ctx.phase("analysis.vm_lifetimes");
-  return lifetimes_impl(ctx.trace(), cloud, window_start, window_end);
 }
 
 double shortest_bin_share(const std::vector<double>& lifetimes,
@@ -106,7 +83,16 @@ stats::TimeSeries creations_per_hour(const AnalysisContext& ctx,
                                      CloudType cloud, RegionId region,
                                      const TimeGrid& grid) {
   auto phase = ctx.phase("analysis.creations_per_hour");
-  return creations_impl(ctx.trace(), cloud, region, grid);
+  stats::TimeSeries out(grid);
+  // Integer counts: bin increments are exact, so group order is moot.
+  for_each_vm_group(ctx.trace(), [&](std::span<const VmRecord> vms) {
+    for (const auto& vm : vms) {
+      if (vm.cloud != cloud || !in_region(vm, region)) continue;
+      if (!grid.contains(vm.created)) continue;
+      out[grid.index_of(vm.created)] += 1.0;
+    }
+  });
+  return out;
 }
 
 stats::TimeSeries removals_per_hour(const AnalysisContext& ctx,
@@ -132,9 +118,20 @@ std::vector<double> creation_cv_by_region(const AnalysisContext& ctx,
                                           const TimeGrid& grid) {
   auto phase = ctx.phase("analysis.creation_cv_by_region");
   const TraceStore& trace = ctx.trace();
+  // One sweep bins every creation into its region's series; region ids are
+  // dense topology indices (the invalid id lies past the end, so VMs with
+  // no region are skipped). Integer counts: bin order is moot.
+  std::vector<stats::TimeSeries> by_region(trace.topology().regions().size(),
+                                           stats::TimeSeries(grid));
+  for_each_vm_group(trace, [&](std::span<const VmRecord> vms) {
+    for (const auto& vm : vms) {
+      if (vm.cloud != cloud || vm.region.value() >= by_region.size()) continue;
+      if (!grid.contains(vm.created)) continue;
+      by_region[vm.region.value()][grid.index_of(vm.created)] += 1.0;
+    }
+  });
   std::vector<double> out;
-  for (const auto& region : trace.topology().regions()) {
-    const auto series = creations_impl(trace, cloud, region.id, grid);
+  for (const auto& series : by_region) {
     if (series.mean() <= 0) continue;
     out.push_back(stats::coefficient_of_variation(series.values()));
   }

@@ -7,7 +7,8 @@
 // disk-full short write, truncated shard file), concurrent shard
 // acquisition (TSan-policed in the sanitizer CI flavour), and the
 // analyses staying byte-identical to the resident path at any thread
-// count, both per pass and as the full rendered output set.
+// count, both per pass and as the full rendered output set, with each
+// product pass paging every shard in at most twice.
 #include "cloudsim/population.h"
 
 #include <gtest/gtest.h>
@@ -25,9 +26,11 @@
 #include "analysis/figures.h"
 #include "analysis/report.h"
 #include "analysis/spatial.h"
+#include "analysis/temporal.h"
 #include "analysis/utilization.h"
 #include "cloudsim/trace.h"
 #include "common/check.h"
+#include "kb/extractor.h"
 #include "obs/metrics.h"
 #include "testutil.h"
 #include "workloads/generator.h"
@@ -478,6 +481,74 @@ TEST(PopulationAnalyses, ByteIdenticalToResidentAtAnyThreadCount) {
   }
 }
 
+TEST(PopulationAnalyses, EachPassPagesEachShardAtMostTwice) {
+  workloads::ScenarioOptions options;
+  options.scale = 0.03;
+  options.seed = 29;
+  TempSpillDir dir("page-bound");
+  auto opts = spill_options(dir.path(), 6);
+  opts.budget_bytes = 0;  // evict to a single shard at every serial point
+  options.population_sharding = &opts;
+  const auto scenario = workloads::make_scenario(options);
+  const TraceStore& trace = *scenario.trace;
+  const PopulationShardStore* store = trace.population_shards();
+  ASSERT_NE(store, nullptr);
+
+  using Pass = void (*)(const AnalysisContext&);
+  const std::vector<std::pair<const char*, Pass>> passes = {
+      {"node_vm_correlations private",
+       [](const AnalysisContext& ctx) {
+         analysis::node_vm_correlations(ctx, CloudType::kPrivate);
+       }},
+      {"node_vm_correlations public",
+       [](const AnalysisContext& ctx) {
+         analysis::node_vm_correlations(ctx, CloudType::kPublic);
+       }},
+      {"creation_cv_by_region private",
+       [](const AnalysisContext& ctx) {
+         analysis::creation_cv_by_region(ctx, CloudType::kPrivate);
+       }},
+      {"creation_cv_by_region public",
+       [](const AnalysisContext& ctx) {
+         analysis::creation_cv_by_region(ctx, CloudType::kPublic);
+       }},
+      {"classify_population",
+       [](const AnalysisContext& ctx) {
+         analysis::classify_population(ctx, CloudType::kPrivate);
+       }},
+      {"utilization_distribution",
+       [](const AnalysisContext& ctx) {
+         analysis::utilization_distribution(ctx, CloudType::kPublic);
+       }},
+      {"detect_region_agnostic_services",
+       [](const AnalysisContext& ctx) {
+         analysis::detect_region_agnostic_services(ctx, CloudType::kPrivate);
+       }},
+      {"kb::extract_all",
+       [](const AnalysisContext& ctx) { kb::extract_all(ctx); }},
+  };
+
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.set_enabled(true);
+  // Page-ins of one pass started from an empty store.
+  const auto page_ins = [&](Pass pass, std::size_t threads) {
+    store->evict_all();
+    const auto before = metrics.snapshot();
+    pass(AnalysisContext(trace, ParallelConfig::with_threads(threads)));
+    return metrics.snapshot().counter("population.shard_page_ins") -
+           before.counter("population.shard_page_ins");
+  };
+  for (const auto& [name, pass] : passes) {
+    SCOPED_TRACE(name);
+    const std::uint64_t serial = page_ins(pass, 1);
+    EXPECT_LE(serial, 2u * store->shard_count());
+    EXPECT_EQ(page_ins(pass, 4), serial);
+  }
+  metrics.reset();
+  metrics.set_enabled(false);
+}
+
 TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
   // Private scenario: the reference results read its panel.
   workloads::ScenarioOptions options;
@@ -495,6 +566,15 @@ TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
       AnalysisContext(trace, two), CloudType::kPublic, 150);
   const auto corr_ref = analysis::node_vm_correlations(
       AnalysisContext(trace, two), CloudType::kPrivate, 40);
+  const auto pub_corr_ref = analysis::node_vm_correlations(
+      AnalysisContext(trace, two), CloudType::kPublic, 40);
+  const auto priv_cv_ref = analysis::creation_cv_by_region(
+      AnalysisContext(trace, two), CloudType::kPrivate);
+  const auto pub_cv_ref = analysis::creation_cv_by_region(
+      AnalysisContext(trace, two), CloudType::kPublic);
+  ASSERT_FALSE(pub_corr_ref.empty());
+  ASSERT_FALSE(priv_cv_ref.empty());
+  ASSERT_FALSE(pub_cv_ref.empty());
   const auto xr_ref = analysis::cross_region_correlations(
       AnalysisContext(trace, two), CloudType::kPrivate, 60, 10);
 
@@ -532,17 +612,28 @@ TEST(ShardGeneratedTest, StreamedAnalysesBitIdenticalToResident) {
       EXPECT_EQ(bits(dist.daily_p95[h]), bits(dist_ref.daily_p95[h]));
     }
 
-    const auto corr = analysis::node_vm_correlations(
-        AnalysisContext(sharded, par), CloudType::kPrivate, 40);
-    ASSERT_EQ(corr.size(), corr_ref.size());
-    for (std::size_t i = 0; i < corr.size(); ++i)
-      EXPECT_EQ(bits(corr[i]), bits(corr_ref[i]));
+    const auto expect_bits = [](const std::vector<double>& got,
+                                const std::vector<double>& want) {
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(bits(got[i]), bits(want[i])) << "at " << i;
+    };
+    expect_bits(analysis::node_vm_correlations(AnalysisContext(sharded, par),
+                                               CloudType::kPrivate, 40),
+                corr_ref);
+    expect_bits(analysis::node_vm_correlations(AnalysisContext(sharded, par),
+                                               CloudType::kPublic, 40),
+                pub_corr_ref);
+    expect_bits(analysis::creation_cv_by_region(AnalysisContext(sharded, par),
+                                                CloudType::kPrivate),
+                priv_cv_ref);
+    expect_bits(analysis::creation_cv_by_region(AnalysisContext(sharded, par),
+                                                CloudType::kPublic),
+                pub_cv_ref);
 
-    const auto xr = analysis::cross_region_correlations(
-        AnalysisContext(sharded, par), CloudType::kPrivate, 60, 10);
-    ASSERT_EQ(xr.size(), xr_ref.size());
-    for (std::size_t i = 0; i < xr.size(); ++i)
-      EXPECT_EQ(bits(xr[i]), bits(xr_ref[i]));
+    expect_bits(analysis::cross_region_correlations(
+                    AnalysisContext(sharded, par), CloudType::kPrivate, 60, 10),
+                xr_ref);
   }
 }
 

@@ -2,6 +2,7 @@
 // workload streams.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 
 #include "cloudsim/simulator.h"
@@ -16,6 +17,13 @@ struct StreamParams {
   int requests;
   double max_cores;
 };
+
+// Names each instance by its fields: gtest would otherwise print the raw
+// object bytes, padding included, into the test names.
+void PrintTo(const StreamParams& p, std::ostream* os) {
+  *os << "seed=" << p.seed << ", requests=" << p.requests
+      << ", max_cores=" << p.max_cores;
+}
 
 class SimulatorPropertyTest
     : public ::testing::TestWithParam<StreamParams> {};

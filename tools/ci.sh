@@ -18,7 +18,9 @@
 #      kb artifact's decode.
 #
 # The kernel suites call the scalar and (on an AVX2 CPU) the AVX2 kernel
-# paths directly, so the one ctest pass per flavour covers both.
+# paths directly, so the one ctest pass per flavour covers both. Each
+# flavour also fails when a ctest name holds a parameter's raw bytes
+# (`ctest -N` lists "byte object"): such names change between builds.
 #
 # Both flavours re-run the telemetry-panel suites explicitly (panel
 # lifecycle, sample()==at() contract, built-vs-unbuilt bit identity) and
@@ -77,6 +79,15 @@ run_flavour() {
     cmake --build "$dir" -j "$JOBS"
     echo "== [$name] ctest =="
     ctest --test-dir "$dir" --output-on-failure
+    echo "== [$name] ctest names =="
+    # A parameter type without PrintTo puts its raw bytes (padding
+    # included) into the ctest names, so they change from build to build.
+    if ctest --test-dir "$dir" -N | grep -q 'byte object'; then
+        echo "ci: [$name] ctest names hold raw parameter bytes; give the" \
+            "parameter type a PrintTo:" >&2
+        ctest --test-dir "$dir" -N | grep 'byte object' >&2
+        exit 1
+    fi
     echo "== [$name] telemetry panel suites =="
     ctest --test-dir "$dir" --output-on-failure \
         -R 'TelemetryPanel|SampleContract|PearsonFused|PanelEquivalence'
