@@ -67,7 +67,9 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   obs::PhaseTimer phase("panel.build", obs::Histogram::kPanelBuildSeconds,
                         obs::Counter::kPanelBuilds);
   CL_CHECK(grid_.count > 0);
-  data_.resize(rows_ * grid_.count);
+  // Uninitialized: fill_row writes every tick, so the workers below are
+  // the first to touch each page (no serial zero-fill ahead of them).
+  data_ = std::make_unique_for_overwrite<double[]>(rows_ * grid_.count);
 
   const std::span<const VmRecord> vms = trace.vms();
   // Deterministic parallel fill: VM v writes only its own row, so the
@@ -75,15 +77,14 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   parallel_for(
       rows_,
       [&](std::size_t v) {
-        fill_row(vms[v], grid_, {data_.data() + v * grid_.count, grid_.count});
+        fill_row(vms[v], grid_, {data_.get() + v * grid_.count, grid_.count});
       },
       parallel);
 
   auto& metrics = obs::MetricsRegistry::global();
   metrics.add(obs::Counter::kPanelRowsFilled, rows_);
   metrics.set(obs::Gauge::kPanelVms, static_cast<double>(rows_));
-  metrics.set(obs::Gauge::kPanelBytes,
-              static_cast<double>(data_.capacity() * sizeof(double)));
+  metrics.set(obs::Gauge::kPanelBytes, static_cast<double>(memory_bytes()));
 }
 
 std::span<const double> vm_telemetry_row(const TraceStore& trace,

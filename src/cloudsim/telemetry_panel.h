@@ -13,14 +13,18 @@
 //
 // Memory: one double per VM per tick — 16 KB per VM for the default
 // one-week 5-minute grid (2016 ticks); hourly views are rolled up from a
-// row on read (vm_hourly_row), not stored. A 100k-VM trace costs ~1.6 GB,
-// so the panel exists only on request: TraceStore::build_telemetry_panel()
-// materializes it (the run plan calls it once the trace resolves, when
-// the command asked for a panel), and a trace nobody asked for a panel
-// holds none. The panel is never persisted: rebuilding it from the
-// trace is cheaper than writing and reading it back. Every consumer
-// falls back to on-demand row evaluation through the *same* fill kernel,
-// so results are identical either way, bit for bit.
+// row on read (vm_hourly_row), not stored. The matrix is allocated
+// uninitialized: fill_row writes every tick of a row, so each page is
+// first touched by the worker that fills it, inside the parallel fill,
+// instead of being zeroed on the calling thread beforehand. A 100k-VM
+// trace costs ~1.6 GB, so the panel exists only on request:
+// TraceStore::build_telemetry_panel() materializes it (the run plan calls
+// it once the trace resolves, when the command asked for a panel), and a
+// trace nobody asked for a panel holds none. The panel is never
+// persisted: rebuilding it from the trace is cheaper than writing and
+// reading it back. Every consumer falls back to on-demand row evaluation
+// through the *same* fill kernel, so results are identical either way,
+// bit for bit.
 //
 // Consumers ask the trace for the panel once, up front, then pull
 // contiguous std::span<const double> rows:
@@ -35,6 +39,7 @@
 // until the next build_telemetry_panel() call.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,16 +66,23 @@ class TelemetryPanel {
 
   /// The VM's contiguous utilization row (grid().count samples).
   std::span<const double> row(VmId id) const {
-    return {data_.data() + id.value() * grid_.count, grid_.count};
+    return {data_.get() + id.value() * grid_.count, grid_.count};
   }
   /// Bytes held by the materialized matrix (for bench/rss accounting).
-  std::size_t memory_bytes() const { return data_.size() * sizeof(double); }
+  std::size_t memory_bytes() const {
+    return rows_ * grid_.count * sizeof(double);
+  }
 
   /// The shared row-fill kernel: out[i] = utilization->sample value when
   /// the VM is alive at grid.at(i), else 0 (also all-zero for model-less
   /// VMs). `out.size()` must equal `grid.count`. Used both by the panel
   /// build and by the scratch fallback path, so panel-on and panel-off
   /// analyses see identical bits by construction.
+  ///
+  /// Contract: writes every element of `out` — zeros outside the alive
+  /// window, all zeros for a model-less VM, sample() over the alive
+  /// sub-grid — and reads none before writing it, so `out` may hold
+  /// garbage on entry. The panel's uninitialized matrix relies on this.
   static void fill_row(const VmRecord& vm, const TimeGrid& grid,
                        std::span<double> out);
 
@@ -83,7 +95,7 @@ class TelemetryPanel {
  private:
   TimeGrid grid_;
   std::size_t rows_ = 0;
-  std::vector<double> data_;  // rows_ × grid_.count, row-major
+  std::unique_ptr<double[]> data_;  // rows_ × grid_.count, row-major
 };
 
 /// Copy-free row access for the analysis hot paths: returns the cached

@@ -57,7 +57,10 @@ class UtilizationModel {
   ///
   /// Contract: overrides must be *bit-identical* to the base loop — the
   /// telemetry panel and every analysis consuming it rely on
-  /// sample() == at() per tick, double for double.
+  /// sample() == at() per tick, double for double. Like the base loop,
+  /// they write every element of `out` and read none before writing it
+  /// (an override may stage per-tick inputs in `out`), so `out` may hold
+  /// garbage on entry: the panel hands in uninitialized rows.
   virtual void sample(const TimeGrid& grid, std::span<double> out) const;
 
   /// Free-form tag describing where the model came from ("diurnal",

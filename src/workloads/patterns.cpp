@@ -22,9 +22,13 @@ std::vector<std::int64_t> tick_noise_keys(const TimeGrid& grid) {
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
-/// Local fractional hour-of-day after applying a time-zone offset.
+/// Local fractional hour-of-day after applying a time-zone offset. For h
+/// in [0, 48) the wrap skips libm: fmod(h, 24) is h itself below 24, and
+/// h - 24 from 24 up, where the subtraction is exact (Sterbenz), so the
+/// bits are fmod's. Any other h (negative, 48 or more, NaN) calls fmod.
 double local_hour(SimTime t, double tz_offset_hours) {
   double h = frac_hour_of_day(t) + tz_offset_hours;
+  if (h >= 0.0 && h < 48.0) return h < 24.0 ? h : h - 24.0;
   h = std::fmod(h, 24.0);
   if (h < 0) h += 24.0;
   return h;
@@ -48,6 +52,14 @@ bool local_weekend(SimTime t, double tz_offset_hours) {
 // *same* expressions the per-tick path uses, so sample() == at() bit for
 // bit — which the telemetry panel and the seed-stability of every analysis
 // depend on.
+//
+// The loops walk the grid in order, with no per-tick division by a
+// run-time divisor (constant divisors compile to multiplies): t is a
+// running sum, each table is read through a running phase index that
+// wraps, and the smooth-noise anchor and the spike episode advance when t
+// crosses their next boundary. The tick noise is hashed straight into the
+// output row and combined in place, so a row allocates no noise buffer.
+// local_hour wraps [0, 48) without libm fmod, bit-exactly.
 
 /// Anchor key used by smooth_noise: floor division of t by the step.
 std::int64_t anchor_key(SimTime t, SimDuration anchor_step) {
@@ -71,60 +83,71 @@ bool batch_grid_ok(const TimeGrid& grid) {
   return grid.count > 0 && grid.step > 0 && kHour % grid.step == 0;
 }
 
-/// Values of a day-periodic function of t, tabulated per day offset.
-class DayPeriodicTable {
+/// Values of a function of t with the given period (a multiple of the
+/// grid step), tabulated once per grid phase and read back in grid order.
+template <typename T>
+class PhaseTable {
  public:
   template <typename Fn>
-  DayPeriodicTable(const TimeGrid& grid, Fn&& fn)
-      : period_(static_cast<std::size_t>(kDay / grid.step)) {
-    const std::size_t m = std::min(period_, grid.count);
-    values_.resize(m);
-    for (std::size_t j = 0; j < m; ++j) values_[j] = fn(grid.at(j));
+  PhaseTable(const TimeGrid& grid, SimDuration period, Fn&& fn) {
+    CL_CHECK(period > 0 && period % grid.step == 0);
+    values_.resize(
+        std::min(static_cast<std::size_t>(period / grid.step), grid.count));
+    for (std::size_t j = 0; j < values_.size(); ++j)
+      values_[j] = fn(grid.at(j));
   }
-  double at(std::size_t i) const { return values_[i % period_]; }
+
+  /// The value at the next grid tick; the first call reads tick 0.
+  T next() {
+    const T v = values_[phase_];
+    if (++phase_ == values_.size()) phase_ = 0;
+    return v;
+  }
 
  private:
-  std::size_t period_;
-  std::vector<double> values_;
+  std::vector<T> values_;
+  std::size_t phase_ = 0;
 };
 
-/// smooth_noise over a regular grid: anchors hashed once per anchor step,
-/// interpolation weights tabulated once per phase.
-class SmoothNoiseCache {
+/// smooth_noise over a regular grid, read tick by tick in grid order:
+/// anchors hashed once per anchor step, interpolation weights tabulated
+/// once per phase, and the anchor advanced when t crosses the next anchor
+/// boundary (floor semantics at any sign of t).
+class SmoothNoiseWalk {
  public:
-  SmoothNoiseCache(const TimeGrid& grid, std::uint64_t seed,
-                   SimDuration anchor_step)
+  SmoothNoiseWalk(const TimeGrid& grid, std::uint64_t seed,
+                  SimDuration anchor_step)
       : anchor_step_(anchor_step),
-        period_(static_cast<std::size_t>(anchor_step / grid.step)) {
-    CL_CHECK(anchor_step > 0 && anchor_step % grid.step == 0);
-    const std::size_t m = std::min(period_, grid.count);
-    w_.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      const SimTime t = grid.at(j);
-      w_[j] = smooth_weight(t, anchor_key(t, anchor_step), anchor_step);
-    }
-    k0_ = anchor_key(grid.at(0), anchor_step);
+        weight_(grid, anchor_step, [anchor_step](SimTime t) {
+          return smooth_weight(t, anchor_key(t, anchor_step), anchor_step);
+        }) {
+    const std::int64_t k0 = anchor_key(grid.at(0), anchor_step);
     const std::int64_t k_last =
         anchor_key(grid.at(grid.count - 1), anchor_step);
-    std::vector<std::int64_t> keys(static_cast<std::size_t>(k_last - k0_) + 2);
+    std::vector<std::int64_t> keys(static_cast<std::size_t>(k_last - k0) + 2);
     for (std::size_t j = 0; j < keys.size(); ++j)
-      keys[j] = k0_ + static_cast<std::int64_t>(j);
+      keys[j] = k0 + static_cast<std::int64_t>(j);
     anchors_.resize(keys.size());
     stats::kernels::hash_normal_fill(seed, keys, anchors_);
+    next_anchor_ = (k0 + 1) * anchor_step;
   }
 
-  double at(SimTime t, std::size_t i) const {
-    const auto k =
-        static_cast<std::size_t>(anchor_key(t, anchor_step_) - k0_);
-    return cos_lerp(anchors_[k], anchors_[k + 1], w_[i % period_]);
+  /// smooth_noise(seed, t, anchor_step) at the next grid tick t. A step
+  /// divides the anchor step, so t crosses at most one boundary per tick.
+  double next(SimTime t) {
+    if (t >= next_anchor_) {
+      ++k_;
+      next_anchor_ += anchor_step_;
+    }
+    return cos_lerp(anchors_[k_], anchors_[k_ + 1], weight_.next());
   }
 
  private:
   SimDuration anchor_step_;
-  std::size_t period_;
-  std::int64_t k0_ = 0;
-  std::vector<double> w_;
-  std::vector<double> anchors_;
+  PhaseTable<double> weight_;
+  std::vector<double> anchors_;  // anchor keys k0, k0 + 1, ...
+  std::size_t k_ = 0;            // anchor of the current tick, from k0
+  SimTime next_anchor_ = 0;      // where anchor k0 + k_ + 1 starts
 };
 
 }  // namespace
@@ -191,17 +214,15 @@ void DiurnalUtilization::sample(const TimeGrid& grid,
     UtilizationModel::sample(grid, out);
     return;
   }
-  const DayPeriodicTable envelope(grid, [this](SimTime t) {
+  PhaseTable<double> envelope(grid, kDay, [this](SimTime t) {
     return diurnal_envelope(local_hour(t, p_.tz_offset_hours), p_.peak_hour,
                             p_.width_hours);
   });
-  const SmoothNoiseCache smooth(grid, seed_ ^ 0xABCDULL, kHour);
-  std::vector<double> tick_noise(grid.count);
-  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), tick_noise);
-  for (std::size_t i = 0; i < grid.count; ++i) {
-    const SimTime t = grid.at(i);
-    out[i] = eval(t, envelope.at(i), smooth.at(t, i), tick_noise[i]);
-  }
+  SmoothNoiseWalk smooth(grid, seed_ ^ 0xABCDULL, kHour);
+  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), out);
+  SimTime t = grid.start;
+  for (std::size_t i = 0; i < grid.count; ++i, t += grid.step)
+    out[i] = eval(t, envelope.next(), smooth.next(t), out[i]);
 }
 
 // --- Stable --------------------------------------------------------------
@@ -226,13 +247,11 @@ void StableUtilization::sample(const TimeGrid& grid,
     UtilizationModel::sample(grid, out);
     return;
   }
-  const SmoothNoiseCache smooth(grid, seed_, kHour);
-  std::vector<double> tick_noise(grid.count);
-  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), tick_noise);
-  for (std::size_t i = 0; i < grid.count; ++i) {
-    const SimTime t = grid.at(i);
-    out[i] = eval(t, smooth.at(t, i), tick_noise[i]);
-  }
+  SmoothNoiseWalk smooth(grid, seed_, kHour);
+  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), out);
+  SimTime t = grid.start;
+  for (std::size_t i = 0; i < grid.count; ++i, t += grid.step)
+    out[i] = eval(t, smooth.next(t), out[i]);
 }
 
 // --- Irregular -----------------------------------------------------------
@@ -270,12 +289,19 @@ void IrregularUtilization::sample(const TimeGrid& grid,
         hash_uniform(seed_ ^ 0x5157ULL, episode) < p_.spike_prob;
     level[e] = spiking ? p_.spike_level : p_.base;
   }
-  std::vector<double> tick_noise(grid.count);
-  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), tick_noise);
-  for (std::size_t i = 0; i < grid.count; ++i) {
-    const SimTime t = grid.at(i);
-    const auto e = static_cast<std::size_t>(t / p_.episode - first);
-    out[i] = eval(t, level[e], tick_noise[i]);
+  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), out);
+  // Walk the truncating t / episode: episode e >= 0 ends where t reaches
+  // (e + 1) * episode, and e < 0 where t reaches e * episode + 1 (episode
+  // 0 spans (-episode, episode)). A step may cross several episodes.
+  const auto episode_end = [this](std::int64_t e) {
+    return e >= 0 ? (e + 1) * p_.episode : e * p_.episode + 1;
+  };
+  std::int64_t e = first;
+  SimTime end = episode_end(e);
+  SimTime t = grid.start;
+  for (std::size_t i = 0; i < grid.count; ++i, t += grid.step) {
+    while (t >= end) end = episode_end(++e);
+    out[i] = eval(t, level[static_cast<std::size_t>(e - first)], out[i]);
   }
 }
 
@@ -326,31 +352,26 @@ void HourlyPeakUtilization::sample(const TimeGrid& grid,
     UtilizationModel::sample(grid, out);
     return;
   }
-  const DayPeriodicTable envelope(grid, [this](SimTime t) {
+  PhaseTable<double> envelope(grid, kDay, [this](SimTime t) {
     return diurnal_envelope(local_hour(t, p_.tz_offset_hours), p_.peak_hour,
                             p_.width_hours);
   });
   // Peak shape repeats every half hour of grid phase.
-  const std::size_t half_ticks =
-      static_cast<std::size_t>((kHour / 2) / grid.step);
-  const std::size_t m = std::min(half_ticks, grid.count);
-  std::vector<double> shape(m, 0.0);
-  std::vector<char> has_peak(m, 0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const SimTime dist = half_hour_distance(grid.at(j));
-    if (dist < p_.peak_width) {
-      has_peak[j] = 1;
-      shape[j] = 0.5 + 0.5 * std::cos(std::numbers::pi * double(dist) /
-                                      double(p_.peak_width));
-    }
-  }
-  std::vector<double> tick_noise(grid.count);
-  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), tick_noise);
-  for (std::size_t i = 0; i < grid.count; ++i) {
-    const SimTime t = grid.at(i);
-    const std::size_t j = i % half_ticks;
-    out[i] = eval(t, envelope.at(i), has_peak[j] != 0, shape[j],
-                  tick_noise[i]);
+  struct Peak {
+    bool has_peak;
+    double shape;
+  };
+  PhaseTable<Peak> peak(grid, kHour / 2, [this](SimTime t) {
+    const SimTime dist = half_hour_distance(t);
+    if (dist >= p_.peak_width) return Peak{false, 0.0};
+    return Peak{true, 0.5 + 0.5 * std::cos(std::numbers::pi * double(dist) /
+                                           double(p_.peak_width))};
+  });
+  stats::kernels::hash_normal_fill(seed_, tick_noise_keys(grid), out);
+  SimTime t = grid.start;
+  for (std::size_t i = 0; i < grid.count; ++i, t += grid.step) {
+    const Peak pk = peak.next();
+    out[i] = eval(t, envelope.next(), pk.has_peak, pk.shape, out[i]);
   }
 }
 

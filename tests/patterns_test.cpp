@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/descriptive.h"
@@ -116,6 +117,27 @@ TEST(DiurnalUtilizationTest, TimeZoneShiftsPeak) {
   EXPECT_GT(e.at(14 * kHour), w.at(14 * kHour) + 0.15);
   // The west model peaks six hours later on the sim clock.
   EXPECT_NEAR(w.at(20 * kHour), e.at(14 * kHour), 0.05);
+}
+
+// local_hour wraps [0, 48) without libm fmod. sample() and at() share it,
+// so the contract tests cannot see a wrong wrap; pin it against fmod here.
+// With no noise and equal peaks, at() is the envelope of the local hour.
+TEST(DiurnalUtilizationTest, LocalHourWrapsLikeFmod) {
+  for (const double offset : {-30.0, -8.0, 0.0, 9.5, 13.75, 23.5, 30.0}) {
+    DiurnalUtilization::Params p;
+    p.tz_offset_hours = offset;
+    p.noise_sigma = 0.0;
+    p.weekend_peak = p.weekday_peak;
+    const DiurnalUtilization model(p, 6);
+    for (SimTime t = 0; t < kDay; t += kTelemetryInterval) {
+      double h = std::fmod(frac_hour_of_day(t) + offset, 24.0);
+      if (h < 0) h += 24.0;
+      const double envelope = diurnal_envelope(h, p.peak_hour, p.width_hours);
+      const double expected = std::min(
+          1.0, std::max(0.0, p.base + (p.weekday_peak - p.base) * envelope));
+      ASSERT_EQ(model.at(t), expected) << "offset " << offset << " t " << t;
+    }
+  }
 }
 
 TEST(StableUtilizationTest, LowStddevAroundLevel) {

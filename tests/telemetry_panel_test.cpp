@@ -1,14 +1,17 @@
 // Telemetry panel suite: lifecycle (build on request, add_vm/set_vm_deleted
 // invalidation, the unbuilt fallback), row semantics (model-less VMs,
-// partial lifetimes), the batched sample() == at() bit-identity contract,
-// the hourly roll-up (vm_hourly_row), concurrent readers of a built panel
-// (exercised under TSan in CI), and the fused-vs-naive Pearson kernel.
+// partial lifetimes, every tick written), the batched sample() == at()
+// bit-identity contract, the hourly roll-up (vm_hourly_row), concurrent
+// readers of a built panel (exercised under TSan in CI), and the
+// fused-vs-naive Pearson kernel.
 #include "cloudsim/telemetry_panel.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -238,7 +241,7 @@ TEST(TelemetryPanelTest, ConcurrentReadersShareTheBuiltPanel) {
 // grids (offset start, step that doesn't divide an hour) that force the
 // models' batch fast paths to bail out or re-anchor.
 class SampleContractTest : public ::testing::Test {
- protected:
+ public:
   static std::vector<std::shared_ptr<const UtilizationModel>> models() {
     using namespace workloads;
     std::vector<std::shared_ptr<const UtilizationModel>> out;
@@ -254,6 +257,24 @@ class SampleContractTest : public ::testing::Test {
         IrregularUtilization::Params{}, 14));
     out.push_back(std::make_shared<HourlyPeakUtilization>(
         HourlyPeakUtilization::Params{}, 15));
+    // Offsets whose local hour reaches [24, 48) (wrapped without fmod),
+    // and offsets past a day either way (wrapped by fmod).
+    std::uint64_t seed = 16;
+    for (const double offset : {9.5, 13.75, 30.0, -30.0}) {
+      DiurnalUtilization::Params diurnal;
+      diurnal.tz_offset_hours = offset;
+      out.push_back(std::make_shared<DiurnalUtilization>(diurnal, seed++));
+      HourlyPeakUtilization::Params hourly;
+      hourly.tz_offset_hours = offset;
+      out.push_back(std::make_shared<HourlyPeakUtilization>(hourly, seed++));
+    }
+    // Episodes shorter than the coarse grids' step: one tick crosses
+    // several episode boundaries.
+    IrregularUtilization::Params short_episodes;
+    short_episodes.episode = 10 * kMinute;
+    short_episodes.spike_prob = 0.3;
+    out.push_back(
+        std::make_shared<IrregularUtilization>(short_episodes, seed++));
     // Sampled model whose source grid differs from the query grids.
     const TimeGrid src{kDay, kTelemetryInterval, 3 * 12 * 24};
     std::vector<double> samples(src.count);
@@ -274,6 +295,7 @@ class SampleContractTest : public ::testing::Test {
     return out;
   }
 
+ protected:
   static void expect_sample_matches_at(const UtilizationModel& model,
                                        const TimeGrid& grid) {
     std::vector<double> batched(grid.count);
@@ -297,10 +319,74 @@ TEST_F(SampleContractTest, BitIdenticalOnAwkwardGrids) {
       {-2 * kDay, kTelemetryInterval, 700},                // negative times
       {kHour, 7 * kMinute, 300},   // step doesn't divide an hour
       {0, 30 * kMinute, 200},      // coarse step
-      {11 * kMinute, kMinute, 90}  // fine step
+      {11 * kMinute, kMinute, 90},  // fine step
+      // Negative start on neither an hour nor a 30-minute episode
+      // boundary, running past t = 0.
+      {-3 * kDay - 10 * kMinute, kTelemetryInterval, 1000},
+      {5 * kHour + 25 * kMinute, kTelemetryInterval, 100},  // < one day
+      {2 * kHour + 50 * kMinute, kTelemetryInterval, 4},    // < half hour
   };
   for (const auto& model : models())
     for (const TimeGrid& grid : grids) expect_sample_matches_at(*model, grid);
+}
+
+// The panel allocates its matrix uninitialized and relies on fill_row
+// writing every tick. Each row starts as NaN, so a tick the kernel skips
+// shows up here; no sanitizer in CI reports an uninitialized read.
+TEST(TelemetryPanelTest, FillRowWritesEveryTick) {
+  const Topology topo = test::tiny_topology();
+  TraceFixture f(topo);
+  const TimeGrid& grid = f.trace.telemetry_grid();
+  const NodeId node = test::first_node(topo, CloudType::kPrivate);
+  struct Life {
+    const char* name;
+    SimTime created;
+    SimTime deleted;
+  };
+  const Life lives[] = {
+      {"whole grid", grid.start, kNoEnd},
+      {"created off-tick mid-grid", grid.start + kDay + 7 * kMinute, kNoEnd},
+      {"deleted on a tick", grid.start, grid.start + 2 * kDay},
+      {"dead before the grid", grid.start - 2 * kDay, grid.start - kDay},
+      {"created at the grid end", grid.end(), kNoEnd},
+      {"created after the grid end", grid.end() + kHour, grid.end() + kDay},
+  };
+  auto models = SampleContractTest::models();
+  models.push_back(nullptr);  // model-less
+  std::vector<std::string> labels;
+  for (std::size_t m = 0; m < models.size(); ++m)
+    for (const Life& life : lives) {
+      f.add_vm(CloudType::kPrivate, f.private_sub, node, 1, life.created,
+               life.deleted, models[m]);
+      labels.push_back("model " + std::to_string(m) + ", " + life.name);
+    }
+  const TelemetryPanel* panel =
+      f.trace.build_telemetry_panel(ParallelConfig::with_threads(4));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> row(grid.count);
+  for (const VmRecord& vm : f.trace.vms()) {
+    SCOPED_TRACE(labels[vm.id.value()]);
+    std::fill(row.begin(), row.end(), nan);
+    TelemetryPanel::fill_row(vm, grid, row);
+    const auto built = panel->row(vm.id);
+    for (std::size_t i = 0; i < grid.count; ++i) {
+      ASSERT_FALSE(std::isnan(row[i])) << "tick " << i;
+      ASSERT_EQ(row[i], built[i]) << "tick " << i;
+    }
+  }
+  // created == deleted: add_vm rejects the record, so no panel holds it;
+  // its alive window is empty, so the row is all zeros.
+  VmRecord empty = f.trace.vm(VmId(0));
+  empty.created = empty.deleted = grid.start + kDay;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    SCOPED_TRACE("model " + std::to_string(m) + ", created == deleted");
+    empty.utilization = models[m];
+    std::fill(row.begin(), row.end(), nan);
+    TelemetryPanel::fill_row(empty, grid, row);
+    for (std::size_t i = 0; i < grid.count; ++i)
+      ASSERT_EQ(row[i], 0.0) << "tick " << i;
+  }
 }
 
 // Fused single-pass Pearson vs the two-pass reference, over correlated,

@@ -163,9 +163,11 @@ cmake -S "$ROOT" -B "$ubsan_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCLOUDLENS_SANITIZE=address >/dev/null
 echo "== [ubsan] build (-j$JOBS) =="
 cmake --build "$ubsan_dir" -j "$JOBS"
-echo "== [ubsan] kernel, stats, snapshot, population, run-plan + kb suites =="
+echo "== [ubsan] kernel, stats, snapshot, population, run-plan, kb + row-kernel suites =="
 ubsan_suites='Kernel|StatsProperty|QuantileProperty|Correlation|Fft|Periodicity'
 ubsan_suites="$ubsan_suites|Snapshot|Population|RunPlan|KnowledgeBase"
+# The batch sample() loops walk signed SimTime boundaries.
+ubsan_suites="$ubsan_suites|TelemetryPanel|SampleContract"
 ctest --test-dir "$ubsan_dir" --output-on-failure -R "$ubsan_suites"
 
 echo "== [release] telemetry perf smoke =="
