@@ -4,7 +4,6 @@
 // truth, showing the default operating point sits on a plateau.
 #include "analysis/classifier.h"
 #include "bench_common.h"
-#include "cloudsim/telemetry_panel.h"
 #include "common/table.h"
 #include "workloads/patterns.h"
 
@@ -23,9 +22,9 @@ Accuracy measure(const TraceStore& trace,
                  std::size_t max_vms) {
   const TimeGrid& grid = trace.telemetry_grid();
   // The sweep re-classifies the same VMs under 15+ threshold settings;
-  // reading the shared panel rows makes each sweep point pay only for the
-  // ACF tests, not for re-evaluating every utilization model.
-  const TelemetryPanel* panel = trace.telemetry_panel();
+  // the trace serves them from the panel main() builds, so each sweep
+  // point pays only for the ACF tests, not for re-evaluating every
+  // utilization model.
   std::vector<double> scratch;
   Accuracy acc;
   std::size_t correct = 0;
@@ -36,8 +35,7 @@ Accuracy measure(const TraceStore& trace,
     if (seen % 7 != 0) continue;  // stride for speed
     const auto truth = workloads::ground_truth_pattern(vm.utilization.get());
     if (!truth) continue;
-    const std::span<const double> row =
-        vm_telemetry_row(trace, panel, vm.id, grid, scratch);
+    const std::span<const double> row = trace.telemetry_row(vm.id, scratch);
     const auto predicted = analysis::classify(row, grid, options);
     // PatternType and UtilizationClass share the enum order.
     if (static_cast<int>(predicted) == static_cast<int>(*truth)) ++correct;

@@ -40,7 +40,6 @@
 #include "analysis/spatial.h"
 #include "analysis/utilization.h"
 #include "bench_common.h"
-#include "cloudsim/telemetry_panel.h"
 #include "common/table.h"
 #include "kb/extractor.h"
 #include "kb/store.h"

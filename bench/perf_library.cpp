@@ -138,7 +138,6 @@ void BM_NodeUtilizationWeek(benchmark::State& state) {
   workloads::ScenarioOptions options;
   options.scale = 0.05;
   const auto scenario = workloads::make_scenario(options);
-  const TimeGrid grid = week_telemetry_grid();
   // A node with several VMs.
   NodeId busiest;
   std::size_t most = 0;
@@ -151,7 +150,7 @@ void BM_NodeUtilizationWeek(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scenario.trace->node_utilization(busiest, grid));
+        scenario.trace->node_utilization(busiest));
   }
   state.SetLabel(std::to_string(most) + " VMs on node");
 }

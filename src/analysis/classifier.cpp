@@ -4,7 +4,7 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "cloudsim/telemetry_panel.h"
+#include "common/stride_sample.h"
 #include "stats/descriptive.h"
 #include "stats/fft.h"
 #include "stats/periodicity.h"
@@ -69,36 +69,28 @@ PatternShares classify_population(const AnalysisContext& ctx, CloudType cloud,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Use the columnar telemetry cache when the trace holds one.
-  const TelemetryPanel* panel = trace.telemetry_panel();
-
-  const std::vector<VmId> candidates =
-      collect_vm_ids(trace, [&](const VmRecord& vm) {
-        return vm.cloud == cloud && vm.covers(grid) &&
-               vm.utilization != nullptr;
-      });
 
   // Deterministic stride subsampling keeps results reproducible.
-  std::size_t stride = 1;
-  if (max_vms > 0 && candidates.size() > max_vms)
-    stride = candidates.size() / max_vms;
+  const std::vector<VmId> sampled = stride_sample(
+      collect_vm_ids(trace,
+                     [&](const VmRecord& vm) {
+                       return vm.cloud == cloud && vm.covers(grid) &&
+                              vm.utilization != nullptr;
+                     }),
+      max_vms);
 
-  const std::size_t sampled =
-      candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
-
-  // Hot path: each strided VM pulls its panel row (or evaluates it once
-  // into a scratch buffer when there is no panel) and runs the
+  // Hot path: each sampled VM reads its telemetry row and runs the
   // ACF/periodicity tests. Per-VM labels land in independent slots, so the
   // fan-out is thread-count- and shard-invariant; the tally below walks
   // them in candidate order.
-  std::vector<UtilizationClass> labels(sampled, UtilizationClass::kStable);
+  std::vector<UtilizationClass> labels(sampled.size(),
+                                       UtilizationClass::kStable);
   stream_by_shard(
-      trace, sampled, [&](std::size_t k) { return candidates[k * stride]; },
+      trace, sampled.size(), [&](std::size_t k) { return sampled[k]; },
       [&](std::size_t k) {
         std::vector<double> scratch;
-        const std::span<const double> row = vm_telemetry_row(
-            trace, panel, candidates[k * stride], grid, scratch);
-        labels[k] = classify(row, grid, options);
+        labels[k] = classify(trace.telemetry_row(sampled[k], scratch), grid,
+                             options);
       },
       parallel);
 

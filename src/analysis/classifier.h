@@ -39,7 +39,7 @@ struct ClassifierOptions {
 UtilizationClass classify(const stats::TimeSeries& utilization,
                           const ClassifierOptions& options = {});
 
-/// Span overload for contiguous telemetry-panel rows: identical decisions,
+/// Span overload for contiguous telemetry rows: identical decisions,
 /// no TimeSeries materialization (the stable test runs on the raw span and
 /// the periodicity cascade scores one shared ACF). `grid` describes the
 /// row's sampling (grid.count is ignored in favour of utilization.size()).

@@ -1,11 +1,14 @@
-// Mode-agnostic iteration over VM records.
+// Mode-agnostic iteration over trace records.
 //
 // The analyses historically walked `trace.vms()` — a span over the
 // resident record vector. In population-sharded mode (cloudsim/
 // population.h) that span does not exist: records live in K spill files
-// and page in a shard at a time. These helpers express the four access
-// shapes the analyses actually use so each analysis is written once and
-// runs bounded-RSS in either mode:
+// and page in a shard at a time. This header is the one place outside
+// cloudsim/ that knows the storage mode: no analysis, kb or policy file
+// names the shard store. Its helpers express the access shapes the passes
+// actually use, so each pass is written once and runs bounded-RSS in
+// either mode (telemetry rows come from TraceStore::telemetry_row, which
+// needs no mode either):
 //
 //   for_each_vm_group: visit every record exactly once, as one span per
 //     group (resident: a single group = the whole span; sharded: one
@@ -15,10 +18,13 @@
 //     (per-VM slot writes, commutative-over-VM-id sums assembled in id
 //     order afterwards) produces identical bits in both modes.
 //
-//   collect_vm_ids: the ids passing a predicate, in ascending id order in
-//     both modes — the drop-in replacement for "scan vms() and collect",
-//     where downstream logic (membership caps, sampling) depends on the
-//     global scan order.
+//   collect_vms / collect_vm_ids: what a pass keeps of each record (or
+//     just the ids) passing a predicate, in ascending id order in both
+//     modes — the drop-in replacement for "scan vms() and collect", where
+//     downstream logic (membership caps, sampling) depends on the global
+//     scan order.
+//
+//   collect_subscription_ids: the same for subscription records.
 //
 //   any_vm: short-circuit existence check.
 //
@@ -29,6 +35,9 @@
 //     down to its budget at that serial point, then shard 1 begins. Each
 //     item writes only its own output slot, so the result is the same at
 //     any thread count and in either mode.
+//
+//   release_paged_shards: the serial point after any other fan-out whose
+//     items looked records up by id; drops what they paged in.
 //
 // The access rule for a sharded pass: learn membership (which VMs a pass
 // needs, and what it needs of each record) from one shard-ordered sweep,
@@ -49,7 +58,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cloudsim/population.h"
@@ -74,20 +85,54 @@ void for_each_vm_group(const TraceStore& trace, Fn&& group_fn) {
   }
 }
 
-/// Ids of the VMs satisfying `pred`, ascending — the same order a resident
-/// vms() scan yields, regardless of shard interleaving.
-template <typename Pred>
-std::vector<VmId> collect_vm_ids(const TraceStore& trace, Pred&& pred) {
-  std::vector<VmId> ids;
+/// What `fn` keeps of each VM record, in ascending VM id order — the
+/// order a resident vms() scan yields, regardless of shard interleaving.
+/// fn(const VmRecord&) returns std::optional<T>; empty results are skipped.
+template <typename T, typename Fn>
+std::vector<T> collect_vms(const TraceStore& trace, Fn&& fn) {
+  std::vector<std::pair<VmId, T>> kept;
   for_each_vm_group(trace, [&](std::span<const VmRecord> vms) {
     for (const VmRecord& vm : vms) {
-      if (pred(vm)) ids.push_back(vm.id);
+      if (std::optional<T> value = fn(vm))
+        kept.emplace_back(vm.id, std::move(*value));
     }
   });
   if (trace.population_sharded()) {
-    std::sort(ids.begin(), ids.end(),
-              [](VmId a, VmId b) { return a.value() < b.value(); });
+    std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
+      return a.first.value() < b.first.value();
+    });
   }
+  std::vector<T> out;
+  out.reserve(kept.size());
+  for (auto& [id, value] : kept) out.push_back(std::move(value));
+  return out;
+}
+
+/// Ids of the VMs satisfying `pred`, ascending.
+template <typename Pred>
+std::vector<VmId> collect_vm_ids(const TraceStore& trace, Pred&& pred) {
+  return collect_vms<VmId>(trace, [&](const VmRecord& vm) {
+    return pred(vm) ? std::optional<VmId>(vm.id) : std::nullopt;
+  });
+}
+
+/// Ids of the subscriptions satisfying `pred`, ascending in either mode.
+template <typename Pred>
+std::vector<SubscriptionId> collect_subscription_ids(const TraceStore& trace,
+                                                     Pred&& pred) {
+  std::vector<SubscriptionId> ids;
+  const PopulationShardStore* pop = trace.population_shards();
+  if (pop == nullptr) {
+    for (const SubscriptionInfo& sub : trace.subscriptions())
+      if (pred(sub)) ids.push_back(sub.id);
+    return ids;
+  }
+  for (std::uint32_t s = 0; s < pop->shard_count(); ++s) {
+    for (const SubscriptionInfo& sub : pop->view(s).subscriptions())
+      if (pred(sub)) ids.push_back(sub.id);
+    pop->evict_over_budget();
+  }
+  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
@@ -142,6 +187,15 @@ void stream_by_shard(const TraceStore& trace, std::size_t n,
         items.size(), [&](std::size_t j) { item_fn(items[j]); }, parallel);
     pop->evict_over_budget();
   }
+}
+
+/// The serial point after a fan-out whose items looked records up by id
+/// (trace.vm(), vms_on_node(), telemetry rows) outside stream_by_shard:
+/// once the pool has drained, drops the shards they paged in back under
+/// the store's budget. Nothing to do for a resident trace.
+inline void release_paged_shards(const TraceStore& trace) {
+  if (const PopulationShardStore* pop = trace.population_shards())
+    pop->evict_over_budget();
 }
 
 }  // namespace cloudlens::analysis

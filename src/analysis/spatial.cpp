@@ -7,9 +7,8 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "cloudsim/population.h"
-#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
+#include "common/stride_sample.h"
 #include "stats/correlation.h"
 
 namespace cloudlens::analysis {
@@ -17,14 +16,13 @@ namespace {
 
 /// Hourly-mean utilization averaged over a set of VMs (unweighted mean,
 /// matching the paper's "averaged utilization computed at the region
-/// level"). Rolls each VM's panel row up to hours in place: one 168-sample
+/// level"). Rolls each VM's row up to hours in place: one 168-sample
 /// row accumulation per VM instead of a freshly evaluated 2016-sample
 /// series per subscription.
 stats::TimeSeries average_hourly_utilization(const TraceStore& trace,
-                                             const TelemetryPanel* panel,
-                                             std::span<const VmId> vms,
-                                             const TimeGrid& grid) {
+                                             std::span<const VmId> vms) {
   CL_CHECK(!vms.empty());
+  const TimeGrid& grid = trace.telemetry_grid();
   CL_CHECK(grid.step > 0 && kHour % grid.step == 0);
   const std::size_t factor = static_cast<std::size_t>(kHour / grid.step);
   const TimeGrid hourly_grid{grid.start, kHour, grid.count / factor};
@@ -33,7 +31,7 @@ stats::TimeSeries average_hourly_utilization(const TraceStore& trace,
   std::vector<double> row_scratch, hourly_scratch;
   for (const VmId id : vms) {
     const std::span<const double> hourly =
-        vm_hourly_row(trace, panel, id, grid, row_scratch, hourly_scratch);
+        trace.hourly_row(id, row_scratch, hourly_scratch);
     for (std::size_t i = 0; i < values.size(); ++i) values[i] += hourly[i];
   }
   sum.scale(1.0 / static_cast<double>(vms.size()));
@@ -49,8 +47,6 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Use the columnar telemetry cache when the trace holds one.
-  const TelemetryPanel* panel = trace.telemetry_panel();
 
   // Mark every window-covering VM with a model in one shard-ordered sweep
   // (record_stream.h's access rule: a node's VMs sit in many shards); the
@@ -73,28 +69,23 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
       candidates.emplace_back(node.id, std::move(covering));
   }
 
-  std::size_t stride = 1;
-  if (max_nodes > 0 && candidates.size() > max_nodes)
-    stride = candidates.size() / max_nodes;
-
-  const std::size_t sampled =
-      candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
+  const auto sampled = stride_sample(std::move(candidates), max_nodes);
 
   // Hot path: one node-utilization roll-up plus one fused Pearson per
-  // hosted VM, streaming panel rows — no per-VM series materialization.
-  // Each strided node fills its own slot; slots are concatenated in node
-  // order below, so output is independent of scheduling.
+  // hosted VM, streaming telemetry rows — no per-VM series
+  // materialization. Each sampled node fills its own slot; slots are
+  // concatenated in node order below, so output is independent of
+  // scheduling.
   const auto per_node = parallel_map<std::vector<double>>(
-      sampled,
+      sampled.size(),
       [&](std::size_t k) {
-        const auto& [node_id, vms] = candidates[k * stride];
-        const auto node_series = trace.node_utilization(node_id, grid);
+        const auto& [node_id, vms] = sampled[k];
+        const auto node_series = trace.node_utilization(node_id);
         std::vector<double> rs;
         rs.reserve(vms.size());
         std::vector<double> scratch;
         for (const VmId id : vms) {
-          const std::span<const double> row =
-              vm_telemetry_row(trace, panel, id, grid, scratch);
+          const std::span<const double> row = trace.telemetry_row(id, scratch);
           rs.push_back(stats::pearson_fused(row, node_series.values()));
         }
         return rs;
@@ -102,10 +93,7 @@ std::vector<double> node_vm_correlations(const AnalysisContext& ctx,
       parallel);
   std::vector<double> out;
   for (const auto& rs : per_node) out.insert(out.end(), rs.begin(), rs.end());
-  // The fan-out paged in whatever shards its row evaluations touched; the
-  // pool has drained, so release them here.
-  if (const PopulationShardStore* pop = trace.population_shards())
-    pop->evict_over_budget();
+  release_paged_shards(trace);
   std::sort(out.begin(), out.end());
   ctx.count(obs::Counter::kAnalysisCorrelations, out.size());
   return out;
@@ -119,7 +107,6 @@ std::vector<RegionProfile> subscription_region_profiles(
   // would swamp the trace; the roll-up counter is lock-free and cheap.
   const TraceStore& trace = ctx.trace();
   const TimeGrid& grid = trace.telemetry_grid();
-  const TelemetryPanel* panel = trace.telemetry_panel();
   // A subscription's VMs all live in one shard (the router hashes the
   // subscription id), so in population-sharded mode this whole call pages
   // in at most one shard.
@@ -136,8 +123,7 @@ std::vector<RegionProfile> subscription_region_profiles(
     RegionProfile p;
     p.region = region;
     p.vms_used = vms.size();
-    p.hourly_utilization =
-        average_hourly_utilization(trace, panel, vms, grid);
+    p.hourly_utilization = average_hourly_utilization(trace, vms);
     out.push_back(std::move(p));
   }
   std::sort(out.begin(), out.end(),
@@ -155,25 +141,9 @@ std::vector<double> cross_region_correlations(const AnalysisContext& ctx,
   auto phase = ctx.phase("analysis.cross_region_correlations");
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
-  // Multi-region candidate subscriptions, in ascending id order in every
-  // mode (the population branch collects per shard, then sorts — the same
-  // set the resident scan yields, in the same order).
-  std::vector<SubscriptionId> candidates;
-  if (const PopulationShardStore* pop = trace.population_shards()) {
-    for (std::uint32_t s = 0; s < pop->shard_count(); ++s) {
-      for (const auto& sub : pop->view(s).subscriptions()) {
-        if (sub.cloud != cloud) continue;
-        candidates.push_back(sub.id);
-      }
-      pop->evict_over_budget();
-    }
-    std::sort(candidates.begin(), candidates.end());
-  } else {
-    for (const auto& sub : trace.subscriptions()) {
-      if (sub.cloud != cloud) continue;
-      candidates.push_back(sub.id);
-    }
-  }
+  // Candidate subscriptions of this cloud, in ascending id order.
+  const std::vector<SubscriptionId> candidates = collect_subscription_ids(
+      trace, [&](const SubscriptionInfo& sub) { return sub.cloud == cloud; });
   // Warm the subscription index serially before fanning out.
   if (!candidates.empty()) trace.vms_of_subscription(candidates.front());
 
@@ -208,8 +178,7 @@ std::vector<double> cross_region_correlations(const AnalysisContext& ctx,
         parallel);
     // Serial point between blocks: drop shards back under budget before
     // the next fan-out pages more in.
-    if (const PopulationShardStore* pop = trace.population_shards())
-      pop->evict_over_budget();
+    release_paged_shards(trace);
     for (const auto& profiles : profile_block) {
       if (max_subscriptions > 0 && used >= max_subscriptions) break;
       if (profiles.size() < 2) continue;
@@ -236,7 +205,6 @@ std::vector<RegionAgnosticVerdict> detect_region_agnostic_services(
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  const TelemetryPanel* panel = trace.telemetry_panel();
 
   // Membership first: eligible (id, service, region) triples in global id
   // order — the order the old resident scan visited VMs in — then the
@@ -247,20 +215,12 @@ std::vector<RegionAgnosticVerdict> detect_region_agnostic_services(
     ServiceId service;
     RegionId region;
   };
-  std::vector<Member> eligible;
-  for_each_vm_group(trace, [&](std::span<const VmRecord> vms) {
-    for (const auto& vm : vms) {
-      if (vm.cloud != cloud || !vm.service.valid()) continue;
-      if (!vm.covers(grid) || !vm.utilization) continue;
-      eligible.push_back({vm.id, vm.service, vm.region});
-    }
-  });
-  if (trace.population_sharded()) {
-    std::sort(eligible.begin(), eligible.end(),
-              [](const Member& a, const Member& b) {
-                return a.id.value() < b.id.value();
-              });
-  }
+  const std::vector<Member> eligible = collect_vms<Member>(
+      trace, [&](const VmRecord& vm) -> std::optional<Member> {
+        if (vm.cloud != cloud || !vm.service.valid()) return std::nullopt;
+        if (!vm.covers(grid) || !vm.utilization) return std::nullopt;
+        return Member{vm.id, vm.service, vm.region};
+      });
   // Pool by service, keyed by sorted region id so the per-service pair
   // enumeration order is a pure function of the trace (never of hash-map
   // iteration or scheduling).
@@ -306,8 +266,8 @@ std::vector<RegionAgnosticVerdict> detect_region_agnostic_services(
       trace, member_vm.size(), [&](std::size_t p) { return member_vm[p]; },
       [&](std::size_t p) {
         std::vector<double> row_scratch, hourly_scratch;
-        const std::span<const double> hourly = vm_hourly_row(
-            trace, panel, member_vm[p], grid, row_scratch, hourly_scratch);
+        const std::span<const double> hourly =
+            trace.hourly_row(member_vm[p], row_scratch, hourly_scratch);
         std::copy(hourly.begin(), hourly.end(),
                   rows.begin() + static_cast<std::ptrdiff_t>(p * hours));
       },

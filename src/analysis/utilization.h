@@ -43,8 +43,4 @@ stats::TimeSeries region_used_cores_hourly(const AnalysisContext& ctx,
                                            CloudType cloud, RegionId region,
                                            std::size_t max_vms = 3000);
 
-/// Mean utilization of one VM over the part of the telemetry window it was
-/// alive (0 when never alive within the window or no telemetry).
-double vm_mean_utilization(const AnalysisContext& ctx, VmId id);
-
 }  // namespace cloudlens::analysis

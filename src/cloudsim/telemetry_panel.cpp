@@ -43,22 +43,6 @@ void TelemetryPanel::fill_row(const VmRecord& vm, const TimeGrid& grid,
   vm.utilization->sample(alive, out.subspan(i0, i1 - i0));
 }
 
-void TelemetryPanel::hourly_from_row(std::span<const double> row,
-                                     const TimeGrid& grid,
-                                     std::span<double> out) {
-  CL_CHECK(grid.step > 0 && kHour % grid.step == 0);
-  const std::size_t factor = static_cast<std::size_t>(kHour / grid.step);
-  const std::size_t out_count = row.size() / factor;
-  CL_CHECK(out.size() == out_count);
-  // Same accumulation order as TimeSeries::downsample_mean: serial sum of
-  // `factor` consecutive samples, then one division.
-  for (std::size_t i = 0; i < out_count; ++i) {
-    double acc = 0;
-    for (std::size_t j = 0; j < factor; ++j) acc += row[i * factor + j];
-    out[i] = acc / static_cast<double>(factor);
-  }
-}
-
 TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
                                const ParallelConfig& parallel)
     : grid_(grid), rows_(trace.vms().size()) {
@@ -85,35 +69,6 @@ TelemetryPanel::TelemetryPanel(const TraceStore& trace, TimeGrid grid,
   metrics.add(obs::Counter::kPanelRowsFilled, rows_);
   metrics.set(obs::Gauge::kPanelVms, static_cast<double>(rows_));
   metrics.set(obs::Gauge::kPanelBytes, static_cast<double>(memory_bytes()));
-}
-
-std::span<const double> vm_telemetry_row(const TraceStore& trace,
-                                         const TelemetryPanel* panel, VmId id,
-                                         const TimeGrid& grid,
-                                         std::vector<double>& scratch) {
-  if (panel != nullptr && panel->grid() == grid &&
-      id.value() < panel->vm_count()) {
-    obs::MetricsRegistry::global().add(obs::Counter::kPanelRowHits);
-    return panel->row(id);
-  }
-  obs::MetricsRegistry::global().add(obs::Counter::kPanelRowMisses);
-  scratch.resize(grid.count);
-  TelemetryPanel::fill_row(trace.vm(id), grid, scratch);
-  return scratch;
-}
-
-std::span<const double> vm_hourly_row(const TraceStore& trace,
-                                      const TelemetryPanel* panel, VmId id,
-                                      const TimeGrid& grid,
-                                      std::vector<double>& row_scratch,
-                                      std::vector<double>& hourly_scratch) {
-  const std::span<const double> row =
-      vm_telemetry_row(trace, panel, id, grid, row_scratch);
-  CL_CHECK(grid.step > 0 && kHour % grid.step == 0);
-  const std::size_t factor = static_cast<std::size_t>(kHour / grid.step);
-  hourly_scratch.resize(row.size() / factor);
-  TelemetryPanel::hourly_from_row(row, grid, hourly_scratch);
-  return hourly_scratch;
 }
 
 }  // namespace cloudlens

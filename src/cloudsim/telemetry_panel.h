@@ -13,7 +13,7 @@
 //
 // Memory: one double per VM per tick — 16 KB per VM for the default
 // one-week 5-minute grid (2016 ticks); hourly views are rolled up from a
-// row on read (vm_hourly_row), not stored. The matrix is allocated
+// row on read (TraceStore::hourly_row), not stored. The matrix is allocated
 // uninitialized: fill_row writes every tick of a row, so each page is
 // first touched by the worker that fills it, inside the parallel fill,
 // instead of being zeroed on the calling thread beforehand. A 100k-VM
@@ -22,17 +22,16 @@
 // it once the trace resolves, when the command asked for a panel), and a
 // trace nobody asked for a panel holds none. The panel is never
 // persisted: rebuilding it from the trace is cheaper than writing and
-// reading it back. Every consumer falls back to on-demand row evaluation
-// through the *same* fill kernel, so results are identical either way,
-// bit for bit.
+// reading it back. Without a panel, rows are evaluated on demand through
+// the *same* fill kernel, so results are identical either way, bit for
+// bit.
 //
-// Consumers ask the trace for the panel once, up front, then pull
-// contiguous std::span<const double> rows:
+// Consumers never hold the panel: they ask the trace for rows over its
+// telemetry grid, and the trace serves them from the panel when it holds
+// one:
 //
-//   const TelemetryPanel* panel = trace.telemetry_panel();  // may be null
 //   std::vector<double> scratch;
-//   std::span<const double> row =
-//       vm_telemetry_row(trace, panel, id, grid, scratch);
+//   std::span<const double> row = trace.telemetry_row(id, scratch);
 //
 // Invalidation: TraceStore drops the panel on add_vm and set_vm_deleted
 // (a VM's row depends on its [created, deleted) window); it stays absent
@@ -41,7 +40,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "cloudsim/trace.h"
 #include "common/parallel.h"
@@ -59,12 +57,10 @@ class TelemetryPanel {
   TelemetryPanel(const TraceStore& trace, TimeGrid grid,
                  const ParallelConfig& parallel = {});
 
-  const TimeGrid& grid() const { return grid_; }
-
   std::size_t vm_count() const { return rows_; }
   std::size_t tick_count() const { return grid_.count; }
 
-  /// The VM's contiguous utilization row (grid().count samples).
+  /// The VM's contiguous utilization row (tick_count() samples).
   std::span<const double> row(VmId id) const {
     return {data_.get() + id.value() * grid_.count, grid_.count};
   }
@@ -76,8 +72,8 @@ class TelemetryPanel {
   /// The shared row-fill kernel: out[i] = utilization->sample value when
   /// the VM is alive at grid.at(i), else 0 (also all-zero for model-less
   /// VMs). `out.size()` must equal `grid.count`. Used both by the panel
-  /// build and by the scratch fallback path, so panel-on and panel-off
-  /// analyses see identical bits by construction.
+  /// build and by TraceStore::telemetry_row's scratch path, so panel-on and
+  /// panel-off analyses see identical bits by construction.
   ///
   /// Contract: writes every element of `out` — zeros outside the alive
   /// window, all zeros for a model-less VM, sample() over the alive
@@ -86,33 +82,10 @@ class TelemetryPanel {
   static void fill_row(const VmRecord& vm, const TimeGrid& grid,
                        std::span<double> out);
 
-  /// Roll a row into hourly means — bit-identical to
-  /// stats::TimeSeries::hourly_mean on the same values. `out.size()` must
-  /// be grid.count / (kHour / grid.step).
-  static void hourly_from_row(std::span<const double> row,
-                              const TimeGrid& grid, std::span<double> out);
-
  private:
   TimeGrid grid_;
   std::size_t rows_ = 0;
   std::unique_ptr<double[]> data_;  // rows_ × grid_.count, row-major
 };
-
-/// Copy-free row access for the analysis hot paths: returns the cached
-/// panel row when `panel` is non-null, covers `id`, and was built over
-/// `grid`; otherwise fills `scratch` through the same kernel and returns a
-/// span over it. Either way the bits are identical.
-std::span<const double> vm_telemetry_row(const TraceStore& trace,
-                                         const TelemetryPanel* panel, VmId id,
-                                         const TimeGrid& grid,
-                                         std::vector<double>& scratch);
-
-/// Hourly-mean counterpart of vm_telemetry_row: the row (from the panel or
-/// `row_scratch`) rolled up into `hourly_scratch` by hourly_from_row.
-std::span<const double> vm_hourly_row(const TraceStore& trace,
-                                      const TelemetryPanel* panel, VmId id,
-                                      const TimeGrid& grid,
-                                      std::vector<double>& row_scratch,
-                                      std::vector<double>& hourly_scratch);
 
 }  // namespace cloudlens

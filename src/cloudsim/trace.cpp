@@ -6,6 +6,7 @@
 #include "cloudsim/population.h"
 #include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace cloudlens {
 
@@ -192,38 +193,44 @@ void TraceStore::finish_population_spill() {
   invalidate_derived();
 }
 
-stats::TimeSeries TraceStore::vm_utilization(VmId id,
-                                             const TimeGrid& grid) const {
-  const VmRecord& rec = vm(id);
-  stats::TimeSeries out(grid);
-  const TelemetryPanel* panel = grid == grid_ ? telemetry_panel() : nullptr;
-  if (panel != nullptr && id.value() < panel->vm_count()) {
-    const auto row = panel->row(id);
-    std::copy(row.begin(), row.end(), out.mutable_values().begin());
-  } else {
-    TelemetryPanel::fill_row(rec, grid, out.mutable_values());
+std::span<const double> TraceStore::telemetry_row(
+    VmId id, std::vector<double>& scratch) const {
+  auto& metrics = obs::MetricsRegistry::global();
+  if (panel_ != nullptr && id.value() < panel_->vm_count()) {
+    metrics.add(obs::Counter::kPanelRowHits);
+    return panel_->row(id);
   }
-  return out;
+  metrics.add(obs::Counter::kPanelRowMisses);
+  scratch.resize(grid_.count);
+  TelemetryPanel::fill_row(vm(id), grid_, scratch);
+  return scratch;
 }
 
-stats::TimeSeries TraceStore::node_utilization(NodeId id,
-                                               const TimeGrid& grid) const {
+std::span<const double> TraceStore::hourly_row(
+    VmId id, std::vector<double>& row_scratch,
+    std::vector<double>& hourly_scratch) const {
+  CL_CHECK(grid_.step > 0 && kHour % grid_.step == 0);
+  const auto factor = static_cast<std::size_t>(kHour / grid_.step);
+  const std::span<const double> row = telemetry_row(id, row_scratch);
+  hourly_scratch.resize(row.size() / factor);
+  stats::downsample_mean(row, factor, hourly_scratch);
+  return hourly_scratch;
+}
+
+stats::TimeSeries TraceStore::node_utilization(NodeId id) const {
   const Node& node = topology_->node(id);
-  stats::TimeSeries out(grid);
+  stats::TimeSeries out(grid_);
   CL_CHECK(node.total_cores > 0);
-  const TelemetryPanel* panel = grid == grid_ ? telemetry_panel() : nullptr;
   std::vector<double> scratch;
   auto& values = out.mutable_values();
   for (const VmId vm_id : vms_on_node(id)) {
     const VmRecord& rec = vm(vm_id);
     if (!rec.utilization) continue;
     const double weight = rec.cores / node.total_cores;
-    // Weighted row sum over the panel (or an identically-filled scratch
-    // row): rows are zero outside the VM's life, so adding every tick is
-    // bit-identical to the old alive-gated accumulation.
-    const std::span<const double> row =
-        vm_telemetry_row(*this, panel, vm_id, grid, scratch);
-    for (std::size_t i = 0; i < grid.count; ++i) values[i] += weight * row[i];
+    // Weighted row sum: rows are zero outside the VM's life, so adding
+    // every tick is bit-identical to an alive-gated accumulation.
+    const std::span<const double> row = telemetry_row(vm_id, scratch);
+    for (std::size_t i = 0; i < grid_.count; ++i) values[i] += weight * row[i];
   }
   out.clamp(0.0, 1.0);
   return out;

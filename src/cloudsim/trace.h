@@ -14,8 +14,11 @@
 //    disk and paged in on demand (cloudsim/population.h); no panel. The
 //    producer (the generator, an ingest backend or a snapshot load)
 //    streams the records into the shards as it emits them.
-// Every consumer reads rows through the same fill kernel in both modes,
-// so results are bit-identical whichever mode and panel state a run uses.
+// Telemetry rows come from the trace itself: telemetry_row() hands out the
+// panel row when one is built and fills a scratch row through the panel's
+// fill kernel otherwise, so results are bit-identical whichever mode and
+// panel state a run uses. Passes outside cloudsim/ reach the shard store
+// only through analysis/record_stream.h.
 #pragma once
 
 #include <atomic>
@@ -184,20 +187,31 @@ class TraceStore {
   /// VM ids per subscription (index built on first use).
   std::span<const VmId> vms_of_subscription(SubscriptionId sub) const;
 
-  /// Utilization of one VM over `grid`: 0 when the VM is not alive.
-  stats::TimeSeries vm_utilization(VmId id, const TimeGrid& grid) const;
+  /// One VM's utilization row over telemetry_grid(), 0 where the VM is not
+  /// alive: the panel's row when the trace holds a panel, else `scratch`
+  /// filled through TelemetryPanel::fill_row (the same bits). Counts
+  /// panel.row_hits / panel.row_misses. Safe from any number of threads,
+  /// each with its own scratch; the span lives until the panel is dropped
+  /// or `scratch` changes.
+  std::span<const double> telemetry_row(VmId id,
+                                        std::vector<double>& scratch) const;
 
-  /// Core-seconds-weighted node utilization: sum over hosted VMs of
-  /// util × vm.cores / node.total_cores at each grid point.
-  stats::TimeSeries node_utilization(NodeId id, const TimeGrid& grid) const;
+  /// telemetry_row rolled up into hourly means in `hourly_scratch`,
+  /// bit-identical to stats::TimeSeries::hourly_mean over the same row.
+  std::span<const double> hourly_row(VmId id, std::vector<double>& row_scratch,
+                                     std::vector<double>& hourly_scratch) const;
+
+  /// Core-seconds-weighted node utilization over telemetry_grid(): sum over
+  /// hosted VMs of util × vm.cores / node.total_cores at each grid point.
+  stats::TimeSeries node_utilization(NodeId id) const;
 
   /// Cores in use on a node at time t.
   double node_used_cores(NodeId id, SimTime t) const;
 
   /// The columnar telemetry cache (row-major VM × tick utilization matrix
   /// over `telemetry_grid()`), or nullptr when none was built since the
-  /// last record mutation. Consumers fall back to on-demand row
-  /// evaluation with identical bits (see telemetry_panel.h).
+  /// last record mutation. Passes read rows through telemetry_row(), which
+  /// serves them from here when it exists.
   const TelemetryPanel* telemetry_panel() const { return panel_.get(); }
 
   /// Materialize the panel over `telemetry_grid()` (a no-op when one is
@@ -217,8 +231,8 @@ class TraceStore {
   // the subscriptions out-of-core too. From then on vms()/subscriptions()
   // are unavailable, record lookups page shards in on demand, and
   // mutation (add_vm/set_vm_deleted) is rejected. A population-sharded
-  // trace has no telemetry panel: consumers compute rows on demand with
-  // TelemetryPanel::fill_row (identical bits).
+  // trace has no telemetry panel: telemetry_row() computes each row on
+  // demand with TelemetryPanel::fill_row (identical bits).
   void begin_population_spill(const PopulationShardingOptions& options);
   void finish_population_spill();
   const PopulationShardStore* population_shards() const {

@@ -99,7 +99,6 @@ void export_vm_table(const TraceStore& trace, std::ostream& out) {
 
 void export_utilization(const TraceStore& trace, std::ostream& out,
                         const TraceExportOptions& options) {
-  CL_CHECK(options.utilization_step > 0);
   out << "vm,timestamp,avg_cpu\n";
   const TimeGrid& grid = trace.telemetry_grid();
 
@@ -161,13 +160,16 @@ void export_utilization(const TraceStore& trace, std::ostream& out,
                  "coverage\n";
   }
 
+  // Each VM's alive ticks, read from its telemetry row (the same bits as
+  // the model's per-tick at()).
+  std::vector<double> scratch;
   for (const VmId id : selected) {
-    const auto& vm = trace.vm(id);
-    for (SimTime t = grid.start; t < grid.end();
-         t += options.utilization_step) {
+    const std::span<const double> row = trace.telemetry_row(id, scratch);
+    const VmRecord& vm = trace.vm(id);
+    for (std::size_t i = 0; i < grid.count; ++i) {
+      const SimTime t = grid.at(i);
       if (!vm.alive_at(t)) continue;
-      out << vm.id.value() << ',' << t << ',' << vm.utilization->at(t)
-          << '\n';
+      out << id.value() << ',' << t << ',' << row[i] << '\n';
     }
   }
 }

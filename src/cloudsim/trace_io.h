@@ -53,8 +53,6 @@ class SampledUtilization final : public UtilizationModel {
 };
 
 struct TraceExportOptions {
-  /// Sampling step for utilization rows.
-  SimDuration utilization_step = kTelemetryInterval;
   /// Cap on VMs that get utilization rows (0 = all). The vmtable always
   /// contains every VM. When the cap bites, the export is *lossy*: VMs
   /// beyond it are dropped from utilization.csv entirely (whole node
@@ -78,7 +76,7 @@ void export_topology(const Topology& topology, std::ostream& out);
 void export_vm_table(const TraceStore& trace, std::ostream& out);
 
 /// utilization.csv — long format: vm,timestamp,avg_cpu. Rows cover each
-/// exported VM's alive ∩ telemetry window at `utilization_step`.
+/// exported VM's alive ticks of the trace's telemetry grid.
 void export_utilization(const TraceStore& trace, std::ostream& out,
                         const TraceExportOptions& options = {});
 

@@ -7,7 +7,7 @@
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
 #include "analysis/spatial.h"
-#include "cloudsim/telemetry_panel.h"
+#include "common/stride_sample.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 
@@ -52,33 +52,26 @@ std::optional<SubscriptionKnowledge> extract_subscription(
   std::array<std::size_t, 4> votes{};
   stats::StreamingMoments util_moments;
   std::vector<double> all_samples;
-  std::size_t stride = 1;
-  if (options.max_classified_vms > 0 &&
-      covering.size() > options.max_classified_vms)
-    stride = covering.size() / options.max_classified_vms;
-  std::size_t classified = 0;
-  // Stream panel rows (or scratch evaluations when there is no panel): one
-  // contiguous read per VM feeds both the classifier and the moments, with
-  // no per-VM TimeSeries materialization.
-  const TelemetryPanel* panel = trace.telemetry_panel();
+  const std::vector<VmId> sampled =
+      stride_sample(covering, options.max_classified_vms);
+  // Stream telemetry rows: one contiguous read per VM feeds both the
+  // classifier and the moments, with no per-VM TimeSeries materialization.
   std::vector<double> scratch;
-  for (std::size_t i = 0; i < covering.size(); i += stride) {
-    const std::span<const double> row =
-        vm_telemetry_row(trace, panel, covering[i], grid, scratch);
+  for (const VmId id : sampled) {
+    const std::span<const double> row = trace.telemetry_row(id, scratch);
     const auto cls = analysis::classify(row, grid, options.classifier);
     ++votes[static_cast<std::size_t>(cls)];
-    ++classified;
     for (const double v : row) {
       util_moments.add(v);
       all_samples.push_back(v);
     }
   }
-  if (classified > 0) {
+  if (!sampled.empty()) {
     const auto best =
         std::max_element(votes.begin(), votes.end()) - votes.begin();
     rec.dominant_pattern = static_cast<analysis::UtilizationClass>(best);
     rec.pattern_confidence = static_cast<double>(votes[best]) /
-                             static_cast<double>(classified);
+                             static_cast<double>(sampled.size());
     rec.mean_utilization = util_moments.mean();
     rec.p95_utilization = stats::quantile(all_samples, 0.95);
   }

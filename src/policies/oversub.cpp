@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
+#include "common/stride_sample.h"
 #include "stats/descriptive.h"
 
 namespace cloudlens::policies {
@@ -38,28 +38,22 @@ OversubscriptionReport evaluate_oversubscription(
       candidates.emplace_back(node.id, std::move(vms));
   }
 
-  std::size_t stride = 1;
-  if (options.max_nodes > 0 && candidates.size() > options.max_nodes)
-    stride = candidates.size() / options.max_nodes;
+  const auto sampled = stride_sample(std::move(candidates), options.max_nodes);
 
   // One task per evaluated node: the task owns its demand vector and
   // scratch row, and adds VMs in vms_on_node order and ticks in grid
   // order, so each partial is the serial loop's, bit for bit.
-  const TelemetryPanel* panel = trace.telemetry_panel();
-  const std::size_t sampled =
-      candidates.empty() ? 0 : (candidates.size() + stride - 1) / stride;
   const auto per_node = parallel_map<NodeDemand>(
-      sampled,
+      sampled.size(),
       [&](std::size_t k) {
-        const std::vector<VmId>& vms = candidates[k * stride].second;
+        const std::vector<VmId>& vms = sampled[k].second;
         NodeDemand node;
         std::vector<double> demand(grid.count, 0.0);
         std::vector<double> scratch;
         for (const VmId id : vms) {
           const double cores = trace.vm(id).cores;
           node.allocated += cores;
-          const std::span<const double> row =
-              vm_telemetry_row(trace, panel, id, grid, scratch);
+          const std::span<const double> row = trace.telemetry_row(id, scratch);
           for (std::size_t t = 0; t < grid.count; ++t)
             demand[t] += cores * row[t];
         }

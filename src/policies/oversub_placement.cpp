@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
+#include "common/stride_sample.h"
 #include "stats/descriptive.h"
 
 namespace cloudlens::policies {
@@ -57,18 +57,12 @@ OversubPlacementReport simulate_oversubscribed_placement(
     if (vm.cores > options.node_cores) continue;  // cannot repack
     candidates.push_back(vm.id);
   }
-  std::size_t stride = 1;
-  if (options.max_vms > 0 && candidates.size() > options.max_vms)
-    stride = candidates.size() / options.max_vms;
-
-  const TelemetryPanel* panel = trace.telemetry_panel();
   std::vector<double> scratch;
   std::vector<std::vector<double>> demand;  // per VM, per interval
   std::vector<double> full_size, effective_size;
-  for (std::size_t i = 0; i < candidates.size(); i += stride) {
-    const auto& vm = trace.vm(candidates[i]);
-    const std::span<const double> row =
-        vm_telemetry_row(trace, panel, vm.id, grid, scratch);
+  for (const VmId id : stride_sample(std::move(candidates), options.max_vms)) {
+    const auto& vm = trace.vm(id);
+    const std::span<const double> row = trace.telemetry_row(id, scratch);
     std::vector<double> d(grid.count);
     for (std::size_t t = 0; t < grid.count; ++t) d[t] = vm.cores * row[t];
     effective_size.push_back(

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/classifier.h"
-#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 
 namespace cloudlens::policies {
@@ -26,18 +25,15 @@ PreprovisionReport evaluate_preprovisioning(
   PreprovisionReport report;
   report.demand = stats::TimeSeries(grid);
 
-  // Aggregate demand of hourly-peak VMs, streaming one panel row (or one
-  // scratch evaluation when the trace holds no panel) per VM — the row feeds both
-  // the classifier and the demand accumulation.
-  const TelemetryPanel* panel = trace.telemetry_panel();
+  // Aggregate demand of hourly-peak VMs, streaming one telemetry row per
+  // VM — the row feeds both the classifier and the demand accumulation.
   std::vector<double> scratch;
   auto& demand = report.demand.mutable_values();
   std::size_t used = 0;
   for (const auto& vm : trace.vms()) {
     if (options.max_vms > 0 && used >= options.max_vms) break;
     if (vm.cloud != cloud || !vm.covers(grid) || !vm.utilization) continue;
-    const std::span<const double> row =
-        vm_telemetry_row(trace, panel, vm.id, grid, scratch);
+    const std::span<const double> row = trace.telemetry_row(vm.id, scratch);
     if (analysis::classify(row, grid) !=
         analysis::UtilizationClass::kHourlyPeak)
       continue;

@@ -6,7 +6,6 @@
 
 #include "analysis/context.h"
 #include "analysis/spatial.h"
-#include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 
 namespace cloudlens::policies {
@@ -16,13 +15,11 @@ namespace {
 /// load metrics do not need 5-minute resolution): the mean of every fourth
 /// tick of the VM's row that lies inside its alive window. Dead ticks are
 /// skipped, not averaged in as zeros.
-double vm_mean_util(const TraceStore& trace, const TelemetryPanel* panel,
-                    const VmRecord& vm) {
+double vm_mean_util(const TraceStore& trace, const VmRecord& vm) {
   if (!vm.utilization) return 0.0;
   const TimeGrid& grid = trace.telemetry_grid();
   std::vector<double> scratch;  // the row, when no panel holds it
-  const std::span<const double> row =
-      vm_telemetry_row(trace, panel, vm.id, grid, scratch);
+  const std::span<const double> row = trace.telemetry_row(vm.id, scratch);
   double sum = 0;
   std::size_t n = 0;
   for (std::size_t t = 0; t < grid.count; t += 4) {
@@ -41,7 +38,6 @@ std::vector<double> mean_utils(const TraceStore& trace, CloudType cloud,
                                const std::function<bool(RegionId)>& wanted,
                                const ParallelConfig& parallel) {
   const std::span<const VmRecord> vms = trace.vms();
-  const TelemetryPanel* panel = trace.telemetry_panel();
   std::vector<double> means(vms.size(), 0.0);
   parallel_for(
       vms.size(),
@@ -50,7 +46,7 @@ std::vector<double> mean_utils(const TraceStore& trace, CloudType cloud,
         if (vm.cloud != cloud || !vm.alive_at(options.snapshot) ||
             !wanted(vm.region))
           return;
-        means[vm.id.value()] = vm_mean_util(trace, panel, vm);
+        means[vm.id.value()] = vm_mean_util(trace, vm);
       },
       parallel);
   return means;

@@ -43,13 +43,19 @@ TimeSeries TimeSeries::downsample_mean(std::size_t factor) const {
   CL_CHECK_MSG(out_count > 0, "series shorter than downsample window");
   TimeGrid out_grid{grid_.start, grid_.step * static_cast<SimDuration>(factor),
                     out_count};
-  std::vector<double> out(out_count, 0.0);
-  for (std::size_t i = 0; i < out_count; ++i) {
+  std::vector<double> out(out_count);
+  stats::downsample_mean(values_, factor, out);
+  return TimeSeries(out_grid, std::move(out));
+}
+
+void downsample_mean(std::span<const double> in, std::size_t factor,
+                     std::span<double> out) {
+  CL_CHECK(factor > 0 && out.size() == in.size() / factor);
+  for (std::size_t i = 0; i < out.size(); ++i) {
     double acc = 0;
-    for (std::size_t j = 0; j < factor; ++j) acc += values_[i * factor + j];
+    for (std::size_t j = 0; j < factor; ++j) acc += in[i * factor + j];
     out[i] = acc / static_cast<double>(factor);
   }
-  return TimeSeries(out_grid, std::move(out));
 }
 
 TimeSeries TimeSeries::hourly_mean() const {

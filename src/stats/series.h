@@ -65,4 +65,11 @@ struct PercentileBands {
 
 PercentileBands percentile_bands(std::span<const TimeSeries> population);
 
+/// Mean over consecutive windows of `factor` samples of `in`, written to
+/// `out` (out.size() == in.size() / factor): each window is summed in
+/// order, then divided once. TimeSeries::downsample_mean and the trace's
+/// hourly rows both roll up through it, so their bits agree.
+void downsample_mean(std::span<const double> in, std::size_t factor,
+                     std::span<double> out);
+
 }  // namespace cloudlens::stats

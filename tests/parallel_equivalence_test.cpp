@@ -17,11 +17,14 @@
 
 #include "analysis/context.h"
 #include "analysis/classifier.h"
+#include "analysis/figures.h"
+#include "analysis/report.h"
 #include "analysis/spatial.h"
 #include "analysis/utilization.h"
 #include "cloudsim/telemetry_panel.h"
 #include "cloudsim/trace_io.h"
 #include "kb/extractor.h"
+#include "obs/metrics.h"
 #include "policies/advisor.h"
 #include "stats/descriptive.h"
 #include "workloads/fit.h"
@@ -219,6 +222,36 @@ TEST(PanelEquivalenceTest, PanelVsLegacyBitIdenticalAcrossSeeds) {
     EXPECT_EQ(panel_serial, legacy_serial) << "seed " << seed;
     EXPECT_EQ(panel_serial, legacy_threads) << "seed " << seed;
   }
+}
+
+// Every pass reads its rows through the trace, so a resident run that
+// built the panel reads every row from it: a pass that filled its own rows
+// around the trace's row source would show up as a miss.
+TEST(PanelEquivalenceTest, PanelRunReadsEveryRowFromThePanel) {
+  const Scenario scenario = small_scenario(kSeeds[0], 1);
+  TraceStore& trace = *scenario.trace;
+  ASSERT_NE(trace.build_telemetry_panel(), nullptr);
+
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.set_enabled(true);
+  const AnalysisContext ctx(trace, ParallelConfig::with_threads(4));
+  std::ostringstream sink;
+  analysis::write_characterization_report(ctx, sink);
+  const auto open = [&sink](const std::string&) -> std::ostream& {
+    return sink;
+  };
+  analysis::write_figure_csvs(ctx, open);
+  const kb::KnowledgeBase kb(kb::extract_all(ctx, {}));
+  for (const CloudType cloud : {CloudType::kPrivate, CloudType::kPublic})
+    sink << policies::render_report(
+        trace, policies::advise(trace, kb, cloud, ctx.parallel()));
+  const auto snap = metrics.snapshot();
+  metrics.set_enabled(false);
+  metrics.reset();
+
+  EXPECT_EQ(snap.counter("panel.row_misses"), 0u);
+  EXPECT_GT(snap.counter("panel.row_hits"), 0u);
 }
 
 TEST_F(AnalysisEquivalence, FittedProfilesBitIdentical) {

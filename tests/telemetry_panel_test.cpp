@@ -1,9 +1,9 @@
 // Telemetry panel suite: lifecycle (build on request, add_vm/set_vm_deleted
 // invalidation, the unbuilt fallback), row semantics (model-less VMs,
 // partial lifetimes, every tick written), the batched sample() == at()
-// bit-identity contract, the hourly roll-up (vm_hourly_row), concurrent
-// readers of a built panel (exercised under TSan in CI), and the
-// fused-vs-naive Pearson kernel.
+// bit-identity contract, the trace's row source (telemetry_row and its
+// hourly roll-up, hourly_row), concurrent readers of a built panel
+// (exercised under TSan in CI), and the fused-vs-naive Pearson kernel.
 #include "cloudsim/telemetry_panel.h"
 
 #include <gtest/gtest.h>
@@ -97,8 +97,9 @@ TEST(TelemetryPanelTest, SetVmDeletedInvalidatesPanel) {
   for (std::size_t i = cut_index; i < grid.count; ++i)
     ASSERT_EQ(row[i], 0.0) << "tick " << i;
   EXPECT_EQ(row[0], f.trace.vm(id).utilization->at(grid.start));
-  // Derived telemetry reflects the shortened life too.
-  EXPECT_EQ(f.trace.vm_utilization(id, grid).value_at(cut), 0.0);
+  // The trace's rows reflect the shortened life too.
+  std::vector<double> scratch;
+  EXPECT_EQ(f.trace.telemetry_row(id, scratch)[cut_index], 0.0);
 }
 
 TEST(TelemetryPanelTest, UnbuiltPanelIsNullAndFallbackMatches) {
@@ -110,16 +111,20 @@ TEST(TelemetryPanelTest, UnbuiltPanelIsNullAndFallbackMatches) {
                            grid.start + kDay, grid.start + 4 * kDay,
                            diurnal(21));
 
-  // No panel yet: the scratch fallback fills the row.
-  const TelemetryPanel* unbuilt = f.trace.telemetry_panel();
-  EXPECT_EQ(unbuilt, nullptr);
+  // No panel yet: the trace fills the scratch row.
+  EXPECT_EQ(f.trace.telemetry_panel(), nullptr);
   std::vector<double> scratch;
-  const auto row = vm_telemetry_row(f.trace, unbuilt, id, grid, scratch);
+  const auto row = f.trace.telemetry_row(id, scratch);
+  ASSERT_EQ(row.data(), scratch.data());
 
-  // The fallback goes through the same fill kernel: identical bits.
+  // The fallback goes through the same fill kernel: identical bits. Once
+  // the panel is built, the trace serves its row instead of the scratch.
   const TelemetryPanel* panel = f.trace.build_telemetry_panel();
   ASSERT_NE(panel, nullptr);
-  const auto cached = panel->row(id);
+  std::vector<double> unused;
+  const auto cached = f.trace.telemetry_row(id, unused);
+  ASSERT_EQ(cached.data(), panel->row(id).data());
+  EXPECT_TRUE(unused.empty());
   ASSERT_EQ(row.size(), cached.size());
   for (std::size_t i = 0; i < row.size(); ++i)
     ASSERT_EQ(row[i], cached[i]) << "tick " << i;
@@ -189,9 +194,11 @@ TEST(TelemetryPanelTest, HourlyRowMatchesHourlyMeanBitwise) {
     ASSERT_EQ(panel != nullptr, built);
     std::vector<double> row_scratch, hourly_scratch;
     for (const VmId id : {full, partial}) {
-      const auto hourly = vm_hourly_row(f.trace, panel, id, grid, row_scratch,
-                                        hourly_scratch);
-      const auto reference = f.trace.vm_utilization(id, grid).hourly_mean();
+      const auto hourly = f.trace.hourly_row(id, row_scratch, hourly_scratch);
+      std::vector<double> row(grid.count);
+      TelemetryPanel::fill_row(f.trace.vm(id), grid, row);
+      const auto reference =
+          stats::TimeSeries(grid, std::move(row)).hourly_mean();
       ASSERT_EQ(hourly.size(), reference.size());
       for (std::size_t h = 0; h < hourly.size(); ++h)
         ASSERT_EQ(hourly[h], reference[h]) << "hour " << h;

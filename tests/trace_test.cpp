@@ -113,11 +113,13 @@ TEST_F(TraceTest, VmUtilizationMaskedOutsideLifetime) {
   const VmId id =
       fx_.add_vm(CloudType::kPrivate, fx_.private_sub, node, 4, kHour,
                  2 * kHour, std::make_shared<ConstantUtilization>(0.5));
-  const TimeGrid grid{0, kTelemetryInterval, 36};  // 3 hours
-  const auto series = fx_.trace.vm_utilization(id, grid);
-  EXPECT_DOUBLE_EQ(series[0], 0.0);                      // before create
-  EXPECT_DOUBLE_EQ(series[grid.index_of(kHour)], 0.5);   // alive
-  EXPECT_DOUBLE_EQ(series[grid.index_of(2 * kHour)], 0.0);  // after delete
+  const TimeGrid& grid = fx_.trace.telemetry_grid();
+  std::vector<double> scratch;
+  const auto row = fx_.trace.telemetry_row(id, scratch);
+  ASSERT_EQ(row.size(), grid.count);
+  EXPECT_DOUBLE_EQ(row[0], 0.0);                         // before create
+  EXPECT_DOUBLE_EQ(row[grid.index_of(kHour)], 0.5);      // alive
+  EXPECT_DOUBLE_EQ(row[grid.index_of(2 * kHour)], 0.0);  // after delete
 }
 
 TEST_F(TraceTest, NodeUtilizationIsCoreWeighted) {
@@ -127,8 +129,8 @@ TEST_F(TraceTest, NodeUtilizationIsCoreWeighted) {
              std::make_shared<ConstantUtilization>(1.0));
   fx_.add_vm(CloudType::kPrivate, fx_.private_sub, node, 4, 0, kNoEnd,
              std::make_shared<ConstantUtilization>(0.5));
-  const TimeGrid grid{0, kTelemetryInterval, 12};
-  const auto series = fx_.trace.node_utilization(node, grid);
+  const auto series = fx_.trace.node_utilization(node);
+  ASSERT_EQ(series.grid(), fx_.trace.telemetry_grid());
   for (std::size_t i = 0; i < series.size(); ++i)
     EXPECT_DOUBLE_EQ(series[i], 10.0 / 16.0);
 }
@@ -139,8 +141,7 @@ TEST_F(TraceTest, NodeUtilizationClampedToOne) {
              std::make_shared<ConstantUtilization>(1.0));
   fx_.add_vm(CloudType::kPrivate, fx_.private_sub, node, 16, 0, kNoEnd,
              std::make_shared<ConstantUtilization>(1.0));
-  const TimeGrid grid{0, kTelemetryInterval, 4};
-  const auto series = fx_.trace.node_utilization(node, grid);
+  const auto series = fx_.trace.node_utilization(node);
   EXPECT_DOUBLE_EQ(series[0], 1.0);
 }
 
@@ -156,10 +157,10 @@ TEST_F(TraceTest, VmWithoutUtilizationGivesZeroSeries) {
   const NodeId node = test::first_node(topo_, CloudType::kPrivate);
   const VmId id =
       fx_.add_vm(CloudType::kPrivate, fx_.private_sub, node, 4, 0, kNoEnd);
-  const TimeGrid grid{0, kTelemetryInterval, 4};
-  const auto series = fx_.trace.vm_utilization(id, grid);
-  for (std::size_t i = 0; i < series.size(); ++i)
-    EXPECT_DOUBLE_EQ(series[i], 0.0);
+  std::vector<double> scratch;
+  const auto row = fx_.trace.telemetry_row(id, scratch);
+  ASSERT_EQ(row.size(), fx_.trace.telemetry_grid().count);
+  for (const double v : row) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 }  // namespace

@@ -62,20 +62,6 @@ TEST_F(UtilizationTest, ThrowsWithNoCoveringVms) {
                CheckError);
 }
 
-TEST_F(UtilizationTest, VmMeanUtilizationRespectsAliveWindow) {
-  // Alive only the first half of the week at 0.4.
-  const VmId id = fx_.add_vm(
-      CloudType::kPrivate, fx_.private_sub, node_, 1, 0, kWeek / 2,
-      std::make_shared<ConstantUtilization>(0.4));
-  EXPECT_NEAR(vm_mean_utilization(AnalysisContext(fx_.trace), id), 0.4, 1e-9);
-}
-
-TEST_F(UtilizationTest, VmMeanUtilizationZeroWithoutModel) {
-  const VmId id =
-      fx_.add_vm(CloudType::kPrivate, fx_.private_sub, node_, 1, 0, kNoEnd);
-  EXPECT_DOUBLE_EQ(vm_mean_utilization(AnalysisContext(fx_.trace), id), 0.0);
-}
-
 TEST_F(UtilizationTest, RegionUsedCoresAggregates) {
   // Two VMs at 0.5 x 4 cores each = 4 used cores, all week.
   for (int i = 0; i < 2; ++i)

@@ -11,16 +11,21 @@
 #      cli_roundtrip drives through `cloudlens advise --threads 8` over
 #      task-owned scratch rows.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
-#      runs the kernel + stats suites, policing the AVX2 kernels'
-#      integer/float conversions and intrinsic shims, and the snapshot,
-#      population, run-plan and knowledge-base suites, policing the CLSN
-#      container writer/reader, the shard seal and decode paths and the
-#      kb artifact's decode.
+#      runs the kernel suites and the stats suites by name (Pearson,
+#      Spearman, FFT, periodicity and the stats property tests), policing
+#      the AVX2 kernels' integer/float conversions and intrinsic shims,
+#      and the snapshot, population, run-plan and knowledge-base suites,
+#      policing the CLSN container writer/reader, the shard seal and
+#      decode paths and the kb artifact's decode. A UBSan report fails
+#      the run (UBSAN_OPTIONS halt_on_error).
 #
 # The kernel suites call the scalar and (on an AVX2 CPU) the AVX2 kernel
 # paths directly, so the one ctest pass per flavour covers both. Each
 # flavour also fails when a ctest name holds a parameter's raw bytes
 # (`ctest -N` lists "byte object"): such names change between builds.
+# Every -R pattern below runs through run_suites, which fails when one of
+# the pattern's alternatives matches no ctest name: a misspelt or renamed
+# suite would otherwise drop its tests from a flavour without a word.
 #
 # Both flavours re-run the telemetry-panel suites explicitly (panel
 # lifecycle, sample()==at() contract, built-vs-unbuilt bit identity) and
@@ -68,6 +73,24 @@ JOBS=${CLOUDLENS_CI_JOBS:-$(nproc 2>/dev/null || echo 2)}
 export CTEST_PARALLEL_LEVEL=${CTEST_PARALLEL_LEVEL:-2}
 # Fail the TSan flavour on any report, and keep runs reproducible.
 export TSAN_OPTIONS=${TSAN_OPTIONS:-"halt_on_error=1"}
+# UBSan recovers by default (the report prints, the test still passes);
+# halt instead, so a report fails the UBSan flavour.
+export UBSAN_OPTIONS=${UBSAN_OPTIONS:-"halt_on_error=1:print_stacktrace=1"}
+
+# ctest over the suites `pattern` names, after checking that each of its
+# `|` alternatives matches at least one test (`ctest -N -R`).
+run_suites() {
+    dir=$1
+    pattern=$2
+    for alt in $(echo "$pattern" | tr '|' ' '); do
+        if ctest --test-dir "$dir" -N -R "$alt" | grep -q '^Total Tests: 0$'
+        then
+            echo "ci: ctest -R '$alt' matches no test in $dir" >&2
+            exit 1
+        fi
+    done
+    ctest --test-dir "$dir" --output-on-failure -R "$pattern"
+}
 
 run_flavour() {
     name=$1
@@ -89,34 +112,32 @@ run_flavour() {
         exit 1
     fi
     echo "== [$name] telemetry panel suites =="
-    ctest --test-dir "$dir" --output-on-failure \
-        -R 'TelemetryPanel|SampleContract|PearsonFused|PanelEquivalence'
+    run_suites "$dir" \
+        'TelemetryPanel|SampleContract|PearsonFused|PanelEquivalence'
     echo "== [$name] observability suites =="
-    ctest --test-dir "$dir" --output-on-failure \
-        -R 'ObsDeterminism|ObsMetrics|ObsSpan|ObsContext'
+    run_suites "$dir" 'ObsDeterminism|ObsMetrics|ObsSpan|ObsContext'
     echo "== [$name] snapshot + pipeline suites =="
-    ctest --test-dir "$dir" --output-on-failure \
-        -R 'Snapshot|ContentHash|ArtifactCache|TempDirTest|RunPlan|PipelineEquivalence|StageTable|KnowledgeBase|TraceIo'
+    run_suites "$dir" \
+        'Snapshot|ContentHash|ArtifactCache|TempDirTest|RunPlan|PipelineEquivalence|StageTable|KnowledgeBase|TraceIo'
     echo "== [$name] population shard suites =="
     # Out-of-core record store: snapshot/generator streaming round trips,
     # eviction budget, failure paths, and the resident-vs-sharded
     # byte-identity contract (the TSan pass polices the concurrent shard
     # acquire).
-    ctest --test-dir "$dir" --output-on-failure \
-        -R 'Population'
+    run_suites "$dir" 'Population'
     echo "== [$name] serve suites =="
     # Streaming ingest: the event-stream format pins, the engine's
     # epoch/cutoff accounting, the streamed-vs-batch byte-identity
     # contract, and the concurrent ingest/query test (the TSan pass is
     # what polices the snapshot publication, the query caches and a
     # checkpoint under a live ingester).
-    ctest --test-dir "$dir" --output-on-failure -R 'Serve'
+    run_suites "$dir" 'Serve'
     echo "== [$name] ingest suites =="
     # Trace ingest: strict field parsing (file:line:column errors, no
     # silent truncation), CRLF/LF identity, chunked parallel decode
     # bit-identity (the TSan pass polices the chunk fan-out), and the
     # exact fixture pins for the azure/google backends.
-    ctest --test-dir "$dir" --output-on-failure -R 'Ingest'
+    run_suites "$dir" 'Ingest'
 }
 
 # A bench smoke that exits 0 but writes no JSON is a silent no-op;
@@ -164,11 +185,14 @@ cmake -S "$ROOT" -B "$ubsan_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "== [ubsan] build (-j$JOBS) =="
 cmake --build "$ubsan_dir" -j "$JOBS"
 echo "== [ubsan] kernel, stats, snapshot, population, run-plan, kb + row-kernel suites =="
-ubsan_suites='Kernel|StatsProperty|QuantileProperty|Correlation|Fft|Periodicity'
+ubsan_suites='Kernel|PearsonTest|SpearmanTest|Fft|Periodicity'
+# stats_property_test's suites.
+ubsan_suites="$ubsan_suites|QuantileProperty|HistogramEcdfConsistency"
+ubsan_suites="$ubsan_suites|UniformIntUnbiased|SummaryConsistency"
 ubsan_suites="$ubsan_suites|Snapshot|Population|RunPlan|KnowledgeBase"
 # The batch sample() loops walk signed SimTime boundaries.
 ubsan_suites="$ubsan_suites|TelemetryPanel|SampleContract"
-ctest --test-dir "$ubsan_dir" --output-on-failure -R "$ubsan_suites"
+run_suites "$ubsan_dir" "$ubsan_suites"
 
 echo "== [release] telemetry perf smoke =="
 "$BUILD_ROOT/release/bench/bench_telemetry" \
