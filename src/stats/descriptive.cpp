@@ -44,9 +44,20 @@ double quantile_sorted(std::span<const double> sorted, double p) {
 
 double quantile(std::span<const double> xs, double p) {
   CL_CHECK(!xs.empty());
+  CL_CHECK(p >= 0.0 && p <= 1.0);  // before the cast: NaN or < 0 is UB there
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, p);
+  const std::size_t n = copy.size();
+  // quantile_sorted reads the order statistics lo and lo + 1 only: select
+  // lo, then the smallest element after it is the next one.
+  const double h = p * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(h);
+  const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(copy.begin(), nth, copy.end());
+  if (lo + 1 >= n) return *nth;
+  const double lower = *nth;
+  const double upper = *std::min_element(nth + 1, copy.end());
+  const double frac = h - static_cast<double>(lo);
+  return lower + frac * (upper - lower);
 }
 
 void StreamingMoments::add(double x) {

@@ -17,7 +17,11 @@ double stddev(std::span<const double> xs);
 double coefficient_of_variation(std::span<const double> xs);
 
 /// Linear-interpolation quantile (type 7, the numpy/R default), p in [0, 1].
-/// The input need not be sorted; an internal copy is sorted.
+/// The input need not be sorted: O(n) selection on an internal copy places
+/// the two order statistics the interpolation reads, so the result has the
+/// bits quantile_sorted gives on a sorted copy. One exception: when the
+/// maximum is zero and held with both signs, p = 1 may return the other
+/// zero than the sort's last element.
 double quantile(std::span<const double> xs, double p);
 
 /// Quantile over data the caller has already sorted ascending (no copy).

@@ -13,6 +13,9 @@
 namespace cloudlens::stats {
 
 /// In-place iterative radix-2 Cooley–Tukey. data.size() must be a power of 2.
+/// The bit-reversal swaps and every stage's twiddle table are built once per
+/// size, on first use (thread-safe), and kept for the process; each call runs
+/// one kernels::fft_stage per stage over them. The inverse scales by 1/n.
 void fft_inplace(std::vector<std::complex<double>>& data, bool inverse);
 
 /// Next power of two >= n (n >= 1).

@@ -135,7 +135,6 @@ double periodicity_score_acf(std::span<const double> acf, SimDuration step,
   const std::size_t v_lo = std::max<std::size_t>(1, lag0 / 4);
   for (std::size_t l = v_lo; l < lag0 && l < n; ++l)
     valley = std::min(valley, acf[l]);
-  if (lag0 <= 1) valley = 0.0;
 
   return hill - valley;
 }

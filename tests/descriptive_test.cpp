@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/check.h"
@@ -78,6 +83,47 @@ TEST(QuantileTest, SortedVariantAgrees) {
   const std::vector<double> sorted = {1, 2, 3, 4, 5, 6, 7};
   for (double p : {0.0, 0.1, 0.33, 0.5, 0.9, 1.0}) {
     EXPECT_DOUBLE_EQ(quantile(sorted, p), quantile_sorted(sorted, p));
+  }
+}
+
+TEST(QuantileTest, RejectsPOutsideUnitIntervalAtEverySize) {
+  // The p check runs ahead of the one-element shortcut and of the cast of
+  // p·(n − 1) to an index (UB for a negative or NaN value).
+  for (const std::size_t n : {1u, 2u, 100u}) {
+    std::vector<double> xs(n);
+    std::iota(xs.begin(), xs.end(), 0.0);
+    for (const double p :
+         {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_THROW(quantile(xs, p), cloudlens::CheckError)
+          << "n=" << n << " p=" << p;
+      EXPECT_THROW(quantile_sorted(xs, p), cloudlens::CheckError)
+          << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST(QuantileTest, SelectionBitEqualToSortedCopy) {
+  // quantile selects the two order statistics it interpolates; it must
+  // return the bits of quantile_sorted over a sorted copy. One input family
+  // draws from eight values, so most order statistics are ties.
+  cloudlens::Rng rng(11);
+  std::vector<std::size_t> sizes(65);
+  std::iota(sizes.begin(), sizes.end(), 1u);
+  sizes.push_back(8064);  // four 2016-tick rows: a kb subscription's p95
+  for (const std::size_t n : sizes) {
+    for (const bool ties : {true, false}) {
+      std::vector<double> xs(n);
+      for (auto& x : xs)
+        x = ties ? static_cast<double>(rng.uniform_int(8)) / 7.0
+                 : rng.uniform();
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double p : {0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 1.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile(xs, p)),
+                  std::bit_cast<std::uint64_t>(quantile_sorted(sorted, p)))
+            << "n=" << n << " ties=" << ties << " p=" << p;
+      }
+    }
   }
 }
 
